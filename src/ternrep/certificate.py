@@ -5,7 +5,10 @@ inclusion direction, and for cover proofs the per-class witness
 transforms, coset-to-transform assignments, and escape records.  check()
 re-verifies every claim from scratch - matrix identities, residue-coset
 scans, divisibility of transported cosets, cover arithmetic - without
-ever searching for transforms, so it does not trust the prover.
+ever searching for transforms, so it does not trust the prover.  It
+shares no residue arithmetic with the prover's search either: cover
+arithmetic is a direct scan of all L^3 cosets, where the prover factors
+L by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
@@ -14,16 +17,22 @@ import json
 from dataclasses import dataclass
 from math import lcm
 
+import numpy as np
+
 from . import _mat
-from .congruence import ResidueClass, _residue_array, attainable_residues
+from .congruence import ResidueClass, _residue_array
 from .forms import QuadForm, doubled_gram, evaluate, is_positive_definite
 from .prover import (
+    AUTO_MODULI,
     CoverDirection,
     PairProof,
     SubformDirection,
 )
 
 CERT_VERSION = 1
+# the largest cover modulus the prover's search uses (144); bounds every
+# L^3 scan below to ~24 MB whatever the certificate says
+MAX_MODULUS = lcm(*AUTO_MODULI)
 
 
 def _matrix_json(T):
@@ -119,20 +128,32 @@ def _fail(clause, detail=""):
     return Verdict(False, clause, detail)
 
 
-def _as_matrix(obj):
-    if (
-        not isinstance(obj, list) or len(obj) != 3
-        or any(not isinstance(row, list) or len(row) != 3 for row in obj)
-        or any(not isinstance(x, int) for row in obj for x in row)
-    ):
-        raise ValueError("matrix must be 3x3 integer rows")
-    return _mat.from_rows(obj)
+def _as_int(obj):
+    # JSON true/false, strings and floats are not integers
+    if type(obj) is not int:
+        raise ValueError(f"expected an integer, got {obj!r}")
+    return obj
 
 
-def _as_vector(obj):
-    if not isinstance(obj, list) or len(obj) != 3 or any(not isinstance(x, int) for x in obj):
-        raise ValueError("vector must be 3 integers")
+def _as_ints(obj, n):
+    if not isinstance(obj, list) or len(obj) != n or any(type(x) is not int for x in obj):
+        raise ValueError(f"expected a list of {n} integers, got {obj!r}")
     return tuple(obj)
+
+
+def _as_matrix(obj):
+    if not isinstance(obj, list) or len(obj) != 3:
+        raise ValueError("matrix must be 3x3 integer rows")
+    return tuple(_as_ints(row, 3) for row in obj)
+
+
+def _attained_residues(g, L):
+    """Residues mod L that g attains, by a direct scan of all L^3 cosets."""
+    a, b, c, r, s, t = (k % L for k in g.coefficients)  # int64-safe for any coefficients
+    v = np.arange(L, dtype=np.int64)
+    x, y, z = v[:, None, None], v[None, :, None], v[None, None, :]
+    values = a * x * x + b * y * y + c * z * z + r * y * z + s * x * z + t * x * y
+    return np.unique(values % L).tolist()
 
 
 def _check_cover(tag, sub, sup, record):
@@ -143,14 +164,16 @@ def _check_cover(tag, sub, sup, record):
     G_sub = doubled_gram(sub)
     G_sup = doubled_gram(sup)
     try:
-        class_ids = [ResidueClass(rec["d"], rec["a"]) for rec in classes]
+        class_ids = [ResidueClass(_as_int(rec["d"]), _as_int(rec["a"])) for rec in classes]
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"{tag}.schema", str(exc))
     # cover arithmetic: every attainable residue lies in some class
     modulus = 1
     for cls in class_ids:
         modulus = lcm(modulus, cls.d)
-    for rho in attainable_residues(sub, modulus):
+    if modulus > MAX_MODULUS:
+        return _fail(f"{tag}.limits", f"lcm of class moduli {modulus} exceeds {MAX_MODULUS}")
+    for rho in _attained_residues(sub, modulus):
         if not any(rho % cls.d == cls.a for cls in class_ids):
             return _fail(f"{tag}.cover", f"attainable residue {rho} mod {modulus} uncovered")
     for rec, cls in zip(classes, class_ids):
@@ -158,8 +181,8 @@ def _check_cover(tag, sub, sup, record):
         ctag = f"{tag}.class({d},{a})"
         try:
             transforms = [_as_matrix(T) for T in rec.get("transforms", [])]
-            witnesses = [(_as_vector(w[0]), w[1]) for w in rec.get("witnesses", [])]
-        except (ValueError, TypeError, IndexError) as exc:
+            witnesses = [(_as_ints(w[0], 3), w[1]) for w in rec.get("witnesses", [])]
+        except (LookupError, TypeError, ValueError) as exc:
             return _fail(f"{ctag}.schema", str(exc))
         scale = d * d
         for i, T in enumerate(transforms):
@@ -170,12 +193,12 @@ def _check_cover(tag, sub, sup, record):
         bad = []
         if escape is not None:
             try:
-                bad = [_as_vector(v) for v in escape.get("bad", [])]
-            except ValueError as exc:
+                bad = [_as_ints(v, 3) for v in escape.get("bad", [])]
+            except (AttributeError, TypeError, ValueError) as exc:
                 return _fail(f"{ctag}.schema", str(exc))
         claimed = {}
         for v, ti in witnesses:
-            if not isinstance(ti, int) or not 0 <= ti < len(transforms):
+            if type(ti) is not int or not 0 <= ti < len(transforms):
                 return _fail(f"{ctag}.schema", f"witness index {ti!r} out of range")
             if v in claimed:
                 return _fail(f"{ctag}.partition", f"coset {v} listed twice")
@@ -210,8 +233,8 @@ def _check_escape(ctag, sub, sup, cls, escape, bad):
     try:
         E = _as_matrix(escape["matrix"])
         eigen_entries = [
-            (_as_vector(e["vector"]), int(e["eigenvalue"]), int(e["power"]),
-             int(e["base"]), _as_vector(e["witness"]))
+            (_as_ints(e["vector"], 3), _as_int(e["eigenvalue"]), _as_int(e["power"]),
+             _as_int(e["base"]), _as_ints(e["witness"], 3))
             for e in escape.get("eigenvectors", [])
         ]
     except (KeyError, TypeError, ValueError) as exc:
@@ -250,7 +273,7 @@ def check(cert) -> Verdict:
 
     Accepts the bytes/str emitted by emit(), or an already-parsed dict.
     Runs no transform search; cost is matrix arithmetic plus d^3 coset
-    scans.
+    scans, with every modulus at most MAX_MODULUS.
     """
     if isinstance(cert, (bytes, str)):
         try:
@@ -259,14 +282,16 @@ def check(cert) -> Verdict:
             return _fail("schema", f"not valid JSON: {exc}")
     if not isinstance(cert, dict):
         return _fail("schema", "certificate must be a JSON object")
-    if cert.get("version") != CERT_VERSION:
-        return _fail("version", f"expected {CERT_VERSION}, got {cert.get('version')!r}")
+    version = cert.get("version")
+    if type(version) is not int or version != CERT_VERSION:
+        return _fail("version", f"expected {CERT_VERSION}, got {version!r}")
     try:
-        f = QuadForm(*cert["f"])
-        g = QuadForm(*cert["g"])
-    except (KeyError, TypeError, ValueError) as exc:
+        f = QuadForm(*_as_ints(cert["f"], 6))
+        g = QuadForm(*_as_ints(cert["g"], 6))
+    except (KeyError, ValueError) as exc:
         return _fail("schema", f"bad form coefficients: {exc}")
-    if not isinstance(cert.get("empirical_bound"), int) or cert["empirical_bound"] < 0:
+    bound = cert.get("empirical_bound")
+    if type(bound) is not int or bound < 0:
         return _fail("schema", "empirical_bound must be a nonnegative integer")
     for name, form in (("f", f), ("g", g)):
         if not is_positive_definite(form):

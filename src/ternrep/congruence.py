@@ -12,7 +12,7 @@ good, each value of g in the progression { d n + a } is a value of f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
 
@@ -45,15 +45,17 @@ class ResidueClass:
         return f"{self.d}n+{self.a}"
 
 
-@lru_cache(maxsize=16)  # grids are d^3 int64 entries, up to ~24 MB at d = 144
+# grids are d^3 int64 entries: 0.9 MB at the largest class modulus the
+# prover scans (48); attainable_residues asks only for prime powers
+@lru_cache(maxsize=16)
 def _value_grid(g: QuadForm, d: int):
     """d^3 grid of 2*g(v) mod 2d, index order (x, y, z)."""
     rng = np.arange(d, dtype=np.int64)
     X, Y, Z = np.meshgrid(rng, rng, rng, indexing="ij")
-    vals = 2 * (
-        g.a * X * X + g.b * Y * Y + g.c * Z * Z
-        + g.r * Y * Z + g.s * X * Z + g.t * X * Y
-    )
+    # 2*g(v) mod 2d depends on the coefficients mod d only; reducing them
+    # keeps every term within int64 however large the coefficients are
+    a, b, c, r, s, t = (k % d for k in g.coefficients)
+    vals = 2 * (a * X * X + b * Y * Y + c * Z * Z + r * Y * Z + s * X * Z + t * X * Y)
     grid = vals % (2 * d)
     grid.setflags(write=False)
     return grid
@@ -69,10 +71,39 @@ def residue_vectors(g: QuadForm, cls: ResidueClass) -> list:
     return [Vector3(*map(int, row)) for row in _residue_array(g, cls)]
 
 
+def _prime_powers(n: int) -> list:
+    """The prime-power factors of n, e.g. 144 -> [16, 9]."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            out.append(q)
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def attainable_residues(g: QuadForm, modulus: int) -> tuple:
-    """Residues mod `modulus` that g attains on (Z/modulus Z)^3."""
-    grid = _value_grid(g, int(modulus))
-    return tuple(int(v) // 2 for v in np.unique(grid))
+    """Residues mod `modulus` that g attains on (Z/modulus Z)^3.
+
+    By the Chinese remainder theorem (Z/LZ)^3, L = modulus, is the product
+    of the (Z/qZ)^3 over the prime powers q of L, so rho mod L is attained
+    iff rho mod q is attained for every q: only q^3 grids are scanned.
+    """
+    attained = np.ones(1, dtype=bool)  # attained[rho] for rho mod m
+    m = 1
+    for q in _prime_powers(int(modulus)):
+        hit = np.zeros(q, dtype=bool)
+        hit[_value_grid(g, q).ravel() // 2] = True
+        rho = np.arange(m * q)
+        attained = attained[rho % m] & hit[rho % q]
+        m *= q
+    return tuple(np.flatnonzero(attained).tolist())
 
 
 @dataclass(frozen=True)
@@ -81,7 +112,8 @@ class GoodVectorReport:
 
     good holds (coset, index) pairs, the index naming the first transform
     in `transforms` whose image of the coset is divisible by d; bad holds
-    the cosets with no such transform.
+    the cosets with no such transform, and bad_array the same cosets as
+    an (n, 3) int64 array.
     """
 
     f: QuadForm
@@ -90,6 +122,7 @@ class GoodVectorReport:
     transforms: TransformSet
     good: tuple
     bad: tuple
+    bad_array: np.ndarray = field(compare=False, hash=False, repr=False)
 
     @property
     def all_good(self) -> bool:
@@ -123,12 +156,11 @@ def classify_good(f: QuadForm, g: QuadForm, cls: ResidueClass,
         hits = (V[pending] @ np.asarray(T, dtype=np.int64).T) % d == 0
         sel = np.flatnonzero(pending)[hits.all(axis=1)]
         witness[sel] = idx
-    good = tuple(
-        (Vector3(*map(int, V[i])), int(witness[i]))
-        for i in np.flatnonzero(witness >= 0)
-    )
-    bad = tuple(Vector3(*map(int, V[i])) for i in np.flatnonzero(witness < 0))
-    return GoodVectorReport(f, g, cls, transforms, good, bad)
+    found = witness >= 0
+    good = tuple(zip(map(Vector3._make, V[found].tolist()), witness[found].tolist()))
+    bad_array = V[~found]
+    bad = tuple(map(Vector3._make, bad_array.tolist()))
+    return GoodVectorReport(f, g, cls, transforms, good, bad, bad_array)
 
 
 def precedes(f: QuadForm, g: QuadForm, cls: ResidueClass) -> GoodVectorReport:

@@ -167,8 +167,12 @@ def evaluate_escape_matrix(f, g, cls, report, matrix):
     """
     d = cls.d
     bad = report.bad
-    for u in bad:
-        if any(c % d for c in _mat.act(matrix, u)):
+    # int64 cannot overflow: coset entries are below d, and the matrix is a
+    # scaled automorphism, each column representing d^2 g_jj under g, so its
+    # entries stay small
+    E_t = np.asarray(matrix, dtype=np.int64).T
+    for chunk in (report.bad_array[:64], report.bad_array[64:]):
+        if ((chunk @ E_t) % d).any():
             return "integrality"
     if _mat.is_finite_order_scaled(matrix, d):
         return "finite_order"
@@ -301,7 +305,7 @@ def prove_pair(f: QuadForm, g: QuadForm, *, classes_g_in_f=None, classes_f_in_g=
 
     The finished proof is cross-checked against exhaustive enumeration up
     to empirical_bound; a disagreement would be an implementation bug and
-    raises RuntimeError.
+    raises MismatchAt at the first integer where the sets differ.
     """
     require_positive_definite(f)
     require_positive_definite(g)
@@ -319,10 +323,7 @@ def prove_pair(f: QuadForm, g: QuadForm, *, classes_g_in_f=None, classes_f_in_g=
     mf = represented_mask(f, empirical_bound)
     mg = represented_mask(g, empirical_bound)
     if not np.array_equal(mf, mg):
-        n = int(np.flatnonzero(mf != mg)[0])
-        raise RuntimeError(
-            f"proof constructed but represented sets differ at {n}; this is a bug"
-        )
+        raise MismatchAt(np.flatnonzero(mf != mg)[0], f, g)
     return PairProof(f, g, f_in_g, g_in_f, int(empirical_bound))
 
 

@@ -62,3 +62,12 @@ def triple_loop_reps(form, n, radius):
                 if evaluate(form, (x, y, z)) == n:
                     out.append((x, y, z))
     return sorted(out)
+
+
+def attained_residues(form, modulus):
+    """Residues mod `modulus` taken by the form on all modulus^3 coordinate triples."""
+    rng = np.arange(modulus, dtype=np.int64)
+    X, Y, Z = np.meshgrid(rng, rng, rng, indexing="ij")
+    a, b, c, r, s, t = form.coefficients
+    vals = a * X * X + b * Y * Y + c * Z * Z + r * Y * Z + s * X * Z + t * X * Y
+    return tuple(int(v) for v in np.unique(vals % modulus))

@@ -1,6 +1,8 @@
 import copy
 import json
 import random
+import time
+from math import lcm
 
 import pytest
 
@@ -115,6 +117,9 @@ def test_version_enforced(s4_cert):
     cert = copy.deepcopy(s4_cert)
     cert["version"] = 99
     assert not certificate.check(cert).ok
+    for lookalike in (True, 1.0, "1"):
+        cert["version"] = lookalike
+        assert certificate.check(cert).clause == "version"
     del cert["version"]
     assert not certificate.check(cert).ok
 
@@ -138,6 +143,75 @@ def test_single_integer_perturbations_rejected(s4_cert):
         M[i][j] += delta
         verdict = certificate.check(cert)
         assert not verdict.ok, f"perturbation at {path} [{i}][{j}] += {delta} was accepted"
+
+
+@pytest.fixture(scope="module")
+def catalog_certs():
+    return {
+        sid: certificate.emit(prove_pair(named_form(f"{sid}f"), named_form(f"{sid}g"),
+                                         empirical_bound=1000))
+        for sid in ("S4", "S6", "S7", "S8")
+    }
+
+
+def test_catalog_certificates_within_limits(catalog_certs):
+    for sid, blob in catalog_certs.items():
+        assert certificate.check(blob), sid
+        cert = json.loads(blob)
+        for tag in ("f_in_g", "g_in_f"):
+            moduli = [rec["d"] for rec in cert[tag].get("classes", [])]
+            assert lcm(1, *moduli) <= certificate.MAX_MODULUS
+
+
+@pytest.mark.parametrize("moduli", [(16, 45), (10**30,)])
+def test_oversized_cover_modulus_rejected_before_scan(s4_cert, moduli):
+    cert = copy.deepcopy(s4_cert)
+    for rec, d in zip(cert["g_in_f"]["classes"], moduli):
+        rec["d"] = d
+    t0 = time.perf_counter()
+    verdict = certificate.check(cert)
+    assert time.perf_counter() - t0 < 1.0
+    assert not verdict.ok and verdict.clause == "g_in_f.limits"
+
+
+def _class_with_escape(cert):
+    return next(rec for rec in cert["g_in_f"]["classes"] if rec["escape"])
+
+
+INTEGER_FIELDS = {
+    "empirical_bound": lambda c: (c, "empirical_bound"),
+    "form_coefficient": lambda c: (c["f"], 0),
+    "class_d": lambda c: (c["g_in_f"]["classes"][0], "d"),
+    "class_a": lambda c: (c["g_in_f"]["classes"][0], "a"),
+    "witness_index": lambda c: (c["g_in_f"]["classes"][0]["witnesses"][0], 1),
+    "transform_entry": lambda c: (c["g_in_f"]["classes"][0]["transforms"][0][0], 0),
+    "eigenvalue": lambda c: (_class_with_escape(c)["escape"]["eigenvectors"][0], "eigenvalue"),
+    "eigen_power": lambda c: (_class_with_escape(c)["escape"]["eigenvectors"][0], "power"),
+    "eigen_base": lambda c: (_class_with_escape(c)["escape"]["eigenvectors"][0], "base"),
+}
+
+
+@pytest.mark.parametrize("retype", [bool, str, float], ids=["bool", "str", "float"])
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_non_integer_types_rejected(s4_cert, field, retype):
+    cert = copy.deepcopy(s4_cert)
+    node, key = INTEGER_FIELDS[field](cert)
+    value = node[key]
+    node[key] = True if retype is bool else retype(value)
+    verdict = certificate.check(cert)
+    assert not verdict.ok and verdict.clause.endswith("schema"), (field, verdict)
+
+
+@pytest.mark.parametrize("path, junk", [
+    (("g_in_f", "classes", 1, "escape"), 5),
+    (("g_in_f", "classes", 0, "witnesses", 0), {}),
+    (("g_in_f", "classes", 0, "witnesses", 0), []),
+])
+def test_malformed_records_rejected(s4_cert, path, junk):
+    cert = copy.deepcopy(s4_cert)
+    get_at(cert, path[:-1])[path[-1]] = junk
+    verdict = certificate.check(cert)
+    assert not verdict.ok and verdict.clause.endswith("schema")
 
 
 def test_checker_runs_no_transform_search(s4_proof, monkeypatch):

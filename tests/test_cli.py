@@ -1,6 +1,6 @@
 import json
 
-from ternrep import certificate
+from ternrep import certificate, named_form, prover
 from ternrep.cli import EXIT_MISMATCH, EXIT_OK, EXIT_UNPROVABLE, EXIT_USAGE, run
 
 
@@ -111,6 +111,20 @@ def test_prove_unprovable_pair_exit_code(capsys):
     rc = run(["prove", "--f", "1,1,1,0,0,0", "--g", "1,1,2,0,0,0",
               "--classes", "1:0", "--classes-rev", "1:0", "--max", "100"])
     assert rc == EXIT_UNPROVABLE
+
+
+def test_prove_post_proof_mismatch_exit_code(monkeypatch, capsys):
+    real, g = prover.represented_mask, named_form("S4g")
+
+    def flipped_for_g(form, bound):
+        mask = real(form, bound).copy()
+        mask[7] ^= form == g
+        return mask
+
+    monkeypatch.setattr(prover, "represented_mask", flipped_for_g)
+    rc = run(["prove", "--f", "S4f", "--g", "S4g", "--max", "100"])
+    assert rc == EXIT_MISMATCH
+    assert "MISMATCH" in capsys.readouterr().err
 
 
 def test_table_ok(capsys):

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle import attained_residues
 from ternrep import (
     IncompleteTransformSet,
+    QuadForm,
     ResidueClass,
     Vector3,
     attainable_residues,
@@ -12,12 +16,14 @@ from ternrep import (
     cover_check,
     evaluate,
     find_transforms,
+    is_positive_definite,
     named_form,
     precedes,
     residue_vectors,
     scaled_automorphisms,
     transport,
 )
+from ternrep import certificate, congruence
 
 T1 = ((4, 2, 2), (0, 4, 2), (0, 0, 2))
 
@@ -161,6 +167,42 @@ def test_attainable_residues(s4):
     _, g = s4
     assert attainable_residues(g, 12) == (0, 2, 6, 8)
     assert attainable_residues(g, 2) == (0,)  # all coefficients even
+
+
+positive_definite_forms = st.builds(
+    QuadForm,
+    *[st.integers(1, 30)] * 3,
+    *[st.integers(-15, 15)] * 3,
+).filter(is_positive_definite)
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_definite_forms, st.sampled_from((1, 2, 3, 5, 7, 11, 13, 36, 48, 72, 144)))
+def test_attainable_residues_match_direct_scan(g, modulus):
+    assert attainable_residues(g, modulus) == attained_residues(g, modulus)
+
+
+def test_attainable_residues_scan_prime_powers_only(s6, monkeypatch):
+    _, g = s6
+    seen = []
+    grid = congruence._value_grid.__wrapped__
+
+    def recording_grid(form, d):
+        seen.append(d)
+        return grid(form, d)
+
+    monkeypatch.setattr(congruence, "_value_grid", recording_grid)
+    assert attainable_residues(g, 144) == attained_residues(g, 144)
+    assert sorted(seen) == [9, 16]
+
+
+def test_residue_scans_reduce_huge_coefficients():
+    # 12^30 is divisible by every modulus below, so both forms agree mod d
+    big, small = QuadForm(12**30 + 1, 1, 1, 0, 0, 0), QuadForm(1, 1, 1, 0, 0, 0)
+    cls = ResidueClass(12, 3)
+    assert residue_vectors(big, cls) == residue_vectors(small, cls)
+    assert attainable_residues(big, 144) == attainable_residues(small, 144)
+    assert tuple(certificate._attained_residues(big, 144)) == attained_residues(small, 144)
 
 
 def test_cover_check_worked_examples(s4, s7):

@@ -1,11 +1,14 @@
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from ternrep import (
     ClassUnprovable,
     CoverDirection,
     CoverIncomplete,
+    EigenFamily,
     EscapeArgument,
     MismatchAt,
     NotPositiveDefinite,
@@ -22,6 +25,8 @@ from ternrep import (
     precedes,
     prove_direction,
     prove_pair,
+    representations,
+    scaled_automorphisms,
     search_cover,
     transport,
     verify_pairwise,
@@ -103,6 +108,68 @@ def test_displayed_escape_matrix_is_valid(s4):
     assert outcome.eigenvectors == ((Vector3(1, 0, 0), 12),)
 
 
+def _reference_escape_outcome(f, g, cls, report, matrix):
+    """Reference evaluate_escape_matrix: integrality tested coset by coset with _mat.act."""
+    d = cls.d
+    bad = report.bad
+    for u in bad:
+        if any(c % d for c in _mat.act(matrix, u)):
+            return "integrality"
+    if _mat.is_finite_order_scaled(matrix, d):
+        return "finite_order"
+    coset_pool = {v for v, _ in report.good} | set(bad)
+    for u in bad:
+        w = transport(u, matrix, d)
+        if Vector3(*(c % d for c in w)) not in coset_pool:
+            return "descent"
+    families, seen, base_failure = [], set(), None
+    power = _mat.IDENTITY
+    for k in range(1, prover._POWER_RANGE + 1):
+        power = _mat.mat_mul(power, matrix)
+        lines = _mat.eigen_lines(power)
+        eigenvalues = [lam for _, lam in lines]
+        if len(set(eigenvalues)) < len(eigenvalues):
+            return "eigenspace_dimension"
+        for v, lam in lines:
+            if v in seen:
+                continue
+            base = evaluate(g, v)
+            reps = representations(f, base)
+            if not reps:
+                base_failure = base
+                continue
+            seen.add(v)
+            families.append(EigenFamily(Vector3(*v), lam, k, base, reps[0]))
+    if base_failure is not None:
+        return ("base", base_failure)
+    return EscapeArgument(cls, matrix, bad, tuple(families))
+
+
+@pytest.mark.parametrize("pair, cls", [("S4", ResidueClass(12, 2)), ("S6", ResidueClass(12, 0))])
+def test_escape_outcomes_match_per_coset_reference(pair, cls):
+    f, g = named_form(f"{pair}f"), named_form(f"{pair}g")
+    report = precedes(f, g, cls)
+    assert report.bad
+    autos = scaled_automorphisms(g, cls.d)
+    outcomes = [evaluate_escape_matrix(f, g, cls, report, M) for M in autos.matrices]
+    assert outcomes == [_reference_escape_outcome(f, g, cls, report, M) for M in autos.matrices]
+    assert "integrality" in outcomes
+    assert any(isinstance(o, EscapeArgument) for o in outcomes)
+
+
+def test_integrality_checks_cosets_past_the_first_chunk(s4):
+    f, g = s4
+    cls = ResidueClass(12, 2)
+    report = precedes(f, g, cls)
+    stray = next(v for v, _ in report.good if transport(v, TTILDE, 12) is None)
+    padded = report.bad * 3  # 96 cosets that TTILDE makes integral
+    for bad in (padded, padded + (stray,)):
+        variant = dataclasses.replace(report, bad=bad, bad_array=np.array(bad, dtype=np.int64))
+        outcome = evaluate_escape_matrix(f, g, cls, variant, TTILDE)
+        assert outcome == _reference_escape_outcome(f, g, cls, variant, TTILDE)
+        assert (outcome == "integrality") == (stray in bad)
+
+
 def test_scaled_identity_is_rejected_as_escape(s4):
     f, g = s4
     cls = ResidueClass(12, 2)
@@ -171,6 +238,21 @@ def test_search_cover_reports_failure_when_moduli_exhausted(s4, monkeypatch):
 def test_prove_pair_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         prove_pair(QuadForm(1, 1, 1, 0, 0, 3), QuadForm(1, 1, 1, 0, 0, 0))
+
+
+def test_post_proof_mismatch_raises_mismatch_at(s4, monkeypatch):
+    f, g = s4
+    real = prover.represented_mask
+
+    def flipped_for_g(form, bound):
+        mask = real(form, bound).copy()
+        mask[7] ^= form == g
+        return mask
+
+    monkeypatch.setattr(prover, "represented_mask", flipped_for_g)
+    with pytest.raises(MismatchAt) as info:
+        prove_pair(f, g, empirical_bound=100)
+    assert info.value.n == 7
 
 
 def test_verify_pairwise_mismatch():
