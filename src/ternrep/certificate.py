@@ -1,14 +1,18 @@
 """Serialized pair proofs and an independent, search-free checker.
 
 A certificate contains raw integers only: the two forms, one record per
-inclusion direction, and for cover proofs the per-class witness
-transforms, coset-to-transform assignments, and escape records.  check()
-re-verifies every claim from scratch - matrix identities, residue-coset
-scans, divisibility of transported cosets, cover arithmetic - without
-ever searching for transforms, so it does not trust the prover.  It
-shares no residue arithmetic with the prover's search either: cover
-arithmetic is a direct scan of all L^3 cosets, where the prover factors
-L by the Chinese remainder theorem.
+inclusion direction, and for cover proofs one record per residue class
+holding the transforms that witness its good cosets and, when the class
+has bad cosets, an escape record.  It lists no cosets: check() recomputes
+the cosets of each class with its own scan, marks those the listed
+transforms make integral, and requires the escape matrix to make every
+remaining (bad) coset integral.  It re-verifies every claim from scratch
+- matrix identities, residue-coset scans, divisibility of transported
+cosets, eigenlines, cover arithmetic - without ever searching for
+transforms, so it does not trust the prover.  It shares no residue
+arithmetic with the prover either: every scan here is a direct one over
+all d^3 (or L^3) cosets, where the prover factors L by the Chinese
+remainder theorem and classifies cosets with its own code.
 """
 
 from __future__ import annotations
@@ -20,16 +24,17 @@ from math import lcm
 import numpy as np
 
 from . import _mat
-from .congruence import ResidueClass, _residue_array
+from .congruence import ResidueClass
 from .forms import QuadForm, doubled_gram, evaluate, is_positive_definite
 from .prover import (
+    _POWER_RANGE,
     AUTO_MODULI,
     CoverDirection,
     PairProof,
     SubformDirection,
 )
 
-CERT_VERSION = 1
+CERT_VERSION = 2
 # the largest cover modulus the prover's search uses (144); bounds every
 # L^3 scan below to ~24 MB whatever the certificate says
 MAX_MODULUS = lcm(*AUTO_MODULI)
@@ -44,18 +49,13 @@ def _vec_json(v):
 
 
 def _class_json(proof) -> dict:
-    used = sorted({proof.report.transforms.matrices[idx] for _, idx in proof.report.good})
-    index_of = {T: i for i, T in enumerate(used)}
-    witnesses = sorted(
-        ([_vec_json(v), index_of[proof.report.transforms.matrices[idx]]]
-         for v, idx in proof.report.good),
-        key=lambda w: w[0],
-    )
+    report = proof.report
+    used = sorted({report.transforms.matrices[idx]
+                   for idx in np.unique(report.witness[report.witness >= 0]).tolist()})
     escape = None
     if proof.escape is not None:
         escape = {
             "matrix": _matrix_json(proof.escape.matrix),
-            "bad": sorted(_vec_json(v) for v in proof.escape.bad),
             "eigenvectors": sorted(
                 (
                     {
@@ -74,7 +74,6 @@ def _class_json(proof) -> dict:
         "d": proof.cls.d,
         "a": proof.cls.a,
         "transforms": [_matrix_json(T) for T in used],
-        "witnesses": witnesses,
         "escape": escape,
     }
 
@@ -147,13 +146,38 @@ def _as_matrix(obj):
     return tuple(_as_ints(row, 3) for row in obj)
 
 
-def _attained_residues(g, L):
-    """Residues mod L that g attains, by a direct scan of all L^3 cosets."""
-    a, b, c, r, s, t = (k % L for k in g.coefficients)  # int64-safe for any coefficients
+def _as_list(obj):
+    if not isinstance(obj, list):
+        raise ValueError(f"expected a list, got {obj!r}")
+    return obj
+
+
+def _values_mod(form, L):
+    """The L^3 grid of form(v) mod L over v in [0, L)^3, index order (x, y, z)."""
+    a, b, c, r, s, t = (k % L for k in form.coefficients)  # int64-safe for any coefficients
     v = np.arange(L, dtype=np.int64)
     x, y, z = v[:, None, None], v[None, :, None], v[None, None, :]
-    values = a * x * x + b * y * y + c * z * z + r * y * z + s * x * z + t * x * y
-    return np.unique(values % L).tolist()
+    return (a * x * x + b * y * y + c * z * z + r * y * z + s * x * z + t * x * y) % L
+
+
+def _attained_residues(g, L):
+    """Residues mod L that g attains, by a direct scan of all L^3 cosets."""
+    return np.unique(_values_mod(g, L)).tolist()
+
+
+def _class_cosets(form, d, a):
+    """The cosets v in [0, d)^3 with form(v) = a (mod d), as (n, 3) int64 rows."""
+    return np.argwhere(_values_mod(form, d) == a)
+
+
+def _integral_rows(V, M, d):
+    """Mask of the rows v of V with v M^t = 0 (mod d).
+
+    M is reduced mod d first, so the int64 product stays below 3 d^2
+    whatever the size of its entries.
+    """
+    M_t = np.array([[x % d for x in row] for row in M], dtype=np.int64).T
+    return ~((V @ M_t) % d).any(axis=1)
 
 
 def _check_cover(tag, sub, sup, record):
@@ -180,45 +204,20 @@ def _check_cover(tag, sub, sup, record):
         d, a = cls.d, cls.a
         ctag = f"{tag}.class({d},{a})"
         try:
-            transforms = [_as_matrix(T) for T in rec.get("transforms", [])]
-            witnesses = [(_as_ints(w[0], 3), w[1]) for w in rec.get("witnesses", [])]
-        except (LookupError, TypeError, ValueError) as exc:
+            transforms = [_as_matrix(T) for T in _as_list(rec["transforms"])]
+        except (KeyError, TypeError, ValueError) as exc:
             return _fail(f"{ctag}.schema", str(exc))
         scale = d * d
         for i, T in enumerate(transforms):
             if _mat.congruence(T, G_sup) != _mat.scalar_mul(scale, G_sub):
                 return _fail(f"{ctag}.transform_identity", f"table entry {i}")
-        cosets = {tuple(map(int, row)) for row in _residue_array(sub, cls)}
+        # a coset is good when some listed transform makes it integral; the
+        # rest are the bad cosets the escape record has to handle
+        bad = _class_cosets(sub, d, a)
+        for T in transforms:
+            bad = bad[~_integral_rows(bad, T, d)]
         escape = rec.get("escape")
-        bad = []
-        if escape is not None:
-            try:
-                bad = [_as_ints(v, 3) for v in escape.get("bad", [])]
-            except (AttributeError, TypeError, ValueError) as exc:
-                return _fail(f"{ctag}.schema", str(exc))
-        claimed = {}
-        for v, ti in witnesses:
-            if type(ti) is not int or not 0 <= ti < len(transforms):
-                return _fail(f"{ctag}.schema", f"witness index {ti!r} out of range")
-            if v in claimed:
-                return _fail(f"{ctag}.partition", f"coset {v} listed twice")
-            claimed[v] = ti
-        for v in bad:
-            if v in claimed:
-                return _fail(f"{ctag}.partition", f"coset {v} both witnessed and bad")
-            claimed[v] = None
-        if set(claimed) != cosets:
-            missing = cosets - set(claimed)
-            extra = set(claimed) - cosets
-            which = f"missing {sorted(missing)[:3]}" if missing else f"extra {sorted(extra)[:3]}"
-            return _fail(f"{ctag}.partition", which)
-        for v, ti in claimed.items():
-            if ti is None:
-                continue
-            image = _mat.act(transforms[ti], v)
-            if any(c % d for c in image):
-                return _fail(f"{ctag}.witness_integrality", f"coset {v}")
-        if bad or escape is not None:
+        if len(bad) or escape is not None:
             verdict = _check_escape(ctag, sub, sup, cls, escape, bad)
             if not verdict.ok:
                 return verdict
@@ -228,39 +227,46 @@ def _check_cover(tag, sub, sup, record):
 def _check_escape(ctag, sub, sup, cls, escape, bad):
     etag = ctag.replace(".class", ".escape")
     if escape is None:
-        return _fail(f"{etag}.missing", "bad cosets without an escape record")
+        return _fail(f"{etag}.missing", f"{len(bad)} cosets no listed transform makes integral")
     d = cls.d
     try:
+        if not isinstance(escape, dict):
+            raise ValueError(f"escape record must be an object, got {escape!r}")
         E = _as_matrix(escape["matrix"])
         eigen_entries = [
             (_as_ints(e["vector"], 3), _as_int(e["eigenvalue"]), _as_int(e["power"]),
              _as_int(e["base"]), _as_ints(e["witness"], 3))
-            for e in escape.get("eigenvectors", [])
+            for e in _as_list(escape["eigenvectors"])
         ]
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"{etag}.schema", str(exc))
     G_sub = doubled_gram(sub)
     if _mat.congruence(E, G_sub) != _mat.scalar_mul(d * d, G_sub):
         return _fail(f"{etag}.identity", "E^t (2M) E != d^2 (2M)")
-    for u in bad:
-        if any(c % d for c in _mat.act(E, u)):
-            return _fail(f"{etag}.integrality", f"coset {u}")
+    stuck = bad[~_integral_rows(bad, E, d)]
+    if len(stuck):
+        return _fail(f"{etag}.integrality", f"coset {tuple(stuck[0].tolist())}")
     if _mat.is_finite_order_scaled(E, d):
         return _fail(f"{etag}.finite_order", "(1/d) E has finite order")
-    recorded = {tuple(v): (lam, base, w) for v, lam, _, base, w in eigen_entries}
+    # first[v] = (eigenvalue, k) for the first power E^k with eigenline v
+    first = {}
     power = _mat.IDENTITY
-    for k in range(1, 7):
+    for k in range(1, _POWER_RANGE + 1):
         power = _mat.mat_mul(power, E)
         lines = _mat.eigen_lines(power)
-        per_eigenvalue = {}
-        for v, lam in lines:
-            per_eigenvalue.setdefault(lam, []).append(v)
-        if any(len(vs) > 1 for vs in per_eigenvalue.values()):
+        eigenvalues = [lam for _, lam in lines]
+        if len(set(eigenvalues)) < len(eigenvalues):
             return _fail(f"{etag}.eigenspace", f"power {k} has a multi-dimensional eigenspace")
         for v, lam in lines:
-            if v not in recorded:
-                return _fail(f"{etag}.eigenvector_missing", f"eigenvector {v} of power {k}")
-    for v, (lam, base, w) in recorded.items():
+            first.setdefault(v, (lam, k))
+    recorded = {v for v, *_ in eigen_entries}
+    for v in first:
+        if v not in recorded:
+            return _fail(f"{etag}.eigenvector_missing", f"eigenvector {v} of power {first[v][1]}")
+    for v, lam, k, base, w in eigen_entries:
+        if first.get(v) != (lam, k):
+            return _fail(f"{etag}.eigenvector_mismatch",
+                         f"vector {v}: eigenvalue {lam} at power {k}, expected {first.get(v)}")
         if evaluate(sub, v) != base:
             return _fail(f"{etag}.eigenvector_base", f"vector {v}: base != value")
         if evaluate(sup, w) != base:
@@ -273,7 +279,8 @@ def check(cert) -> Verdict:
 
     Accepts the bytes/str emitted by emit(), or an already-parsed dict.
     Runs no transform search; cost is matrix arithmetic plus d^3 coset
-    scans, with every modulus at most MAX_MODULUS.
+    scans and one array product per listed matrix, with every modulus at
+    most MAX_MODULUS.
     """
     if isinstance(cert, (bytes, str)):
         try:

@@ -13,7 +13,7 @@ good, each value of g in the progression { d n + a } is a value of f.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 import numpy as np
@@ -110,29 +110,52 @@ def attainable_residues(g: QuadForm, modulus: int) -> tuple:
 class GoodVectorReport:
     """Partition of the cosets of a residue class into good and bad.
 
-    good holds (coset, index) pairs, the index naming the first transform
-    in `transforms` whose image of the coset is divisible by d; bad holds
-    the cosets with no such transform, and bad_array the same cosets as
-    an (n, 3) int64 array.
+    cosets holds every coset of the class as an (n, 3) int64 array in
+    lexicographic order; witness[i] is the index of the first transform
+    in `transforms` whose image of cosets[i] is divisible by d, or -1
+    when there is none (a bad coset).  The Python views are built from
+    the arrays only when read: bad_array holds the bad rows, good the
+    (Vector3, index) pairs and bad the bad cosets as Vector3, all in
+    coset order.
     """
 
     f: QuadForm
     g: QuadForm
     cls: ResidueClass
     transforms: TransformSet
-    good: tuple
-    bad: tuple
-    bad_array: np.ndarray = field(compare=False, hash=False, repr=False)
+    cosets: np.ndarray = field(compare=False, hash=False, repr=False)
+    witness: np.ndarray = field(compare=False, hash=False, repr=False)
+
+    @cached_property
+    def bad_array(self) -> np.ndarray:
+        return self.cosets[self.witness < 0]
+
+    @cached_property
+    def good(self) -> tuple:
+        found = self.witness >= 0
+        return tuple(zip(map(Vector3._make, self.cosets[found].tolist()),
+                         self.witness[found].tolist()))
+
+    @cached_property
+    def bad(self) -> tuple:
+        return tuple(map(Vector3._make, self.bad_array.tolist()))
 
     @property
     def all_good(self) -> bool:
-        return not self.bad
+        return bool((self.witness >= 0).all())
 
     def __repr__(self):
+        n_bad = int((self.witness < 0).sum())
         return (
             f"GoodVectorReport(cls=({self.cls.d},{self.cls.a}), "
-            f"good={len(self.good)}, bad={len(self.bad)})"
+            f"good={len(self.witness) - n_bad}, bad={n_bad})"
         )
+
+
+# transforms tried per array product in classify_good: each product is a
+# (cosets, block) int64 array, 1.3 MB for the 16,128 cosets of the largest
+# class the catalog searches meet
+_TRANSFORM_BLOCK = 10
 
 
 def classify_good(f: QuadForm, g: QuadForm, cls: ResidueClass,
@@ -149,18 +172,24 @@ def classify_good(f: QuadForm, g: QuadForm, cls: ResidueClass,
     V = _residue_array(g, cls)
     d = cls.d
     witness = np.full(len(V), -1, dtype=np.int64)
-    for idx, T in enumerate(transforms.matrices):
-        pending = witness < 0
-        if not pending.any():
+    pending = np.arange(len(V))
+    mats = np.asarray(transforms.matrices, dtype=np.int64).reshape(-1, 3, 3)
+    for start in range(0, len(mats), _TRANSFORM_BLOCK):
+        if not len(pending):
             break
-        hits = (V[pending] @ np.asarray(T, dtype=np.int64).T) % d == 0
-        sel = np.flatnonzero(pending)[hits.all(axis=1)]
-        witness[sel] = idx
-    found = witness >= 0
-    good = tuple(zip(map(Vector3._make, V[found].tolist()), witness[found].tolist()))
-    bad_array = V[~found]
-    bad = tuple(map(Vector3._make, bad_array.tolist()))
-    return GoodVectorReport(f, g, cls, transforms, good, bad, bad_array)
+        block = mats[start:start + _TRANSFORM_BLOCK]
+        rows = V[pending]
+        # hits[i, j]: coset i is sent to an integral vector by T_j = block[j];
+        # rows @ block[:, k].T holds component k of every image v T_j^t
+        hits = (rows @ block[:, 0].T) % d == 0
+        for k in (1, 2):
+            hits &= (rows @ block[:, k].T) % d == 0
+        found = hits.any(axis=1)
+        witness[pending[found]] = start + hits[found].argmax(axis=1)
+        pending = pending[~found]
+    V.setflags(write=False)
+    witness.setflags(write=False)
+    return GoodVectorReport(f, g, cls, transforms, V, witness)
 
 
 def precedes(f: QuadForm, g: QuadForm, cls: ResidueClass) -> GoodVectorReport:

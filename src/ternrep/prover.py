@@ -35,7 +35,6 @@ from .congruence import (
     attainable_residues,
     cover_check,
     precedes,
-    transport,
 )
 from .enumeration import representations, represented_mask
 from .forms import QuadForm, Vector3, evaluate, require_positive_definite
@@ -162,11 +161,10 @@ def evaluate_escape_matrix(f, g, cls, report, matrix):
 
     Returns an EscapeArgument when the matrix satisfies every requirement
     for the bad cosets of the report, otherwise the name of the first
-    failed requirement ('integrality', 'finite_order', 'descent',
+    failed requirement ('integrality', 'finite_order',
     'eigenspace_dimension', or ('base', m) for an unrepresented base).
     """
     d = cls.d
-    bad = report.bad
     # int64 cannot overflow: coset entries are below d, and the matrix is a
     # scaled automorphism, each column representing d^2 g_jj under g, so its
     # entries stay small
@@ -176,12 +174,10 @@ def evaluate_escape_matrix(f, g, cls, report, matrix):
             return "integrality"
     if _mat.is_finite_order_scaled(matrix, d):
         return "finite_order"
-    # descent stays inside the class: transported bad cosets are cosets again
-    coset_pool = {v for v, _ in report.good} | set(bad)
-    for u in bad:
-        w = transport(u, matrix, d)
-        if Vector3(*(c % d for c in w)) not in coset_pool:
-            return "descent"
+    # Descent never leaves the class, so it needs no test: for a bad coset
+    # u, w = (1/d) u E^t is integral and E^t (2M) E = d^2 (2M) gives
+    # g(w) = g(u) = a (mod d); g(w + d k) - g(w) = d B(w, k) + d^2 g(k)
+    # with B(w, k) integral, so w mod d is again a coset of the class.
     families = []
     seen_vectors = {}
     base_failure = None
@@ -206,7 +202,7 @@ def evaluate_escape_matrix(f, g, cls, report, matrix):
             families.append(EigenFamily(Vector3(*v), lam, k, base, reps[0]))
     if base_failure is not None:
         return ("base", base_failure)
-    return EscapeArgument(cls, matrix, bad, tuple(families))
+    return EscapeArgument(cls, matrix, report.bad, tuple(families))
 
 
 def build_escape(f: QuadForm, g: QuadForm, cls: ResidueClass,
@@ -216,7 +212,7 @@ def build_escape(f: QuadForm, g: QuadForm, cls: ResidueClass,
     Scans the scaled automorphisms of g at modulus d in deterministic
     order and returns the first matrix passing every requirement.
     """
-    if not report.bad:
+    if report.all_good:
         raise ValueError("build_escape requires a class with bad cosets")
     autos = scaled_automorphisms(g, cls.d, max_nodes=_escape_budget(max_nodes))
     base_failure = None

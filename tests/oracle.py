@@ -71,3 +71,13 @@ def attained_residues(form, modulus):
     a, b, c, r, s, t = form.coefficients
     vals = a * X * X + b * Y * Y + c * Z * Z + r * Y * Z + s * X * Z + t * X * Y
     return tuple(int(v) for v in np.unique(vals % modulus))
+
+
+def class_cosets(form, d):
+    """{a: cosets v in [0, d)^3 with form(v) = a (mod d)}, each list lexicographic."""
+    out = {}
+    for x in range(d):
+        for y in range(d):
+            for z in range(d):
+                out.setdefault(evaluate(form, (x, y, z)) % d, []).append([x, y, z])
+    return out

@@ -5,8 +5,12 @@ import time
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ternrep import certificate, isometry, named_form, prove_pair
+import oracle
+from test_congruence import positive_definite_forms
+from ternrep import certificate, congruence, isometry, named_form, prove_pair
 
 S4_PAPER_CLASSES = [(4, 0), (12, 6), (12, 10), (12, 2)]
 
@@ -104,13 +108,24 @@ def test_subform_tamper_rejected(s4_cert):
 
 
 def test_missing_witness_rejected(s4_cert):
+    # without its transforms, a class with cosets and no escape record has
+    # bad cosets and nothing to handle them ((12,10) has no cosets at all)
+    emptied = 0
+    for i, rec in enumerate(s4_cert["g_in_f"]["classes"]):
+        if rec["escape"] is not None or not rec["transforms"]:
+            continue
+        emptied += 1
+        cert = copy.deepcopy(s4_cert)
+        cert["g_in_f"]["classes"][i]["transforms"] = []
+        verdict = certificate.check(cert)
+        assert not verdict.ok
+        assert verdict.clause == f"g_in_f.escape({rec['d']},{rec['a']}).missing"
+    assert emptied == 2
     cert = copy.deepcopy(s4_cert)
-    for rec in cert["g_in_f"]["classes"]:
-        if rec["witnesses"]:
-            del rec["witnesses"][0]
-            break
+    stuck = next(rec for rec in cert["g_in_f"]["classes"] if (rec["d"], rec["a"]) == (12, 2))
+    stuck["escape"] = None
     verdict = certificate.check(cert)
-    assert not verdict.ok and "partition" in verdict.clause
+    assert not verdict.ok and verdict.clause == "g_in_f.escape(12,2).missing"
 
 
 def test_version_enforced(s4_cert):
@@ -183,8 +198,11 @@ INTEGER_FIELDS = {
     "form_coefficient": lambda c: (c["f"], 0),
     "class_d": lambda c: (c["g_in_f"]["classes"][0], "d"),
     "class_a": lambda c: (c["g_in_f"]["classes"][0], "a"),
-    "witness_index": lambda c: (c["g_in_f"]["classes"][0]["witnesses"][0], 1),
     "transform_entry": lambda c: (c["g_in_f"]["classes"][0]["transforms"][0][0], 0),
+    "transform_last_entry": lambda c: (_class_with_escape(c)["transforms"][-1][2], 2),
+    "escape_matrix_entry": lambda c: (_class_with_escape(c)["escape"]["matrix"][1], 0),
+    "eigen_vector_entry": lambda c: (_class_with_escape(c)["escape"]["eigenvectors"][0]["vector"], 0),
+    "eigen_witness_entry": lambda c: (_class_with_escape(c)["escape"]["eigenvectors"][0]["witness"], 2),
     "eigenvalue": lambda c: (_class_with_escape(c)["escape"]["eigenvectors"][0], "eigenvalue"),
     "eigen_power": lambda c: (_class_with_escape(c)["escape"]["eigenvectors"][0], "power"),
     "eigen_base": lambda c: (_class_with_escape(c)["escape"]["eigenvectors"][0], "base"),
@@ -204,8 +222,11 @@ def test_non_integer_types_rejected(s4_cert, field, retype):
 
 @pytest.mark.parametrize("path, junk", [
     (("g_in_f", "classes", 1, "escape"), 5),
-    (("g_in_f", "classes", 0, "witnesses", 0), {}),
-    (("g_in_f", "classes", 0, "witnesses", 0), []),
+    (("g_in_f", "classes", 0, "transforms", 0), {}),
+    (("g_in_f", "classes", 0, "transforms", 0), []),
+    (("g_in_f", "classes", 0, "transforms"), 5),
+    (("g_in_f", "classes", 0, "transforms"), {}),
+    (("g_in_f", "classes", 1, "escape", "eigenvectors"), {}),
 ])
 def test_malformed_records_rejected(s4_cert, path, junk):
     cert = copy.deepcopy(s4_cert)
@@ -218,7 +239,87 @@ def test_checker_runs_no_transform_search(s4_proof, monkeypatch):
     blob = certificate.emit(s4_proof)
 
     def boom(*args, **kwargs):
-        raise AssertionError("checker must not search for transforms")
+        raise AssertionError("checker must not search for transforms or reuse the prover's scans")
 
     monkeypatch.setattr(isometry, "find_transforms", boom)
+    monkeypatch.setattr(congruence, "_residue_array", boom)
+    monkeypatch.setattr(congruence, "classify_good", boom)
     assert certificate.check(blob)
+
+
+@settings(max_examples=30, deadline=None)
+@given(positive_definite_forms, st.integers(1, 48))
+def test_checker_coset_scan_matches_naive_scan(form, d):
+    naive = oracle.class_cosets(form, d)
+    for a in range(d):
+        assert certificate._class_cosets(form, d, a).tolist() == naive.get(a, [])
+
+
+EIGEN_EDITS = {
+    "eigenvalue+1": lambda e: {"eigenvalue": e["eigenvalue"] + 1},
+    "eigenvalue-1": lambda e: {"eigenvalue": e["eigenvalue"] - 1},
+    "power0": lambda e: {"power": 0},
+    "power7": lambda e: {"power": 7},
+    "power1e40": lambda e: {"power": 10**40},
+    # the line of E is a line of E^2 too, with the squared eigenvalue, but
+    # it first appears at power 1
+    "power2": lambda e: {"power": 2, "eigenvalue": e["eigenvalue"] ** 2},
+}
+
+
+@pytest.mark.parametrize("edit", sorted(EIGEN_EDITS))
+def test_eigenvalue_and_power_verified(s4_cert, edit):
+    cert = copy.deepcopy(s4_cert)
+    entry = _class_with_escape(cert)["escape"]["eigenvectors"][0]
+    assert entry["power"] == 1 and abs(entry["eigenvalue"]) == 12
+    entry.update(EIGEN_EDITS[edit](entry))
+    verdict = certificate.check(cert)
+    assert not verdict.ok and verdict.clause == "g_in_f.escape(12,2).eigenvector_mismatch"
+
+
+@pytest.fixture(scope="module")
+def small_certs(s4_cert, s7):
+    return {"S4": s4_cert, "S7": json.loads(certificate.emit(prove_pair(*s7, empirical_bound=1000)))}
+
+
+def node_paths(node, path=()):
+    """Paths of every node of a parsed certificate, the root excluded."""
+    found = []
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, val in items:
+        found.append(path + (key,))
+        found.extend(node_paths(val, path + (key,)))
+    return found
+
+
+HUGE = 10**40
+INT_MUTATIONS = {
+    "bool": lambda v: True, "str": str, "float": float, "none": lambda v: None,
+    "huge": lambda v: HUGE, "minus_huge": lambda v: -HUGE,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["S4", "S7"]), st.data())
+def test_single_node_mutations_give_a_verdict(small_certs, sid, data):
+    cert = copy.deepcopy(small_certs[sid])
+    path = data.draw(st.sampled_from(node_paths(cert)), label="path")
+    parent, key = get_at(cert, path[:-1]), path[-1]
+    node = parent[key]
+    kinds = sorted(INT_MUTATIONS) if type(node) is int else []
+    kinds.append("delete" if isinstance(parent, dict) else "truncate")
+    kind = data.draw(st.sampled_from(kinds), label="mutation")
+    if kind == "delete":
+        del parent[key]
+    elif kind == "truncate":
+        del parent[key:]  # the list keeps its first `key` items
+    else:
+        parent[key] = INT_MUTATIONS[kind](node)
+    t0 = time.perf_counter()
+    verdict = certificate.check(cert)
+    assert time.perf_counter() - t0 < 1.0
+    assert isinstance(verdict, certificate.Verdict)
+    # every mutation changes the type or the value of what it touches
+    changed = path[:-1] if kind == "truncate" else path
+    if any(changed[:len(m)] == m for m in matrix_paths(small_certs[sid])):
+        assert not verdict.ok, (sid, path, kind, verdict)

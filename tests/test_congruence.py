@@ -104,6 +104,21 @@ def test_classify_good_checks_matching_arguments(s4):
         classify_good(f, g, ResidueClass(12, 2), find_transforms(f, g, 4))
 
 
+@pytest.mark.parametrize("block", [1, 7, congruence._TRANSFORM_BLOCK])
+def test_witness_is_the_first_integral_transform(s4, monkeypatch, block):
+    f, g = s4
+    monkeypatch.setattr(congruence, "_TRANSFORM_BLOCK", block)
+    cls = ResidueClass(12, 2)
+    ts = find_transforms(f, g, 12)
+    report = classify_good(f, g, cls, ts)
+    expected = [
+        next((i for i, T in enumerate(ts.matrices) if transport(v, T, 12) is not None), -1)
+        for v in residue_vectors(g, cls)
+    ]
+    assert report.witness.tolist() == expected
+    assert len(report.bad) == expected.count(-1) == 32
+
+
 def test_classify_good_independent_of_transform_order(s4):
     from ternrep.isometry import TransformSet
 

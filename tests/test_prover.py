@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import numpy as np
@@ -10,6 +9,7 @@ from ternrep import (
     CoverIncomplete,
     EigenFamily,
     EscapeArgument,
+    GoodVectorReport,
     MismatchAt,
     NotPositiveDefinite,
     QuadForm,
@@ -161,13 +161,30 @@ def test_integrality_checks_cosets_past_the_first_chunk(s4):
     f, g = s4
     cls = ResidueClass(12, 2)
     report = precedes(f, g, cls)
+    good = report.cosets[report.witness >= 0]
     stray = next(v for v, _ in report.good if transport(v, TTILDE, 12) is None)
-    padded = report.bad * 3  # 96 cosets that TTILDE makes integral
-    for bad in (padded, padded + (stray,)):
-        variant = dataclasses.replace(report, bad=bad, bad_array=np.array(bad, dtype=np.int64))
+    padded = np.tile(report.bad_array, (3, 1))  # 96 cosets that TTILDE makes integral
+    for bad in (padded, np.vstack([padded, [stray]])):
+        # the good cosets stay, so the reference's descent pool is the whole class
+        variant = GoodVectorReport(
+            f, g, cls, report.transforms, np.vstack([good, bad]),
+            np.concatenate([report.witness[report.witness >= 0], np.full(len(bad), -1)]),
+        )
+        assert len(variant.bad_array) > 64 and variant.bad_array.tolist()[:96] == padded.tolist()
         outcome = evaluate_escape_matrix(f, g, cls, variant, TTILDE)
         assert outcome == _reference_escape_outcome(f, g, cls, variant, TTILDE)
-        assert (outcome == "integrality") == (stray in bad)
+        assert (outcome == "integrality") == (len(bad) > 96)
+
+
+def test_prover_builds_no_coset_tuples(s4, s6):
+    # the coset tuples of a report are views built on demand; the search
+    # reads the arrays only, and an accepted escape reads the bad cosets
+    for (f, g), classes in ((s6, S6_CLASSES), (s4, S4_CLASSES)):
+        for proof in prove_direction(f, g, classes).classes:
+            built = set(vars(proof.report)) & {"good", "bad"}
+            assert built == (set() if proof.escape is None else {"bad"}), proof.cls
+            if proof.escape is not None:
+                assert proof.escape.bad == proof.report.bad
 
 
 def test_scaled_identity_is_rejected_as_escape(s4):
