@@ -18,17 +18,13 @@ from .forms import (
 )
 from .enumeration import (
     ThetaSeries,
-    primitive_representations,
-    rep_count,
     representations,
     represented_mask,
     represented_set,
     theta,
 )
 from .isometry import (
-    EigenData,
     TransformSet,
-    eigen_data,
     find_transforms,
     is_isometric,
     scaled_automorphisms,

@@ -30,13 +30,6 @@ def scalar_mul(k, A):
     return tuple(tuple(k * x for x in row) for row in A)
 
 
-def mat_pow(A, n):
-    out = IDENTITY
-    for _ in range(n):
-        out = mat_mul(out, A)
-    return out
-
-
 def det(A):
     return (
         A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])

@@ -28,16 +28,13 @@ from .congruence import ResidueClass
 from .forms import QuadForm, doubled_gram, evaluate, is_positive_definite
 from .prover import (
     _POWER_RANGE,
-    AUTO_MODULI,
+    MAX_MODULUS,
     CoverDirection,
     PairProof,
     SubformDirection,
 )
 
 CERT_VERSION = 2
-# the largest cover modulus the prover's search uses (144); bounds every
-# L^3 scan below to ~24 MB whatever the certificate says
-MAX_MODULUS = lcm(*AUTO_MODULI)
 
 
 def _matrix_json(T):
@@ -195,6 +192,8 @@ def _check_cover(tag, sub, sup, record):
     modulus = 1
     for cls in class_ids:
         modulus = lcm(modulus, cls.d)
+    # MAX_MODULUS (144), the largest cover modulus the prover uses, bounds
+    # every L^3 scan below to ~24 MB whatever the certificate says
     if modulus > MAX_MODULUS:
         return _fail(f"{tag}.limits", f"lcm of class moduli {modulus} exceeds {MAX_MODULUS}")
     for rho in _attained_residues(sub, modulus):
@@ -285,7 +284,7 @@ def check(cert) -> Verdict:
     if isinstance(cert, (bytes, str)):
         try:
             cert = json.loads(cert)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8
             return _fail("schema", f"not valid JSON: {exc}")
     if not isinstance(cert, dict):
         return _fail("schema", "certificate must be a JSON object")

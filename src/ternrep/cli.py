@@ -167,7 +167,6 @@ def _cmd_prove(args):
             classes_g_in_f=args.classes,
             classes_f_in_g=args.classes_rev,
             empirical_bound=bound,
-            jobs=args.jobs,
         )
     except MismatchAt as exc:
         print(f"MISMATCH: {exc}", file=sys.stderr)
@@ -250,8 +249,6 @@ def _cmd_cert(args):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for enumeration-heavy commands")
 
     parser = _Parser(prog="ternrep", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -263,12 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", action="store_true", help="print n:count lines instead")
     p.add_argument("--primitive", action="store_true")
     p.set_defaults(func=_cmd_enum)
-
-    p = sub.add_parser("theta", parents=[common], help="representation counts r(n)")
-    p.add_argument("--form", type=_form, required=True)
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--primitive", action="store_true")
-    p.set_defaults(func=_cmd_enum, theta=True)
 
     p = sub.add_parser("transforms", parents=[common],
                        help="all T with T^t(2M_f)T = d^2(2M_g)")
@@ -312,6 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="'S1'..'S15' or 'all'")
     p.add_argument("--max", type=int, default=10**6)
     p.add_argument("--deep", action="store_true")
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="worker threads for the enumeration")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("cert", parents=[common], help="check an emitted certificate")

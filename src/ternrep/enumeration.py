@@ -18,7 +18,7 @@ the slice at z to the slice at -z.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -53,47 +53,46 @@ def _quad_interval(P, Q, R):
     return lo, hi
 
 
-class _SliceScan:
-    """Per-form constants for the z-slice sweep."""
+def _capped_slices(form: QuadForm, bound: int, primitive: bool):
+    """Yield (z, values) for each slice z >= 0 of the sweep f(v) <= bound.
 
-    def __init__(self, form: QuadForm, bound: int):
-        require_positive_definite(form)
-        if bound < 0:
-            raise ValueError("bound must be nonnegative")
-        a, b, c, r, s, t = form.coefficients
-        self.form = form
-        self.bound = bound
-        self.beta = 4 * a * b - t * t
-        self.det_doubled = _mat.det(doubled_gram(form))
-        self.gy, self.dy = 4 * a * r - 2 * s * t, 4 * a * c - s * s
-        self.gx, self.dx = 4 * b * s - 2 * r * t, 4 * b * c - r * r
-        self.z_max = isqrt((2 * bound * self.beta) // self.det_doubled) + 1
-
-    def slices(self):
-        """Yield (z, ys, xs, vals) rectangles covering the slice z >= 0."""
-        a, b, c, r, s, t = self.form.coefficients
-        N = self.bound
-        for z in range(self.z_max + 1):
-            ylo, yhi = _quad_interval(self.beta, self.gy * z, self.dy * z * z - 4 * a * N)
-            if ylo > yhi:
-                continue
-            xlo, xhi = _quad_interval(self.beta, self.gx * z, self.dx * z * z - 4 * b * N)
-            if xlo > xhi:
-                continue
-            xm = max(abs(xlo), abs(xhi))
-            ym = max(abs(ylo), abs(yhi))
-            worst = (
-                a * xm * xm + b * ym * ym + c * z * z
-                + abs(r) * ym * z + abs(s) * xm * z + abs(t) * xm * ym
-            )
-            if worst >= _INT64_SAFE:
-                raise OverflowError("slice values would not fit in int64")
-            ys = np.arange(ylo, yhi + 1, dtype=np.int64)
-            xs = np.arange(xlo, xhi + 1, dtype=np.int64)
-            qy = b * ys * ys + (r * z) * ys + (c * z * z)
-            ly = t * ys + (s * z)
-            vals = (a * xs * xs)[None, :] + np.outer(ly, xs) + qy[:, None]
-            yield z, ys, xs, vals
+    values holds f over the slice's (y, x) rectangle, flattened, with
+    every value above bound - and with primitive=True every value of a
+    vector whose coordinates share a factor - replaced by bound + 1.
+    """
+    require_positive_definite(form)
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    a, b, c, r, s, t = form.coefficients
+    beta = 4 * a * b - t * t
+    gy, dy = 4 * a * r - 2 * s * t, 4 * a * c - s * s
+    gx, dx = 4 * b * s - 2 * r * t, 4 * b * c - r * r
+    z_max = isqrt((2 * bound * beta) // _mat.det(doubled_gram(form))) + 1
+    for z in range(z_max + 1):
+        ylo, yhi = _quad_interval(beta, gy * z, dy * z * z - 4 * a * bound)
+        if ylo > yhi:
+            continue
+        xlo, xhi = _quad_interval(beta, gx * z, dx * z * z - 4 * b * bound)
+        if xlo > xhi:
+            continue
+        xm = max(abs(xlo), abs(xhi))
+        ym = max(abs(ylo), abs(yhi))
+        worst = (
+            a * xm * xm + b * ym * ym + c * z * z
+            + abs(r) * ym * z + abs(s) * xm * z + abs(t) * xm * ym
+        )
+        if worst >= _INT64_SAFE:
+            raise OverflowError("slice values would not fit in int64")
+        ys = np.arange(ylo, yhi + 1, dtype=np.int64)
+        xs = np.arange(xlo, xhi + 1, dtype=np.int64)
+        qy = b * ys * ys + (r * z) * ys + (c * z * z)
+        ly = t * ys + (s * z)
+        vals = (a * xs * xs)[None, :] + np.outer(ly, xs) + qy[:, None]
+        capped = np.minimum(vals, bound + 1)
+        if primitive:
+            common = np.gcd(np.gcd(np.abs(ys)[:, None], np.abs(xs)[None, :]), abs(z))
+            capped = np.where(common == 1, capped, bound + 1)
+        yield z, capped.ravel()
 
 
 # (form, primitive) -> (bound, read-only bool mask of length bound + 1)
@@ -112,13 +111,8 @@ def represented_mask(form: QuadForm, bound: int, primitive: bool = False) -> np.
     if hit is not None and hit[0] >= bound:
         return hit[1][: bound + 1]
     seen = np.zeros(bound + 2, dtype=bool)  # slot bound+1 absorbs clipped values
-    scan = _SliceScan(form, bound)
-    for z, ys, xs, vals in scan.slices():
-        capped = np.minimum(vals, bound + 1)
-        if primitive:
-            g = np.gcd(np.gcd(np.abs(ys)[:, None], np.abs(xs)[None, :]), abs(z))
-            capped = np.where(g == 1, capped, bound + 1)
-        seen[capped.ravel()] = True
+    for _, values in _capped_slices(form, bound, primitive):
+        seen[values] = True
     mask = seen[: bound + 1]
     mask.setflags(write=False)
     if hit is None or hit[0] < bound:
@@ -169,16 +163,6 @@ def representations(form: QuadForm, n: int) -> list:
     return sorted(out)
 
 
-def rep_count(form: QuadForm, n: int) -> int:
-    """r(n, f) = number of integer representations of n."""
-    return len(representations(form, n))
-
-
-def primitive_representations(form: QuadForm, n: int) -> list:
-    """Representations whose coordinates are coprime."""
-    return [v for v in representations(form, n) if gcd(gcd(abs(v.x), abs(v.y)), abs(v.z)) == 1]
-
-
 class ThetaSeries:
     """Representation counts coeffs[n] = r(n, f) for 0 <= n <= bound."""
 
@@ -215,12 +199,7 @@ def theta(form: QuadForm, bound: int, primitive: bool = False) -> ThetaSeries:
     """
     bound = int(bound)
     counts = np.zeros(bound + 2, dtype=np.int64)
-    scan = _SliceScan(form, bound)
-    for z, ys, xs, vals in scan.slices():
-        capped = np.minimum(vals, bound + 1)
-        if primitive:
-            g = np.gcd(np.gcd(np.abs(ys)[:, None], np.abs(xs)[None, :]), abs(z))
-            capped = np.where(g == 1, capped, bound + 1)
-        cnt = np.bincount(capped.ravel(), minlength=bound + 2)
+    for z, values in _capped_slices(form, bound, primitive):
+        cnt = np.bincount(values, minlength=bound + 2)
         counts += cnt if z == 0 else 2 * cnt
     return ThetaSeries(form, bound, counts[: bound + 1])

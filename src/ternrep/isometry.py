@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _mat
 from .enumeration import representations
-from .forms import QuadForm, Vector3, doubled_gram, require_positive_definite
+from .forms import QuadForm, doubled_gram, require_positive_definite
 
 
 @dataclass(frozen=True)
@@ -137,33 +137,6 @@ def is_isometric(f: QuadForm, g: QuadForm):
     return None
 
 
-def scaled_automorphisms(g: QuadForm, d: int, limit=None, max_nodes=None) -> TransformSet:
-    """All T with T^t (2M_g) T = d^2 (2M_g), optionally truncated at `limit`."""
-    ts = find_transforms(g, g, d, max_nodes=max_nodes)
-    if limit is not None and len(ts.matrices) > limit:
-        return TransformSet(g, g, d, ts.matrices[:limit], complete=False)
-    return ts
-
-
-@dataclass(frozen=True)
-class EigenData:
-    """Primitive integral eigenvector classes of T, and whether T/d has finite order."""
-
-    lines: tuple  # ((Vector3, eigenvalue), ...)
-    finite_order: bool
-
-    def vectors(self):
-        return tuple(v for v, _ in self.lines)
-
-
-def eigen_data(T, d: int = 1) -> EigenData:
-    """Integer-eigenvalue eigenvectors of T (row convention v T^t = lam v).
-
-    Each entry is a primitive, sign-canonical lattice basis vector of its
-    eigenspace; both signs form one class.  The finite-order flag reports
-    whether (T/d)^k is the identity for some k <= 12, which decides finite
-    order for 3x3 rational matrices.
-    """
-    T = _mat.from_rows(T)
-    lines = tuple((Vector3(*v), lam) for v, lam in _mat.eigen_lines(T))
-    return EigenData(lines, _mat.is_finite_order_scaled(T, int(d)))
+def scaled_automorphisms(g: QuadForm, d: int, max_nodes=None) -> TransformSet:
+    """All T with T^t (2M_g) T = d^2 (2M_g)."""
+    return find_transforms(g, g, d, max_nodes=max_nodes)

@@ -20,7 +20,6 @@ f(w) = m, since f(t w) = m t^2.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import lcm
@@ -41,7 +40,11 @@ from .forms import QuadForm, Vector3, evaluate, require_positive_definite
 from .isometry import is_isometric, scaled_automorphisms, subform_witness
 
 AUTO_MODULI = (4, 8, 12, 24, 36, 48)
+# the largest cover modulus the search reaches; explicit class lists and
+# certificates are held to it
+MAX_MODULUS = lcm(*AUTO_MODULI)
 _POWER_RANGE = 6  # eigenlines of E^k are also excluded, k <= this
+_ESCAPE_NODES = 10**6  # backtracking budget of the scaled-automorphism search
 
 
 class ProofError(Exception):
@@ -78,13 +81,6 @@ class MismatchAt(ProofError):
     def __init__(self, n: int, f: QuadForm, g: QuadForm):
         self.n, self.f, self.g = int(n), f, g
         super().__init__(f"represented sets differ first at {n}")
-
-
-def _escape_budget(max_nodes=None) -> int:
-    if max_nodes is not None:
-        return int(max_nodes)
-    env = os.environ.get("TERNREP_MAX_NODES")
-    return int(env) if env else 10**6
 
 
 @dataclass(frozen=True)
@@ -206,7 +202,7 @@ def evaluate_escape_matrix(f, g, cls, report, matrix):
 
 
 def build_escape(f: QuadForm, g: QuadForm, cls: ResidueClass,
-                 report: GoodVectorReport, max_nodes=None) -> EscapeArgument:
+                 report: GoodVectorReport) -> EscapeArgument:
     """Find an escape argument for the bad cosets of a class.
 
     Scans the scaled automorphisms of g at modulus d in deterministic
@@ -214,7 +210,7 @@ def build_escape(f: QuadForm, g: QuadForm, cls: ResidueClass,
     """
     if report.all_good:
         raise ValueError("build_escape requires a class with bad cosets")
-    autos = scaled_automorphisms(g, cls.d, max_nodes=_escape_budget(max_nodes))
+    autos = scaled_automorphisms(g, cls.d, max_nodes=_ESCAPE_NODES)
     base_failure = None
     for matrix in autos.matrices:
         outcome = evaluate_escape_matrix(f, g, cls, report, matrix)
@@ -227,76 +223,65 @@ def build_escape(f: QuadForm, g: QuadForm, cls: ResidueClass,
     raise NoEscapeMatrix(f"no scaled automorphism escapes class ({cls.d},{cls.a})")
 
 
-def _prove_class(f, g, cls, escape_budget=None) -> ClassProof:
+def _prove_class(f, g, cls) -> ClassProof:
     report = precedes(f, g, cls)
     if report.all_good:
         return ClassProof(cls, report)
     try:
-        escape = build_escape(f, g, cls, report, max_nodes=escape_budget)
+        escape = build_escape(f, g, cls, report)
     except ProofError as exc:
         raise ClassUnprovable(cls, str(exc)) from exc
     return ClassProof(cls, report, escape)
 
 
-def prove_direction(f: QuadForm, g: QuadForm, classes,
-                    escape_budget=None, jobs: int = 1) -> CoverDirection:
-    """Prove Q(g) <= Q(f) with an explicit covering family of classes."""
+def prove_direction(f: QuadForm, g: QuadForm, classes) -> CoverDirection:
+    """Prove Q(g) <= Q(f) with an explicit covering family of classes.
+
+    Raises ValueError, before any search, when the lcm of the class moduli
+    exceeds MAX_MODULUS: the checker would reject such a certificate.
+    """
     classes = [cls if isinstance(cls, ResidueClass) else ResidueClass(*cls) for cls in classes]
+    modulus = lcm(*(cls.d for cls in classes))
+    if modulus > MAX_MODULUS:
+        raise ValueError(f"lcm of class moduli {modulus} exceeds {MAX_MODULUS}")
     cover = cover_check(g, classes)
     if not cover.ok:
         raise CoverIncomplete(cover)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            proofs = list(pool.map(lambda c: _prove_class(f, g, c, escape_budget), classes))
-    else:
-        proofs = [_prove_class(f, g, cls, escape_budget) for cls in classes]
-    return CoverDirection(sub=g, sup=f, classes=tuple(proofs))
+    return CoverDirection(sub=g, sup=f, classes=tuple(_prove_class(f, g, cls) for cls in classes))
 
 
-def _covered(rho, accepted):
-    return any(rho % proof.cls.d == proof.cls.a for proof in accepted)
-
-
-def search_cover(f: QuadForm, g: QuadForm, escape_budget=None) -> CoverDirection:
+def search_cover(f: QuadForm, g: QuadForm) -> CoverDirection:
     """Search for a covering family proving Q(g) <= Q(f).
 
     Moduli are tried in increasing order; within one modulus every
-    attainable residue not already covered is attempted, first as a pure
-    good-vector class, then with an escape argument.
+    residue that still has an uncovered lift is attempted, first as a pure
+    good-vector class, then with an escape argument.  Every modulus divides
+    L = lcm(AUTO_MODULI), so the uncovered residues are tracked as one
+    mask over the residues g attains mod L.
     """
+    L = lcm(*AUTO_MODULI)
+    uncovered = np.zeros(L, dtype=bool)
+    uncovered[list(attainable_residues(g, L))] = True
     accepted: list = []
-    run_modulus = 1
     for d in AUTO_MODULI:
-        for a in attainable_residues(g, d):
-            scope = lcm(run_modulus, d)
-            uncovered = [
-                rho for rho in attainable_residues(g, scope) if not _covered(rho, accepted)
-            ]
-            if not uncovered:
-                return CoverDirection(sub=g, sup=f, classes=tuple(accepted))
-            if not any(rho % d == a for rho in uncovered):
+        for a in range(d):
+            if not uncovered[a::d].any():
                 continue
-            cls = ResidueClass(d, a)
-            report = precedes(f, g, cls)
-            if report.all_good:
-                accepted.append(ClassProof(cls, report))
-            else:
-                try:
-                    escape = build_escape(f, g, cls, report, max_nodes=escape_budget)
-                except ProofError:
-                    continue
-                accepted.append(ClassProof(cls, report, escape))
-            run_modulus = lcm(run_modulus, d)
+            try:
+                accepted.append(_prove_class(f, g, ResidueClass(d, a)))
+            except ClassUnprovable:
+                continue
+            uncovered[a::d] = False
+            if not uncovered.any():
+                return CoverDirection(sub=g, sup=f, classes=tuple(accepted))
     if accepted:
-        cover = cover_check(g, [proof.cls for proof in accepted])
-        if cover.ok:
-            return CoverDirection(sub=g, sup=f, classes=tuple(accepted))
-        raise CoverIncomplete(cover)
-    raise CoverIncomplete(CoverReport(False, 1, attainable_residues(g, 1), attainable_residues(g, 1)))
+        raise CoverIncomplete(cover_check(g, [proof.cls for proof in accepted]))
+    # no class was accepted: even the one residue mod 1 stays uncovered
+    raise CoverIncomplete(CoverReport(False, 1, (0,), (0,)))
 
 
 def prove_pair(f: QuadForm, g: QuadForm, *, classes_g_in_f=None, classes_f_in_g=None,
-               empirical_bound: int = 10**6, escape_budget=None, jobs: int = 1) -> PairProof:
+               empirical_bound: int = 10**6) -> PairProof:
     """Prove Q(f) = Q(g): subform shortcut for f in g when available, covers otherwise.
 
     The finished proof is cross-checked against exhaustive enumeration up
@@ -309,13 +294,13 @@ def prove_pair(f: QuadForm, g: QuadForm, *, classes_g_in_f=None, classes_f_in_g=
     if witness is not None and classes_f_in_g is None:
         f_in_g = SubformDirection(sub=f, sup=g, witness=witness)
     elif classes_f_in_g is not None:
-        f_in_g = prove_direction(g, f, classes_f_in_g, escape_budget, jobs)
+        f_in_g = prove_direction(g, f, classes_f_in_g)
     else:
-        f_in_g = search_cover(g, f, escape_budget)
+        f_in_g = search_cover(g, f)
     if classes_g_in_f is not None:
-        g_in_f = prove_direction(f, g, classes_g_in_f, escape_budget, jobs)
+        g_in_f = prove_direction(f, g, classes_g_in_f)
     else:
-        g_in_f = search_cover(f, g, escape_budget)
+        g_in_f = search_cover(f, g)
     mf = represented_mask(f, empirical_bound)
     mg = represented_mask(g, empirical_bound)
     if not np.array_equal(mf, mg):

@@ -37,13 +37,18 @@ def box_radius(form, bound) -> int:
     return isqrt(ratio.numerator // ratio.denominator) + 2
 
 
-def value_counts(form, bound):
-    """counts[n] = number of lattice vectors with form value n <= bound."""
+def value_counts(form, bound, primitive=False):
+    """counts[n] = number of lattice vectors with form value n <= bound.
+
+    With primitive=True only vectors whose coordinates have gcd 1 count.
+    """
     B = box_radius(form, bound)
     rng = np.arange(-B, B + 1, dtype=np.int64)
     X, Y, Z = np.meshgrid(rng, rng, rng, indexing="ij")
     a, b, c, r, s, t = form.coefficients
     vals = a * X * X + b * Y * Y + c * Z * Z + r * Y * Z + s * X * Z + t * X * Y
+    if primitive:
+        vals = vals[np.gcd(np.gcd(X, Y), Z) == 1]
     vals = vals.ravel()
     vals = vals[(vals >= 0) & (vals <= bound)]
     return np.bincount(vals, minlength=bound + 1)

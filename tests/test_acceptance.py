@@ -17,12 +17,10 @@ from ternrep import (
     ResidueClass,
     SET_IDS,
     TABLE,
-    Vector3,
     build_escape,
     certificate,
     classify_good,
     doubled_gram,
-    eigen_data,
     evaluate,
     evaluate_escape_matrix,
     find_transforms,
@@ -30,7 +28,7 @@ from ternrep import (
     named_form,
     precedes,
     prove_pair,
-    rep_count,
+    representations,
     represented_mask,
     subform_witness,
     theta,
@@ -125,9 +123,8 @@ def test_criterion_05_escape_argument():
     assert isinstance(escape, EscapeArgument)
     displayed = evaluate_escape_matrix(f, g, cls, report, TTILDE)
     assert isinstance(displayed, EscapeArgument), f"displayed matrix failed: {displayed}"
-    data = eigen_data(TTILDE, 12)
-    assert data.lines == ((Vector3(1, 0, 0), 12),)
-    assert data.finite_order is False
+    assert _mat.eigen_lines(TTILDE) == [((1, 0, 0), 12)]
+    assert _mat.is_finite_order_scaled(TTILDE, 12) is False
     assert displayed.exceptional_values == (8,)
     (base, witness), = {(fam.base, fam.witness) for fam in displayed.families}
     assert base == 8 and evaluate(f, witness) == 8 and set(map(abs, witness)) == {0, 1}
@@ -141,7 +138,7 @@ def test_criterion_06_end_to_end_proofs_and_perturbations():
 
     for sid in ("S4", "S6", "S7", "S8"):
         f, g = named_form(f"{sid}f"), named_form(f"{sid}g")
-        proof = prove_pair(f, g, empirical_bound=BOUND, jobs=2)
+        proof = prove_pair(f, g, empirical_bound=BOUND)
         blob = certificate.emit(proof)
         assert certificate.check(blob), f"{sid}: emitted certificate rejected"
         cert = json.loads(blob)
@@ -183,7 +180,7 @@ def test_criterion_09_oracle_equivalence():
             assert np.array_equal(theta(form, 2000).coeffs, counts)
             assert np.array_equal(represented_mask(form, 2000), counts > 0)
             for n in rng.sample(range(2001), 5):
-                assert rep_count(form, n) == counts[n]
+                assert len(representations(form, n)) == counts[n]
     _report(9, "oracle equivalence for all 36 catalog forms to 2000", t0)
 
 

@@ -145,6 +145,13 @@ def test_garbage_rejected():
     assert not certificate.check([1, 2, 3]).ok
 
 
+@pytest.mark.parametrize("blob", [b"\xff", "[" * 100000 + "]" * 100000],
+                         ids=["bad_utf8", "deep_nesting"])
+def test_undecodable_input_rejected(blob):
+    verdict = certificate.check(blob)
+    assert not verdict.ok and verdict.clause == "schema"
+
+
 def test_single_integer_perturbations_rejected(s4_cert):
     rng = random.Random(97)
     paths = matrix_paths(s4_cert)

@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from ternrep import certificate, named_form, prover
 from ternrep.cli import EXIT_MISMATCH, EXIT_OK, EXIT_UNPROVABLE, EXIT_USAGE, run
@@ -113,6 +116,24 @@ def test_prove_unprovable_pair_exit_code(capsys):
     assert rc == EXIT_UNPROVABLE
 
 
+def test_prove_refuses_class_moduli_beyond_the_checker_limit(capsys):
+    t0 = time.perf_counter()
+    rc = run(["prove", "--f", "S4f", "--g", "S4g", "--classes", "4:0,12:2,12:6,64:0"])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == EXIT_USAGE
+    assert "lcm of class moduli 192 exceeds 144" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blob", [b"\xff", b"[" * 100000 + b"]" * 100000],
+                         ids=["bad_utf8", "deep_nesting"])
+def test_cert_check_rejects_undecodable_files(tmp_path, capsys, blob):
+    path = tmp_path / "cert.json"
+    path.write_bytes(blob)
+    assert run(["cert", "check", str(path)]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.out.startswith("REJECT at schema") and not captured.err
+
+
 def test_prove_post_proof_mismatch_exit_code(monkeypatch, capsys):
     real, g = prover.represented_mask, named_form("S4g")
 
@@ -152,7 +173,9 @@ def test_usage_errors(capsys):
 
 
 def test_theta_subcommand(capsys):
-    rc = run(["theta", "--form", "S4f", "--max", "10", "--format", "json"])
+    # representation counts come from `enum --theta`; there is no `theta` command
+    assert run(["theta", "--form", "S4f", "--max", "10"]) == EXIT_USAGE
+    rc = run(["enum", "--theta", "--form", "S4f", "--max", "10", "--format", "json"])
     assert rc == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["coeffs"][0] == 1 and payload["coeffs"][8] == 2

@@ -9,6 +9,7 @@ from ternrep import (
     IncompleteTransformSet,
     QuadForm,
     ResidueClass,
+    TransformSet,
     Vector3,
     attainable_residues,
     change_of_basis,
@@ -93,7 +94,8 @@ def test_classify_good_self_pair_all_good():
 
 def test_classify_good_requires_complete_set(s4):
     _, g = s4
-    truncated = scaled_automorphisms(g, 12, limit=3)
+    full = scaled_automorphisms(g, 12)
+    truncated = TransformSet(g, g, 12, full.matrices[:3], complete=False)
     with pytest.raises(IncompleteTransformSet):
         classify_good(g, g, ResidueClass(12, 2), truncated)
 
@@ -120,8 +122,6 @@ def test_witness_is_the_first_integral_transform(s4, monkeypatch, block):
 
 
 def test_classify_good_independent_of_transform_order(s4):
-    from ternrep.isometry import TransformSet
-
     f, g = s4
     ts = find_transforms(f, g, 12)
     reversed_ts = TransformSet(f, g, 12, tuple(reversed(ts.matrices)), True)

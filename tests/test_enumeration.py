@@ -1,16 +1,18 @@
 import random
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from ternrep import (
     NotPositiveDefinite,
     QuadForm,
     Vector3,
+    is_positive_definite,
     named_form,
-    primitive_representations,
-    rep_count,
     representations,
     represented_mask,
     represented_set,
@@ -47,9 +49,9 @@ def test_representations_against_triple_loop(s4):
 
 def test_rep_count_values(s4):
     f, g = s4
-    assert rep_count(f, 0) == 1
-    assert rep_count(f, 8) == 2  # exactly +-(1,0,0)
-    assert rep_count(g, 14) == 4  # +-(0,1,0), +-(0,0,1)
+    assert len(representations(f, 0)) == 1
+    assert len(representations(f, 8)) == 2  # exactly +-(1,0,0)
+    assert len(representations(g, 14)) == 4  # +-(0,1,0), +-(0,0,1)
     assert representations(f, 8) == [Vector3(-1, 0, 0), Vector3(1, 0, 0)]
 
 
@@ -60,11 +62,15 @@ def test_represented_set_small(s4):
     assert list(represented_set(f, 0)) == [0]
 
 
+def _primitive_representations(form, n):
+    return [v for v in representations(form, n) if gcd(gcd(v.x, v.y), v.z) == 1]
+
+
 def test_primitive_representations(s4):
     f, _ = s4
-    assert primitive_representations(f, 8) == [Vector3(-1, 0, 0), Vector3(1, 0, 0)]
-    assert primitive_representations(f, 32) == []  # only +-(2,0,0)
-    assert primitive_representations(f, 0) == []
+    assert _primitive_representations(f, 8) == [Vector3(-1, 0, 0), Vector3(1, 0, 0)]
+    assert _primitive_representations(f, 32) == []  # only +-(2,0,0)
+    assert _primitive_representations(f, 0) == []
 
 
 def test_theta_sum_of_three_squares():
@@ -77,7 +83,7 @@ def test_theta_consistency(s4):
     f, _ = s4
     series = theta(f, 20)
     assert [n for n in range(21) if series[n]] == [0, 8, 14, 18]
-    assert all(series[n] == rep_count(f, n) for n in range(21))
+    assert all(series[n] == len(representations(f, n)) for n in range(21))
     assert all(series[n] % 2 == 0 for n in range(1, 21))
 
 
@@ -136,7 +142,7 @@ def test_membership_matches_rep_count(s4):
     members = represented_set(g, 300)
     rng = random.Random(17)
     for n in rng.sample(range(301), 40):
-        assert (n in members) == (rep_count(g, n) > 0)
+        assert (n in members) == (len(representations(g, n)) > 0)
 
 
 def test_rejects_indefinite_forms():
@@ -153,3 +159,23 @@ def test_repset_equality_and_contains(s4):
     assert represented_set(f, 20) != represented_set(f, 19)
     assert 14 in represented_set(f, 20)
     assert 15 not in represented_set(f, 20)
+
+
+small_forms = st.builds(
+    QuadForm,
+    *[st.integers(1, 8)] * 3,
+    *[st.integers(-8, 8)] * 3,
+).filter(is_positive_definite)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_forms, st.integers(0, 300))
+def test_mask_and_theta_match_oracle_on_random_forms(form, bound):
+    # the oracle scans a full cube; skewed forms get a cube far larger than
+    # their ellipsoid, so keep the cube within 101^3 cells (such a form
+    # still appears at the smaller bounds)
+    assume(oracle.box_radius(form, bound) <= 50)
+    for primitive in (False, True):
+        counts = oracle.value_counts(form, bound, primitive=primitive)
+        assert np.array_equal(theta(form, bound, primitive=primitive).coeffs, counts)
+        assert np.array_equal(represented_mask(form, bound, primitive=primitive), counts > 0)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ternrep import (
     ResidueClass,
     SubformDirection,
     Vector3,
+    attainable_residues,
     build_escape,
     doubled_gram,
     evaluate,
@@ -28,6 +30,7 @@ from ternrep import (
     representations,
     scaled_automorphisms,
     search_cover,
+    table_set,
     transport,
     verify_pairwise,
     verify_table,
@@ -243,6 +246,67 @@ def test_prove_pair_with_explicit_lists(s8):
     assert [(p.cls.d, p.cls.a) for p in proof.f_in_g.classes] == classes
     assert all(p.report.all_good for p in proof.g_in_f.classes)
     assert all(p.report.all_good for p in proof.f_in_g.classes)
+
+
+# what search_cover finds on the catalog pairs, recorded from the search
+# that recomputed the attainable residues for every (d, a): the classes for
+# Q(g) <= Q(f) and Q(f) <= Q(g), or the CoverIncomplete message
+SEARCHED = {
+    "S4": ([(4, 0), (12, 2), (12, 6)], [(4, 0), (4, 2)]),
+    "S6": ([(4, 2), (8, 0), (12, 0), (48, 4), (48, 28)], [(4, 0), (4, 2)]),
+    "S7": ([(4, 2), (12, 0), (12, 4), (12, 8)], [(4, 0), (4, 2)]),
+    "S8": ([(4, 0), (12, 2), (12, 6), (36, 10), (36, 22), (36, 34)],) * 2,
+}
+UNCOVERED = {
+    "S1": "(0,) mod 1",
+    "S5": "(84,) mod 144",
+    "S9": "(2, 6, 14, 26, 30) mod 36",
+    "S12": "(0,) mod 1",
+}
+
+
+@pytest.mark.parametrize("sid", sorted(SEARCHED))
+def test_search_cover_classes_pinned(sid):
+    f, g = table_set(sid, 2)[:2]
+    g_in_f, f_in_g = SEARCHED[sid]
+    assert [(p.cls.d, p.cls.a) for p in search_cover(f, g).classes] == g_in_f
+    assert [(p.cls.d, p.cls.a) for p in search_cover(g, f).classes] == f_in_g
+
+
+@pytest.mark.parametrize("sid", sorted(UNCOVERED))
+def test_search_cover_failures_pinned(sid):
+    f, g = table_set(sid, 2)[:2]
+    with pytest.raises(CoverIncomplete) as info:
+        search_cover(f, g)
+    assert str(info.value) == f"classes miss attainable residues {UNCOVERED[sid]}"
+
+
+def test_search_cover_scans_attainable_residues_once(s6, monkeypatch):
+    f, g = s6
+    calls = []
+
+    def counted(form, modulus):
+        calls.append(modulus)
+        return attainable_residues(form, modulus)
+
+    monkeypatch.setattr(prover, "attainable_residues", counted)
+    search_cover(f, g)
+    assert calls == [144]
+
+
+def test_prove_direction_refuses_moduli_the_checker_rejects(s4, monkeypatch):
+    f, g = s4
+    with pytest.raises(ValueError, match="lcm of class moduli 192 exceeds 144"):
+        prove_pair(f, g, classes_g_in_f=[(4, 0), (12, 2), (12, 6), (64, 0)])
+
+    def no_search(*args):
+        raise AssertionError("a class was searched")
+
+    monkeypatch.setattr(prover, "precedes", no_search)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="1000 exceeds 144"):
+        prove_direction(f, g, [(1000, 0), (1, 0)])
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_search_cover_reports_failure_when_moduli_exhausted(s4, monkeypatch):
