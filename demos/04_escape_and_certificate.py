@@ -4,8 +4,9 @@ The class 12n+2 of the S4 pair has 32 bad cosets.  The way out is a
 scaled automorphism E of g (E^t M_g E = 144 M_g) that maps every bad
 coset to an integral vector.  Iterating v -> (1/12) v E^t preserves
 g-values, so a representation stuck in bad cosets forever would have to
-lie on an eigenline of E; the values there form the family 8 t^2, and
-f(1,0,0) = 8 swallows all of it.
+lie on the axis of E, the one rational eigenline of every power of E;
+the values there form the family 8 t^2, and f(1,0,0) = 8 swallows all
+of it.
 """
 
 import json

@@ -8,11 +8,11 @@ the cosets of each class with its own scan, marks those the listed
 transforms make integral, and requires the escape matrix to make every
 remaining (bad) coset integral.  It re-verifies every claim from scratch
 - matrix identities, residue-coset scans, divisibility of transported
-cosets, eigenlines, cover arithmetic - without ever searching for
-transforms, so it does not trust the prover.  It shares no residue
-arithmetic with the prover either: every scan here is a direct one over
-all d^3 (or L^3) cosets, where the prover factors L by the Chinese
-remainder theorem and classifies cosets with its own code.
+cosets, the axis of each escape matrix, cover arithmetic - without ever
+searching for transforms, so it does not trust the prover.  It shares no
+residue arithmetic with the prover either: every scan here is a direct
+one over all d^3 (or L^3) cosets, where the prover factors L by the
+Chinese remainder theorem and classifies cosets with its own code.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ import numpy as np
 from . import _mat
 from .congruence import ResidueClass
 from .forms import QuadForm, doubled_gram, evaluate, is_positive_definite
-from .prover import (
-    _POWER_RANGE,
-    MAX_MODULUS,
-    CoverDirection,
-    PairProof,
-    SubformDirection,
-)
+from .prover import MAX_MODULUS, CoverDirection, PairProof, SubformDirection
 
 CERT_VERSION = 2
 
@@ -100,9 +94,14 @@ def proof_to_dict(proof: PairProof) -> dict:
     }
 
 
-def emit(proof: PairProof) -> bytes:
+def encode(cert: dict) -> bytes:
     """Canonical serialization: sorted keys, compact separators, decimal ints."""
-    return json.dumps(proof_to_dict(proof), sort_keys=True, separators=(",", ":")).encode()
+    return json.dumps(cert, sort_keys=True, separators=(",", ":")).encode()
+
+
+def emit(proof: PairProof) -> bytes:
+    """The canonical certificate bytes of a proof."""
+    return encode(proof_to_dict(proof))
 
 
 @dataclass(frozen=True)
@@ -247,17 +246,10 @@ def _check_escape(ctag, sub, sup, cls, escape, bad):
         return _fail(f"{etag}.integrality", f"coset {tuple(stuck[0].tolist())}")
     if _mat.is_finite_order_scaled(E, d):
         return _fail(f"{etag}.finite_order", "(1/d) E has finite order")
-    # first[v] = (eigenvalue, k) for the first power E^k with eigenline v
-    first = {}
-    power = _mat.IDENTITY
-    for k in range(1, _POWER_RANGE + 1):
-        power = _mat.mat_mul(power, E)
-        lines = _mat.eigen_lines(power)
-        eigenvalues = [lam for _, lam in lines]
-        if len(set(eigenvalues)) < len(eigenvalues):
-            return _fail(f"{etag}.eigenspace", f"power {k} has a multi-dimensional eigenspace")
-        for v, lam in lines:
-            first.setdefault(v, (lam, k))
+    # the axis is the one rational eigenline of every power of E; its
+    # first power is E itself
+    v, lam = _mat.axis(E, d)
+    first = {v: (lam, 1)}
     recorded = {v for v, *_ in eigen_entries}
     for v in first:
         if v not in recorded:

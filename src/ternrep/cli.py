@@ -174,15 +174,16 @@ def _cmd_prove(args):
     except ProofError as exc:
         print(f"UNPROVABLE: {exc}", file=sys.stderr)
         return EXIT_UNPROVABLE
-    blob = certificate.emit(proof)
+    cert = certificate.proof_to_dict(proof)
+    blob = certificate.encode(cert)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(blob + b"\n")
     summary = {
         "f": str(args.f),
         "g": str(args.g),
-        "f_in_g": certificate.proof_to_dict(proof)["f_in_g"]["kind"],
-        "g_in_f": certificate.proof_to_dict(proof)["g_in_f"]["kind"],
+        "f_in_g": cert["f_in_g"]["kind"],
+        "g_in_f": cert["g_in_f"]["kind"],
         "empirical_bound": proof.empirical_bound,
         "certificate": args.out,
     }

@@ -22,6 +22,10 @@ from . import _mat
 from .enumeration import representations
 from .forms import QuadForm, doubled_gram, require_positive_definite
 
+# backtracking budget of the scaled-automorphism search; the largest such
+# search on the catalog pairs and their basis changes takes ~1,500 nodes
+_ESCAPE_NODES = 10**6
+
 
 @dataclass(frozen=True)
 class TransformSet:
@@ -137,6 +141,6 @@ def is_isometric(f: QuadForm, g: QuadForm):
     return None
 
 
-def scaled_automorphisms(g: QuadForm, d: int, max_nodes=None) -> TransformSet:
-    """All T with T^t (2M_g) T = d^2 (2M_g)."""
-    return find_transforms(g, g, d, max_nodes=max_nodes)
+def scaled_automorphisms(g: QuadForm, d: int) -> TransformSet:
+    """All T with T^t (2M_g) T = d^2 (2M_g), within the _ESCAPE_NODES budget."""
+    return find_transforms(g, g, d, max_nodes=_ESCAPE_NODES)

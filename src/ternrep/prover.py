@@ -12,10 +12,11 @@ E^t M_g E = d^2 M_g such that (1/d) u E^t is integral for every bad
 coset u.  Iterating v -> (1/d) v E^t preserves g-values, so a value
 g(v) = n with v stuck in bad cosets forever would visit infinitely many
 vectors of the finite set {w : g(w) = n} - impossible once (1/d)E has
-infinite order - unless v lies on an eigenline of E.  Values on
-eigenlines form finitely many families m * t^2 (m the value at a
-primitive eigenvector), and each family is swallowed by one witness
-f(w) = m, since f(t w) = m t^2.
+infinite order - unless v lies on an eigenline of some power of E.
+Every power of such an E has one rational eigenline, the axis of E
+(_mat.axis), so the values there form one family m * t^2 (m the value at
+the primitive axis vector), swallowed by one witness f(w) = m, since
+f(t w) = m t^2.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ AUTO_MODULI = (4, 8, 12, 24, 36, 48)
 # the largest cover modulus the search reaches; explicit class lists and
 # certificates are held to it
 MAX_MODULUS = lcm(*AUTO_MODULI)
-_POWER_RANGE = 6  # eigenlines of E^k are also excluded, k <= this
-_ESCAPE_NODES = 10**6  # backtracking budget of the scaled-automorphism search
 
 
 class ProofError(Exception):
@@ -85,10 +84,11 @@ class MismatchAt(ProofError):
 
 @dataclass(frozen=True)
 class EigenFamily:
-    """One exceptional value family m t^2 coming from an eigenline.
+    """The exceptional value family m t^2 on the axis of an escape matrix E.
 
-    vector is a primitive eigenvector of E^power with the given
-    eigenvalue; base = g(vector); witness satisfies f(witness) = base.
+    vector is the primitive axis vector of E, eigenvalue is det E / d^2,
+    and power is 1 (a field of certificate format 2); base = g(vector);
+    witness satisfies f(witness) = base.
     """
 
     vector: Vector3
@@ -107,7 +107,7 @@ class EscapeArgument:
 
     @property
     def eigenvectors(self):
-        return tuple((fam.vector, fam.eigenvalue) for fam in self.families if fam.power == 1)
+        return tuple((fam.vector, fam.eigenvalue) for fam in self.families)
 
     @property
     def exceptional_values(self):
@@ -157,8 +157,8 @@ def evaluate_escape_matrix(f, g, cls, report, matrix):
 
     Returns an EscapeArgument when the matrix satisfies every requirement
     for the bad cosets of the report, otherwise the name of the first
-    failed requirement ('integrality', 'finite_order',
-    'eigenspace_dimension', or ('base', m) for an unrepresented base).
+    failed requirement ('integrality', 'finite_order', or ('base', m)
+    when f does not represent the value m at the axis of the matrix).
     """
     d = cls.d
     # int64 cannot overflow: coset entries are below d, and the matrix is a
@@ -174,31 +174,13 @@ def evaluate_escape_matrix(f, g, cls, report, matrix):
     # u, w = (1/d) u E^t is integral and E^t (2M) E = d^2 (2M) gives
     # g(w) = g(u) = a (mod d); g(w + d k) - g(w) = d B(w, k) + d^2 g(k)
     # with B(w, k) integral, so w mod d is again a coset of the class.
-    families = []
-    seen_vectors = {}
-    base_failure = None
-    power = _mat.IDENTITY
-    for k in range(1, _POWER_RANGE + 1):
-        power = _mat.mat_mul(power, matrix)
-        lines = _mat.eigen_lines(power)
-        per_eigenvalue = {}
-        for v, lam in lines:
-            per_eigenvalue.setdefault(lam, []).append(v)
-        if any(len(vs) > 1 for vs in per_eigenvalue.values()):
-            return "eigenspace_dimension"
-        for v, lam in lines:
-            if v in seen_vectors:
-                continue
-            base = evaluate(g, v)
-            reps = representations(f, base)
-            if not reps:
-                base_failure = base
-                continue
-            seen_vectors[v] = True
-            families.append(EigenFamily(Vector3(*v), lam, k, base, reps[0]))
-    if base_failure is not None:
-        return ("base", base_failure)
-    return EscapeArgument(cls, matrix, report.bad, tuple(families))
+    v, lam = _mat.axis(matrix, d)
+    base = evaluate(g, v)
+    reps = representations(f, base)
+    if not reps:
+        return ("base", base)
+    family = EigenFamily(Vector3(*v), lam, 1, base, reps[0])
+    return EscapeArgument(cls, matrix, report.bad, (family,))
 
 
 def build_escape(f: QuadForm, g: QuadForm, cls: ResidueClass,
@@ -210,7 +192,7 @@ def build_escape(f: QuadForm, g: QuadForm, cls: ResidueClass,
     """
     if report.all_good:
         raise ValueError("build_escape requires a class with bad cosets")
-    autos = scaled_automorphisms(g, cls.d, max_nodes=_ESCAPE_NODES)
+    autos = scaled_automorphisms(g, cls.d)
     base_failure = None
     for matrix in autos.matrices:
         outcome = evaluate_escape_matrix(f, g, cls, report, matrix)

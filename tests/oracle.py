@@ -7,9 +7,10 @@ slicing, no interval solving - nothing shared with the code under test.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
+import sympy
 
 from ternrep.forms import doubled_gram, evaluate
 
@@ -86,3 +87,22 @@ def class_cosets(form, d):
             for z in range(d):
                 out.setdefault(evaluate(form, (x, y, z)) % d, []).append([x, y, z])
     return out
+
+
+def eigen_lines(A):
+    """[(v, lambda)] with A v = lambda v, for every rational eigenvalue lambda.
+
+    General and exact, by sympy: the rational roots come from factoring the
+    characteristic polynomial over the integers, the eigenspace basis from
+    the nullspace of A - lambda I, each vector scaled to be primitive with
+    its first nonzero coordinate positive.  Sorted by (lambda, v).
+    """
+    M = sympy.Matrix(A)
+    out = []
+    for lam in M.charpoly().ground_roots():
+        for v in (M - lam * sympy.eye(3)).nullspace():
+            den = sympy.ilcm(*(x.q for x in v))
+            w = [int(x * den) for x in v]
+            k = gcd(*w) * (1 if next(x for x in w if x) > 0 else -1)
+            out.append((tuple(x // k for x in w), int(lam)))
+    return sorted(out, key=lambda p: (p[1], p[0]))

@@ -89,7 +89,15 @@ def test_prove_writes_checkable_certificate(tmp_path, capsys):
         "--max", "20000", "--out", str(out),
     ])
     assert rc == EXIT_OK
+    assert lines_of(capsys) == [
+        "PROVED Q(f) = Q(g) (f via subform, g via cover; sets verified equal up to 20000)",
+        f"certificate written to {out}",
+    ]
     blob = out.read_bytes()
+    proof = prover.prove_pair(named_form("S4f"), named_form("S4g"),
+                              classes_g_in_f=[(4, 0), (12, 6), (12, 10), (12, 2)],
+                              empirical_bound=20000)
+    assert blob == certificate.emit(proof) + b"\n"
     assert certificate.check(blob)
     rc = run(["cert", "check", str(out)])
     assert rc == EXIT_OK

@@ -14,6 +14,7 @@ from ternrep import _mat
 
 T1 = ((4, 2, 2), (0, 4, 2), (0, 0, 2))
 TTILDE = ((12, 6, 2), (0, 0, 12), (0, -12, -8))
+S4_ESCAPE = ((-12, -6, -2), (0, 0, -12), (0, 12, 8))
 S4_SUBFORM_T = ((1, 0, 0), (0, 0, -2), (0, -1, 1))
 
 
@@ -112,31 +113,24 @@ def test_scaled_automorphisms(s4):
 def test_scaled_automorphisms_limit(s4):
     _, g = s4
     # a node budget truncates the backtracking search and flags it
-    ts = scaled_automorphisms(g, 12, max_nodes=5)
+    ts = find_transforms(g, g, 12, max_nodes=5)
     assert len(ts) <= 5 and not ts.complete
 
 
-# eigen data of a matrix: its eigen lines and whether T/d has finite order
+# eigen data of a scaled isometry: its axis and whether T/d has finite order
 
 def test_eigen_data_escape_matrix():
-    assert _mat.eigen_lines(TTILDE) == [((1, 0, 0), 12)]
+    assert _mat.axis(TTILDE, 12) == ((1, 0, 0), 12)
     assert _mat.is_finite_order_scaled(TTILDE, 12) is False
 
 
 def test_eigen_data_identity_and_diagonal():
-    lines = _mat.eigen_lines(_mat.IDENTITY)
-    assert {v for v, _ in lines} == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     assert _mat.is_finite_order_scaled(_mat.IDENTITY, 1) is True
-    assert _mat.eigen_lines(((2, 0, 0), (0, 3, 0), (0, 0, 5))) == [
-        ((1, 0, 0), 2),
-        ((0, 1, 0), 3),
-        ((0, 0, 1), 5),
-    ]
 
 
 def test_eigen_data_rotation_has_finite_order():
     quarter_turn = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
-    assert _mat.eigen_lines(quarter_turn) == [((0, 0, 1), 1)]
+    assert _mat.axis(quarter_turn, 1) == ((0, 0, 1), 1)
     assert _mat.is_finite_order_scaled(quarter_turn, 1) is True
 
 
@@ -145,34 +139,15 @@ def test_eigen_data_huge_determinant_powers():
     P = _mat.IDENTITY
     for _ in range(6):
         P = _mat.mat_mul(P, TTILDE)
-    lines = _mat.eigen_lines(P)
-    assert (1, 0, 0) in {v for v, _ in lines}
-    assert all(lam == 12**6 for v, lam in lines if v == (1, 0, 0))
+    assert _mat.axis(P, 12**6) == ((1, 0, 0), 12**6)
 
 
-def test_eigen_data_negative_eigenvalue():
-    flip = ((-2, 0, 0), (0, 1, 1), (0, 0, 1))
-    assert ((1, 0, 0), -2) in _mat.eigen_lines(flip)
-
-
-def test_integer_eigenvalues_edge_cases():
-    assert _mat.integer_eigenvalues(((0, 0, 0), (0, 0, 0), (0, 0, 0))) == [0]
-    assert _mat.integer_eigenvalues(((1, 1, 0), (0, 1, 0), (0, 0, 2))) == [1, 2]
-    # no integer eigenvalues: rotation block with complex pair only
-    assert _mat.integer_eigenvalues(((0, -1, 0), (1, 0, 0), (0, 0, 2))) == [2]
-
-
-def test_kernel_basis_dimensions():
-    assert _mat.kernel_basis(_mat.IDENTITY) == []
-    assert _mat.kernel_basis(((0, 0, 0), (0, 0, 0), (0, 0, 0))) == [
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-    ]
-    plane = _mat.kernel_basis(((1, 1, 1), (2, 2, 2), (3, 3, 3)))
-    assert len(plane) == 2
-    for v in plane:
-        assert sum(v) == 0
+def test_eigen_data_negative_eigenvalue(s4):
+    # the escape matrix of the S4 certificate has det E / d^2 = -12
+    _, g = s4
+    _check_identity(S4_ESCAPE, g, g, 12)
+    assert _mat.axis(S4_ESCAPE, 12) == ((1, 0, 0), -12)
+    assert _mat.is_finite_order_scaled(S4_ESCAPE, 12) is False
 
 
 def test_find_transforms_rejects_bad_input():

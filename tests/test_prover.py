@@ -3,7 +3,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from ternrep import (
     ClassUnprovable,
     CoverDirection,
@@ -22,6 +25,8 @@ from ternrep import (
     doubled_gram,
     evaluate,
     evaluate_escape_matrix,
+    find_transforms,
+    is_positive_definite,
     kaplansky_family_pair,
     named_form,
     precedes,
@@ -111,12 +116,16 @@ def test_displayed_escape_matrix_is_valid(s4):
     assert outcome.eigenvectors == ((Vector3(1, 0, 0), 12),)
 
 
+_POWER_RANGE = 6  # the reference excludes the eigenlines of E^k, k <= this
+
+
 def _reference_escape_outcome(f, g, cls, report, matrix):
-    """Reference evaluate_escape_matrix: integrality tested coset by coset with _mat.act."""
+    """Reference evaluate_escape_matrix: integrality tested coset by coset,
+    eigenlines of the first powers of the matrix from the sympy oracle."""
     d = cls.d
     bad = report.bad
     for u in bad:
-        if any(c % d for c in _mat.act(matrix, u)):
+        if any(sum(matrix[i][j] * u[j] for j in range(3)) % d for i in range(3)):
             return "integrality"
     if _mat.is_finite_order_scaled(matrix, d):
         return "finite_order"
@@ -127,9 +136,9 @@ def _reference_escape_outcome(f, g, cls, report, matrix):
             return "descent"
     families, seen, base_failure = [], set(), None
     power = _mat.IDENTITY
-    for k in range(1, prover._POWER_RANGE + 1):
+    for k in range(1, _POWER_RANGE + 1):
         power = _mat.mat_mul(power, matrix)
-        lines = _mat.eigen_lines(power)
+        lines = oracle.eigen_lines(power)
         eigenvalues = [lam for _, lam in lines]
         if len(set(eigenvalues)) < len(eigenvalues):
             return "eigenspace_dimension"
@@ -158,6 +167,39 @@ def test_escape_outcomes_match_per_coset_reference(pair, cls):
     assert outcomes == [_reference_escape_outcome(f, g, cls, report, M) for M in autos.matrices]
     assert "integrality" in outcomes
     assert any(isinstance(o, EscapeArgument) for o in outcomes)
+
+
+random_forms = st.builds(
+    QuadForm,
+    *[st.integers(1, 7)] * 3,
+    *[st.integers(-7, 7)] * 3,
+).filter(is_positive_definite)
+
+
+@settings(max_examples=8, deadline=None)
+@given(random_forms, st.sampled_from((2, 3, 4, 6, 8, 12)))
+def test_axis_is_the_only_rational_eigenline_of_each_power(g, d):
+    # the oracle finds every rational eigenline of E^k, k = 1..6, in general
+    for E in scaled_automorphisms(g, d).matrices:
+        if _mat.is_finite_order_scaled(E, d):
+            continue
+        v, lam = _mat.axis(E, d)
+        assert abs(lam) == d
+        power = _mat.IDENTITY
+        for k in range(1, _POWER_RANGE + 1):
+            power = _mat.mat_mul(power, E)
+            assert oracle.eigen_lines(power) == [(v, lam**k)]
+
+
+def test_escape_search_result_is_the_plain_scaled_automorphisms(s4):
+    # build_escape and a plain scaled_automorphisms call share one cached search
+    f, g = s4
+    cls = ResidueClass(12, 2)
+    build_escape(f, g, cls, precedes(f, g, cls))
+    before = find_transforms.cache_info()
+    scaled_automorphisms(g, 12)
+    after = find_transforms.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_integrality_checks_cosets_past_the_first_chunk(s4):
