@@ -22,11 +22,10 @@ escape = tr.build_escape(f, g, cls, report)
 print("escape matrix E:")
 for row in escape.matrix:
     print("   ", row)
-print("  bad cosets handled:", len(escape.bad))
-print("  eigenvector classes:", [(tuple(v), lam) for v, lam in escape.eigenvectors])
-print("  exceptional value families m*t^2, m in", escape.exceptional_values)
-for base, witness in escape.f_covers:
-    print(f"  witness: f{tuple(witness)} = {base}")
+print("  bad cosets handled:", len(report.bad))
+print("  axis v:", tuple(escape.axis))
+print(f"  exceptional value family m*t^2, m = g(v) = {escape.base}")
+print(f"  witness: f{tuple(escape.witness)} = {escape.base}")
 
 print("\nFull pair proof (subform one way, covering classes the other):")
 proof = tr.prove_pair(f, g, empirical_bound=10**5)

@@ -47,8 +47,6 @@ from .prover import (
     ClassUnprovable,
     CoverDirection,
     CoverIncomplete,
-    EigenFamily,
-    EigenvalueBaseNotRepresented,
     EscapeArgument,
     MismatchAt,
     NoEscapeMatrix,

@@ -140,7 +140,7 @@ def _cmd_subform(args):
 
 def _cmd_prec(args):
     report = precedes(args.f, args.g, ResidueClass(args.d, args.a))
-    total = len(report.good) + len(report.bad)
+    total = len(report.cosets)
     payload = {
         "d": args.d,
         "a": args.a,

@@ -16,7 +16,7 @@ infinite order - unless v lies on an eigenline of some power of E.
 Every power of such an E has one rational eigenline, the axis of E
 (_mat.axis), so the values there form one family m * t^2 (m the value at
 the primitive axis vector), swallowed by one witness f(w) = m, since
-f(t w) = m t^2.
+f(t w) = m t^2.  The witness is all a certificate records beside E.
 """
 
 from __future__ import annotations
@@ -65,13 +65,7 @@ class ClassUnprovable(ProofError):
 
 
 class NoEscapeMatrix(ProofError):
-    pass
-
-
-class EigenvalueBaseNotRepresented(ProofError):
-    def __init__(self, base: int):
-        self.base = base
-        super().__init__(f"eigenvector base value {base} is not represented")
+    """No scaled automorphism of g escapes a class."""
 
 
 class MismatchAt(ProofError):
@@ -83,39 +77,17 @@ class MismatchAt(ProofError):
 
 
 @dataclass(frozen=True)
-class EigenFamily:
-    """The exceptional value family m t^2 on the axis of an escape matrix E.
+class EscapeArgument:
+    """An escape matrix E and the one value family m t^2 it leaves.
 
-    vector is the primitive axis vector of E, eigenvalue is det E / d^2,
-    and power is 1 (a field of certificate format 2); base = g(vector);
-    witness satisfies f(witness) = base.
+    axis is the primitive axis vector of E (_mat.axis), base = g(axis) = m
+    and witness satisfies f(witness) = base.
     """
 
-    vector: Vector3
-    eigenvalue: int
-    power: int
+    matrix: tuple
+    axis: Vector3
     base: int
     witness: Vector3
-
-
-@dataclass(frozen=True)
-class EscapeArgument:
-    cls: ResidueClass
-    matrix: tuple
-    bad: tuple
-    families: tuple
-
-    @property
-    def eigenvectors(self):
-        return tuple((fam.vector, fam.eigenvalue) for fam in self.families)
-
-    @property
-    def exceptional_values(self):
-        return tuple(sorted({fam.base for fam in self.families}))
-
-    @property
-    def f_covers(self):
-        return tuple((fam.base, fam.witness) for fam in self.families)
 
 
 @dataclass(frozen=True)
@@ -174,13 +146,12 @@ def evaluate_escape_matrix(f, g, cls, report, matrix):
     # u, w = (1/d) u E^t is integral and E^t (2M) E = d^2 (2M) gives
     # g(w) = g(u) = a (mod d); g(w + d k) - g(w) = d B(w, k) + d^2 g(k)
     # with B(w, k) integral, so w mod d is again a coset of the class.
-    v, lam = _mat.axis(matrix, d)
+    v, _ = _mat.axis(matrix, d)
     base = evaluate(g, v)
     reps = representations(f, base)
     if not reps:
         return ("base", base)
-    family = EigenFamily(Vector3(*v), lam, 1, base, reps[0])
-    return EscapeArgument(cls, matrix, report.bad, (family,))
+    return EscapeArgument(matrix, Vector3(*v), base, reps[0])
 
 
 def build_escape(f: QuadForm, g: QuadForm, cls: ResidueClass,
@@ -200,9 +171,8 @@ def build_escape(f: QuadForm, g: QuadForm, cls: ResidueClass,
             return outcome
         if isinstance(outcome, tuple) and outcome[0] == "base":
             base_failure = outcome[1]
-    if base_failure is not None:
-        raise EigenvalueBaseNotRepresented(base_failure)
-    raise NoEscapeMatrix(f"no scaled automorphism escapes class ({cls.d},{cls.a})")
+    reason = "" if base_failure is None else f"; axis value {base_failure} is not represented"
+    raise NoEscapeMatrix(f"no scaled automorphism escapes class ({cls.d},{cls.a}){reason}")
 
 
 def _prove_class(f, g, cls) -> ClassProof:

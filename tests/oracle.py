@@ -1,9 +1,10 @@
 """Independent brute-force oracle used to validate the production enumerator.
 
-Deliberately naive: scan the full coordinate box |x|,|y|,|z| <= B where B
-comes from a rigorous lower bound on the smallest eigenvalue of the Gram
-matrix, evaluate the polynomial directly, and keep values <= bound.  No
-slicing, no interval solving - nothing shared with the code under test.
+Deliberately naive: size-reduce the form by unimodular steps, scan the
+full coordinate box |x_i| <= r_i that holds its ellipsoid form(v) <= bound,
+evaluate the polynomial directly, and keep values <= bound.  Values and
+primitivity do not change under a unimodular change of basis.  No slicing,
+no interval solving - nothing shared with the code under test.
 """
 
 from fractions import Fraction
@@ -12,30 +13,45 @@ from math import gcd, isqrt
 import numpy as np
 import sympy
 
-from ternrep.forms import doubled_gram, evaluate
+from ternrep.forms import QuadForm, doubled_gram, evaluate
 
 
-def eigen_lower_bound(form) -> Fraction:
-    """Positive rational lower bound on the least eigenvalue of M_f."""
-    G = doubled_gram(form)
-    gersh = min(G[i][i] - sum(abs(G[i][j]) for j in range(3) if j != i) for i in range(3))
-    if gersh > 0:
-        return Fraction(gersh, 2)
-    # det(G) / lambda_max(G)^2 with lambda_max bounded by the max row sum
-    detG = (
-        G[0][0] * (G[1][1] * G[2][2] - G[1][2] ** 2)
-        - G[0][1] * (G[0][1] * G[2][2] - G[1][2] * G[0][2])
-        + G[0][2] * (G[0][1] * G[1][2] - G[1][1] * G[0][2])
-    )
-    row_max = max(sum(abs(x) for x in row) for row in G)
-    return Fraction(detG, row_max**2) / 2
+def size_reduced(form):
+    """An equivalent form reached by steps b_i -> b_i - q b_j of its basis.
+
+    q is the nearest integer to G_ij / G_jj for the doubled Gram matrix G,
+    and a step is taken only when it strictly shrinks the diagonal entry
+    G_ii, a positive integer, so the loop ends.
+    """
+    G = [list(row) for row in doubled_gram(form)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(3):
+            for j in range(3):
+                if i == j:
+                    continue
+                q = round(Fraction(G[i][j], G[j][j]))
+                shrunk = G[i][i] - 2 * q * G[i][j] + q * q * G[j][j]
+                if shrunk < G[i][i]:
+                    for k in range(3):
+                        if k != i:
+                            G[i][k] = G[k][i] = G[i][k] - q * G[j][k]
+                    G[i][i] = shrunk
+                    changed = True
+    return QuadForm(G[0][0] // 2, G[1][1] // 2, G[2][2] // 2, G[1][2], G[0][2], G[0][1])
 
 
-def box_radius(form, bound) -> int:
-    lam = eigen_lower_bound(form)
-    assert lam > 0, "oracle needs a positive definite form"
-    ratio = Fraction(bound) / lam
-    return isqrt(ratio.numerator // ratio.denominator) + 2
+def box(form, bound):
+    """Radii (r_0, r_1, r_2) with every v of form(v) <= bound in |v_i| <= r_i.
+
+    On the ellipsoid v (2M) v^t <= 2 bound, the largest v_i^2 is
+    2 bound (2M)^-1_ii = 2 bound adj(2M)_ii / det(2M).
+    """
+    G = sympy.Matrix(doubled_gram(form))
+    det, adj = G.det(), G.adjugate()
+    assert det > 0 and G[0, 0] > 0, "oracle needs a positive definite form"
+    return tuple(isqrt(int(2 * bound * adj[i, i] // det)) + 1 for i in range(3))
 
 
 def value_counts(form, bound, primitive=False):
@@ -43,9 +59,9 @@ def value_counts(form, bound, primitive=False):
 
     With primitive=True only vectors whose coordinates have gcd 1 count.
     """
-    B = box_radius(form, bound)
-    rng = np.arange(-B, B + 1, dtype=np.int64)
-    X, Y, Z = np.meshgrid(rng, rng, rng, indexing="ij")
+    form = size_reduced(form)
+    X, Y, Z = np.meshgrid(*(np.arange(-r, r + 1, dtype=np.int64) for r in box(form, bound)),
+                          indexing="ij")
     a, b, c, r, s, t = form.coefficients
     vals = a * X * X + b * Y * Y + c * Z * Z + r * Y * Z + s * X * Z + t * X * Y
     if primitive:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracle
 from test_congruence import positive_definite_forms
-from ternrep import certificate, congruence, isometry, named_form, prove_pair
+from ternrep import ResidueClass, certificate, congruence, isometry, named_form, prove_pair, prover
 
 S4_PAPER_CLASSES = [(4, 0), (12, 6), (12, 10), (12, 2)]
 
@@ -208,11 +208,7 @@ INTEGER_FIELDS = {
     "transform_entry": lambda c: (c["g_in_f"]["classes"][0]["transforms"][0][0], 0),
     "transform_last_entry": lambda c: (_class_with_escape(c)["transforms"][-1][2], 2),
     "escape_matrix_entry": lambda c: (_class_with_escape(c)["escape"]["matrix"][1], 0),
-    "eigen_vector_entry": lambda c: (_class_with_escape(c)["escape"]["eigenvectors"][0]["vector"], 0),
-    "eigen_witness_entry": lambda c: (_class_with_escape(c)["escape"]["eigenvectors"][0]["witness"], 2),
-    "eigenvalue": lambda c: (_class_with_escape(c)["escape"]["eigenvectors"][0], "eigenvalue"),
-    "eigen_power": lambda c: (_class_with_escape(c)["escape"]["eigenvectors"][0], "power"),
-    "eigen_base": lambda c: (_class_with_escape(c)["escape"]["eigenvectors"][0], "base"),
+    "escape_witness_entry": lambda c: (_class_with_escape(c)["escape"]["witness"], 2),
 }
 
 
@@ -233,7 +229,7 @@ def test_non_integer_types_rejected(s4_cert, field, retype):
     (("g_in_f", "classes", 0, "transforms", 0), []),
     (("g_in_f", "classes", 0, "transforms"), 5),
     (("g_in_f", "classes", 0, "transforms"), {}),
-    (("g_in_f", "classes", 1, "escape", "eigenvectors"), {}),
+    (("g_in_f", "classes", 1, "escape", "witness"), {}),
 ])
 def test_malformed_records_rejected(s4_cert, path, junk):
     cert = copy.deepcopy(s4_cert)
@@ -262,26 +258,42 @@ def test_checker_coset_scan_matches_naive_scan(form, d):
         assert certificate._class_cosets(form, d, a).tolist() == naive.get(a, [])
 
 
-EIGEN_EDITS = {
-    "eigenvalue+1": lambda e: {"eigenvalue": e["eigenvalue"] + 1},
-    "eigenvalue-1": lambda e: {"eigenvalue": e["eigenvalue"] - 1},
-    "power0": lambda e: {"power": 0},
-    "power7": lambda e: {"power": 7},
-    "power1e40": lambda e: {"power": 10**40},
-    # the line of E is a line of E^2 too, with the squared eigenvalue, but
-    # it first appears at power 1
-    "power2": lambda e: {"power": 2, "eigenvalue": e["eigenvalue"] ** 2},
+def _escape_swapped_for(outcome):
+    """The first scaled automorphism of S4g at modulus 12 with this prover outcome."""
+    f, g = named_form("S4f"), named_form("S4g")
+    cls = ResidueClass(12, 2)
+    report = congruence.precedes(f, g, cls)
+    return next(E for E in isometry.scaled_automorphisms(g, 12).matrices
+                if prover.evaluate_escape_matrix(f, g, cls, report, E) == outcome)
+
+
+ESCAPE_EDITS = {
+    # f(1, 1, 0) = 18, not the value 8 at the axis (1, 0, 0)
+    "base_witness": lambda: {"witness": [1, 1, 0]},
+    "integrality": lambda: {"matrix": [list(row) for row in _escape_swapped_for("integrality")]},
+    # 12 I makes every coset integral, but (1/12) 12 I = I has order 1
+    "finite_order": lambda: {"matrix": [[12, 0, 0], [0, 12, 0], [0, 0, 12]]},
 }
 
 
-@pytest.mark.parametrize("edit", sorted(EIGEN_EDITS))
-def test_eigenvalue_and_power_verified(s4_cert, edit):
+@pytest.mark.parametrize("clause", sorted(ESCAPE_EDITS))
+def test_wrong_escape_rejected(s4_cert, clause):
     cert = copy.deepcopy(s4_cert)
-    entry = _class_with_escape(cert)["escape"]["eigenvectors"][0]
-    assert entry["power"] == 1 and abs(entry["eigenvalue"]) == 12
-    entry.update(EIGEN_EDITS[edit](entry))
+    _class_with_escape(cert)["escape"].update(ESCAPE_EDITS[clause]())
     verdict = certificate.check(cert)
-    assert not verdict.ok and verdict.clause == "g_in_f.escape(12,2).eigenvector_mismatch"
+    assert not verdict.ok and verdict.clause == f"g_in_f.escape(12,2).{clause}"
+
+
+def test_v2_escape_records_rejected(s4_cert):
+    cert = copy.deepcopy(s4_cert)
+    cert["version"] = 2
+    assert certificate.check(cert).clause == "version"
+    cert = copy.deepcopy(s4_cert)
+    escape = _class_with_escape(cert)["escape"]
+    escape["eigenvectors"] = [{"vector": [1, 0, 0], "eigenvalue": -12, "power": 1, "base": 8,
+                               "witness": escape.pop("witness")}]
+    verdict = certificate.check(cert)
+    assert not verdict.ok and verdict.clause == "g_in_f.escape(12,2).schema"
 
 
 @pytest.fixture(scope="module")

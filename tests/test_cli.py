@@ -47,6 +47,23 @@ def test_prec_exact_output(capsys):
     assert lines_of(capsys) == ["PRECEDES: true (16 cosets, 0 bad)"]
 
 
+def test_prec_counts_without_building_good_cosets(capsys, monkeypatch):
+    from ternrep import cli
+
+    real, reports = cli.precedes, []
+
+    def recorded(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "precedes", recorded)
+    rc = run(["prec", "--f", "S4f", "--g", "S4g", "--d", "12", "--a", "2"])
+    assert rc == EXIT_OK
+    assert lines_of(capsys) == ["PRECEDES: false (864 cosets, 32 bad)"]
+    # the good coset tuples are a lazy view that only --report needs
+    assert "good" not in vars(reports[0])
+
+
 def test_prec_false_with_report(capsys):
     rc = run(["prec", "--f", "S4f", "--g", "S4g", "--d", "12", "--a", "2", "--report"])
     assert rc == EXIT_OK

@@ -3,7 +3,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -116,12 +116,12 @@ def test_primitive_mask_matches_filtered_oracle():
     bound = 800
     mask = represented_mask(form, bound, primitive=True)
     expected = np.zeros(bound + 1, dtype=bool)
-    B = oracle.box_radius(form, bound)
+    rx, ry, rz = oracle.box(form, bound)
     from ternrep import evaluate
 
-    for x in range(-B, B + 1):
-        for y in range(-B, B + 1):
-            for z in range(-B, B + 1):
+    for x in range(-rx, rx + 1):
+        for y in range(-ry, ry + 1):
+            for z in range(-rz, rz + 1):
                 n = evaluate(form, (x, y, z))
                 if n <= bound and gcd(gcd(abs(x), abs(y)), abs(z)) == 1:
                     expected[n] = True
@@ -171,10 +171,6 @@ small_forms = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(small_forms, st.integers(0, 300))
 def test_mask_and_theta_match_oracle_on_random_forms(form, bound):
-    # the oracle scans a full cube; skewed forms get a cube far larger than
-    # their ellipsoid, so keep the cube within 101^3 cells (such a form
-    # still appears at the smaller bounds)
-    assume(oracle.box_radius(form, bound) <= 50)
     for primitive in (False, True):
         counts = oracle.value_counts(form, bound, primitive=primitive)
         assert np.array_equal(theta(form, bound, primitive=primitive).coeffs, counts)

@@ -11,10 +11,10 @@ from ternrep import (
     ClassUnprovable,
     CoverDirection,
     CoverIncomplete,
-    EigenFamily,
     EscapeArgument,
     GoodVectorReport,
     MismatchAt,
+    NoEscapeMatrix,
     NotPositiveDefinite,
     QuadForm,
     ResidueClass,
@@ -95,16 +95,26 @@ def test_build_escape_s4(s4):
     G = doubled_gram(g)
     assert _mat.congruence(escape.matrix, G) == _mat.scalar_mul(144, G)
     # every bad coset becomes integral
-    assert len(escape.bad) == 32
-    for u in escape.bad:
+    assert len(report.bad) == 32
+    for u in report.bad:
         assert transport(u, escape.matrix, 12) is not None
     # infinite order of matrix / 12
     assert not _mat.is_finite_order_scaled(escape.matrix, 12)
-    # exceptional family: base 8 witnessed by a vector of value 8 under f
-    assert escape.exceptional_values == (8,)
-    for base, witness in escape.f_covers:
-        assert evaluate(f, witness) == base
-    assert {v for v, _ in escape.eigenvectors} == {Vector3(1, 0, 0)}
+    # exceptional family 8 t^2 on the axis, witnessed by a vector of value 8 under f
+    assert escape.axis == Vector3(1, 0, 0) and escape.base == evaluate(g, escape.axis) == 8
+    assert evaluate(f, escape.witness) == escape.base
+
+
+def test_unrepresented_axis_value_is_named(s4):
+    # 3(x^2 + y^2 + z^2) misses 8, the value on the axis of every candidate
+    # that passes integrality and finite order
+    f, g = s4
+    cls = ResidueClass(12, 2)
+    report = precedes(f, g, cls)
+    with pytest.raises(NoEscapeMatrix) as info:
+        build_escape(QuadForm(3, 3, 3, 0, 0, 0), g, cls, report)
+    assert str(info.value) == ("no scaled automorphism escapes class (12,2); "
+                               "axis value 8 is not represented")
 
 
 def test_displayed_escape_matrix_is_valid(s4):
@@ -113,7 +123,7 @@ def test_displayed_escape_matrix_is_valid(s4):
     report = precedes(f, g, cls)
     outcome = evaluate_escape_matrix(f, g, cls, report, TTILDE)
     assert isinstance(outcome, EscapeArgument)
-    assert outcome.eigenvectors == ((Vector3(1, 0, 0), 12),)
+    assert (outcome.axis, outcome.base) == (Vector3(1, 0, 0), 8)
 
 
 _POWER_RANGE = 6  # the reference excludes the eigenlines of E^k, k <= this
@@ -121,7 +131,11 @@ _POWER_RANGE = 6  # the reference excludes the eigenlines of E^k, k <= this
 
 def _reference_escape_outcome(f, g, cls, report, matrix):
     """Reference evaluate_escape_matrix: integrality tested coset by coset,
-    eigenlines of the first powers of the matrix from the sympy oracle."""
+    eigenlines of the first powers of the matrix from the sympy oracle.
+
+    The oracle finds every family of every power, so an escape argument is
+    returned only when there is exactly one; any other count is returned as
+    ("families", ...), which no EscapeArgument equals."""
     d = cls.d
     bad = report.bad
     for u in bad:
@@ -151,10 +165,12 @@ def _reference_escape_outcome(f, g, cls, report, matrix):
                 base_failure = base
                 continue
             seen.add(v)
-            families.append(EigenFamily(Vector3(*v), lam, k, base, reps[0]))
+            families.append((Vector3(*v), base, reps[0]))
     if base_failure is not None:
         return ("base", base_failure)
-    return EscapeArgument(cls, matrix, bad, tuple(families))
+    if len(families) != 1:
+        return ("families", tuple(families))
+    return EscapeArgument(matrix, *families[0])
 
 
 @pytest.mark.parametrize("pair, cls", [("S4", ResidueClass(12, 2)), ("S6", ResidueClass(12, 0))])
@@ -222,14 +238,15 @@ def test_integrality_checks_cosets_past_the_first_chunk(s4):
 
 
 def test_prover_builds_no_coset_tuples(s4, s6):
-    # the coset tuples of a report are views built on demand; the search
-    # reads the arrays only, and an accepted escape reads the bad cosets
+    # the coset tuples of a report are views built on demand; the search,
+    # escapes included, reads the arrays only
+    escaped = []
     for (f, g), classes in ((s6, S6_CLASSES), (s4, S4_CLASSES)):
         for proof in prove_direction(f, g, classes).classes:
-            built = set(vars(proof.report)) & {"good", "bad"}
-            assert built == (set() if proof.escape is None else {"bad"}), proof.cls
+            assert not set(vars(proof.report)) & {"good", "bad"}, proof.cls
             if proof.escape is not None:
-                assert proof.escape.bad == proof.report.bad
+                escaped.append(proof.cls)
+    assert escaped == [ResidueClass(12, 2)]
 
 
 def test_scaled_identity_is_rejected_as_escape(s4):
@@ -253,7 +270,7 @@ def test_escape_descent_preserves_values(s4):
     report = precedes(f, g, cls)
     escape = build_escape(f, g, cls, report)
     rng = random.Random(41)
-    for u in escape.bad[:8]:
+    for u in report.bad[:8]:
         for _ in range(3):
             lift = tuple(c + 12 * rng.randint(-2, 2) for c in u)
             image = transport(lift, escape.matrix, 12)
