@@ -80,7 +80,7 @@ def _cross(u, v):
 
 
 def axis(E, d):
-    """The axis (v, lam) of a scaled isometry E of infinite order: v E^t = lam v.
+    """The axis v of a scaled isometry E of infinite order: v E^t = lam v.
 
     E^t (2M) E = d^2 (2M) for a definite M, so (1/d)E is an isometry of a
     definite form, with eigenvalues eps, e^{i theta} and e^{-i theta}, where
@@ -94,4 +94,4 @@ def axis(E, d):
     lam = det(E) // (d * d)
     r0, r1, r2 = (tuple(E[i][j] - (lam if i == j else 0) for j in range(3)) for i in range(3))
     cross = next(c for c in (_cross(r0, r1), _cross(r0, r2), _cross(r1, r2)) if c != (0, 0, 0))
-    return primitive_vector(cross), lam
+    return primitive_vector(cross)

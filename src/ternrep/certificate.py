@@ -232,7 +232,7 @@ def _check_escape(ctag, sub, sup, cls, escape, bad):
     # the axis is the one rational eigenline of every power of E, so its
     # values m t^2 are the only ones that may never leave the bad cosets;
     # the witness covers them all, since sup(t w) = m t^2
-    v, _ = _mat.axis(E, d)
+    v = _mat.axis(E, d)
     if evaluate(sup, witness) != evaluate(sub, v):
         return _fail(f"{etag}.base_witness", f"witness value differs from the value at axis {v}")
     return Verdict(True)

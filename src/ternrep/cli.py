@@ -5,7 +5,7 @@ aliases S4f, S4g, ...) or as six comma-separated coefficients
 "a,b,c,r,s,t" of a x^2 + b y^2 + c z^2 + r yz + s xz + t xy.
 
 Exit codes: 0 success, 1 verification mismatch / rejected certificate,
-2 proof failure, 64 usage error.
+2 proof failure, 64 usage error (including a bound too large to enumerate).
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ def run(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"ternrep: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

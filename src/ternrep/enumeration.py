@@ -8,9 +8,15 @@ y and x ranges come from eliminating one variable at a time:
 
 and symmetrically for x.  All interval endpoints are computed with
 integer square roots, widened by one, and every candidate is re-checked
-exactly, so no lattice point can be missed.  Bulk work (marking a bitset,
-histogramming values) is done per slice with numpy int64; the magnitudes
-involved are asserted to fit comfortably.
+exactly, so no lattice point can be missed.
+
+Bulk work (marking a bitset, counting values) runs with numpy int64 on
+row blocks: a slice's (y, x) rectangle is filled a few whole rows at a
+time, at most _BLOCK_CELLS cells (256 KB; a row wider than that is a
+block of its own), in one buffer reused for every block.  The block
+stays in cache between the steps that fill it, and the memory used does
+not grow with the widest slice.  The magnitudes involved are asserted
+per slice to fit comfortably.
 
 Only z >= 0 is scanned: v and -v take the same value, and negation maps
 the slice at z to the slice at -z.
@@ -32,6 +38,7 @@ from .forms import (
 from . import _mat
 
 _INT64_SAFE = 2**62
+_BLOCK_CELLS = 1 << 15  # 256 KB of int64 per block
 
 
 def _ceil_div(p, q):
@@ -54,11 +61,16 @@ def _quad_interval(P, Q, R):
 
 
 def _capped_slices(form: QuadForm, bound: int, primitive: bool):
-    """Yield (z, values) for each slice z >= 0 of the sweep f(v) <= bound.
+    """Yield (z, values) for each row block of each slice z >= 0 of f(v) <= bound.
 
-    values holds f over the slice's (y, x) rectangle, flattened, with
-    every value above bound - and with primitive=True every value of a
-    vector whose coordinates share a factor - replaced by bound + 1.
+    values holds f over a block of whole rows of the slice's (y, x)
+    rectangle, flattened, with every value above bound - and with
+    primitive=True every value of a vector whose coordinates share a
+    factor - replaced by bound + 1.  A block has at most _BLOCK_CELLS
+    cells, or one row when a row is wider than that.
+
+    values is a view of one buffer that the next step of the generator
+    overwrites: use it before asking for the next block.
     """
     require_positive_definite(form)
     if bound < 0:
@@ -68,6 +80,8 @@ def _capped_slices(form: QuadForm, bound: int, primitive: bool):
     gy, dy = 4 * a * r - 2 * s * t, 4 * a * c - s * s
     gx, dx = 4 * b * s - 2 * r * t, 4 * b * c - r * r
     z_max = isqrt((2 * bound * beta) // _mat.det(doubled_gram(form))) + 1
+    cap = bound + 1
+    buf = np.empty(0, dtype=np.int64)
     for z in range(z_max + 1):
         ylo, yhi = _quad_interval(beta, gy * z, dy * z * z - 4 * a * bound)
         if ylo > yhi:
@@ -87,12 +101,24 @@ def _capped_slices(form: QuadForm, bound: int, primitive: bool):
         xs = np.arange(xlo, xhi + 1, dtype=np.int64)
         qy = b * ys * ys + (r * z) * ys + (c * z * z)
         ly = t * ys + (s * z)
-        vals = (a * xs * xs)[None, :] + np.outer(ly, xs) + qy[:, None]
-        capped = np.minimum(vals, bound + 1)
+        ax2 = a * xs * xs
         if primitive:
-            common = np.gcd(np.gcd(np.abs(ys)[:, None], np.abs(xs)[None, :]), abs(z))
-            capped = np.where(common == 1, capped, bound + 1)
-        yield z, capped.ravel()
+            gyz = np.gcd(ys, z)
+        width = len(xs)
+        rows = max(1, _BLOCK_CELLS // width)
+        if len(buf) < rows * width:
+            buf = np.empty(rows * width, dtype=np.int64)
+        for i in range(0, len(ys), rows):
+            n = min(rows, len(ys) - i)
+            block = buf[: n * width].reshape(n, width)
+            np.multiply.outer(ly[i : i + n], xs, out=block)
+            block += ax2
+            block += qy[i : i + n, None]
+            np.minimum(block, cap, out=block)
+            if primitive:
+                common = np.gcd(gyz[i : i + n, None], xs)
+                block[common != 1] = cap
+            yield z, block.ravel()
 
 
 # (form, primitive) -> (bound, read-only bool mask of length bound + 1)
@@ -200,6 +226,5 @@ def theta(form: QuadForm, bound: int, primitive: bool = False) -> ThetaSeries:
     bound = int(bound)
     counts = np.zeros(bound + 2, dtype=np.int64)
     for z, values in _capped_slices(form, bound, primitive):
-        cnt = np.bincount(values, minlength=bound + 2)
-        counts += cnt if z == 0 else 2 * cnt
+        np.add.at(counts, values, 1 if z == 0 else 2)
     return ThetaSeries(form, bound, counts[: bound + 1])

@@ -146,7 +146,7 @@ def evaluate_escape_matrix(f, g, cls, report, matrix):
     # u, w = (1/d) u E^t is integral and E^t (2M) E = d^2 (2M) gives
     # g(w) = g(u) = a (mod d); g(w + d k) - g(w) = d B(w, k) + d^2 g(k)
     # with B(w, k) integral, so w mod d is again a coset of the class.
-    v, _ = _mat.axis(matrix, d)
+    v = _mat.axis(matrix, d)
     base = evaluate(g, v)
     reps = representations(f, base)
     if not reps:

@@ -123,7 +123,8 @@ def test_criterion_05_escape_argument():
     assert isinstance(escape, EscapeArgument)
     displayed = evaluate_escape_matrix(f, g, cls, report, TTILDE)
     assert isinstance(displayed, EscapeArgument), f"displayed matrix failed: {displayed}"
-    assert _mat.axis(TTILDE, 12) == ((1, 0, 0), 12)
+    assert _mat.axis(TTILDE, 12) == (1, 0, 0)
+    assert _mat.det(TTILDE) // 12**2 == 12
     assert _mat.is_finite_order_scaled(TTILDE, 12) is False
     assert displayed.axis == (1, 0, 0) and displayed.base == 8
     witness = displayed.witness

@@ -173,6 +173,17 @@ def test_prove_post_proof_mismatch_exit_code(monkeypatch, capsys):
     assert "MISMATCH" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form, bound, message", [
+    ("1,1,1,0,0,0", "4000000000000000000", "Unable to allocate"),
+    (",".join(["10000000000000000000"] * 3 + ["0"] * 3), "10",
+     "slice values would not fit in int64"),
+], ids=["out_of_memory", "int64_overflow"])
+def test_enum_bound_too_large_is_a_usage_error(capsys, form, bound, message):
+    assert run(["enum", "--form", form, "--max", bound]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ternrep: error: ") and message in err[0]
+
+
 def test_table_ok(capsys):
     rc = run(["table", "--set", "S13", "--max", "20000"])
     assert rc == EXIT_OK

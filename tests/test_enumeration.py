@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from ternrep import (
     scale,
     theta,
 )
+from ternrep import enumeration
 
 SUM_OF_SQUARES = QuadForm(1, 1, 1, 0, 0, 0)
 
@@ -175,3 +178,31 @@ def test_mask_and_theta_match_oracle_on_random_forms(form, bound):
         counts = oracle.value_counts(form, bound, primitive=primitive)
         assert np.array_equal(theta(form, bound, primitive=primitive).coeffs, counts)
         assert np.array_equal(represented_mask(form, bound, primitive=primitive), counts > 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_forms, st.integers(0, 300))
+def test_row_blocks_of_any_size_match_oracle(form, bound):
+    # one cell per block makes every row a block of its own; 7 and 64 cells
+    # group the rows of narrow slices and leave wide rows whole
+    expected = {p: oracle.value_counts(form, bound, primitive=p) for p in (False, True)}
+    for cells in (1, 7, 64):
+        with mock.patch.object(enumeration, "_BLOCK_CELLS", cells), \
+                mock.patch.dict(enumeration._mask_cache, clear=True):
+            for primitive, counts in expected.items():
+                assert np.array_equal(theta(form, bound, primitive=primitive).coeffs, counts)
+                assert np.array_equal(represented_mask(form, bound, primitive=primitive), counts > 0)
+
+
+def test_mask_memory_does_not_grow_with_slice_width():
+    # the widest slice of this form at 10^6 has ~1.3 M cells, ~10 MB of int64;
+    # numpy reports its buffers to tracemalloc
+    form = scale(named_form("S6b"), 2)
+    with mock.patch.dict(enumeration._mask_cache, clear=True):
+        tracemalloc.start()
+        try:
+            represented_mask(form, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -120,7 +120,8 @@ def test_scaled_automorphisms_limit(s4):
 # eigen data of a scaled isometry: its axis and whether T/d has finite order
 
 def test_eigen_data_escape_matrix():
-    assert _mat.axis(TTILDE, 12) == ((1, 0, 0), 12)
+    assert _mat.axis(TTILDE, 12) == (1, 0, 0)
+    assert _mat.det(TTILDE) // 12**2 == 12
     assert _mat.is_finite_order_scaled(TTILDE, 12) is False
 
 
@@ -130,7 +131,8 @@ def test_eigen_data_identity_and_diagonal():
 
 def test_eigen_data_rotation_has_finite_order():
     quarter_turn = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
-    assert _mat.axis(quarter_turn, 1) == ((0, 0, 1), 1)
+    assert _mat.axis(quarter_turn, 1) == (0, 0, 1)
+    assert _mat.det(quarter_turn) == 1
     assert _mat.is_finite_order_scaled(quarter_turn, 1) is True
 
 
@@ -139,14 +141,16 @@ def test_eigen_data_huge_determinant_powers():
     P = _mat.IDENTITY
     for _ in range(6):
         P = _mat.mat_mul(P, TTILDE)
-    assert _mat.axis(P, 12**6) == ((1, 0, 0), 12**6)
+    assert _mat.axis(P, 12**6) == (1, 0, 0)
+    assert _mat.det(P) // 12**12 == 12**6
 
 
 def test_eigen_data_negative_eigenvalue(s4):
     # the escape matrix of the S4 certificate has det E / d^2 = -12
     _, g = s4
     _check_identity(S4_ESCAPE, g, g, 12)
-    assert _mat.axis(S4_ESCAPE, 12) == ((1, 0, 0), -12)
+    assert _mat.axis(S4_ESCAPE, 12) == (1, 0, 0)
+    assert _mat.det(S4_ESCAPE) // 12**2 == -12
     assert _mat.is_finite_order_scaled(S4_ESCAPE, 12) is False
 
 

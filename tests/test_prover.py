@@ -199,7 +199,7 @@ def test_axis_is_the_only_rational_eigenline_of_each_power(g, d):
     for E in scaled_automorphisms(g, d).matrices:
         if _mat.is_finite_order_scaled(E, d):
             continue
-        v, lam = _mat.axis(E, d)
+        v, lam = _mat.axis(E, d), _mat.det(E) // (d * d)
         assert abs(lam) == d
         power = _mat.IDENTITY
         for k in range(1, _POWER_RANGE + 1):
