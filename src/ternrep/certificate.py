@@ -136,11 +136,21 @@ def _as_list(obj):
 
 
 def _values_mod(form, L):
-    """The L^3 grid of form(v) mod L over v in [0, L)^3, index order (x, y, z)."""
-    a, b, c, r, s, t = (k % L for k in form.coefficients)  # int64-safe for any coefficients
-    v = np.arange(L, dtype=np.int64)
+    """The L^3 grid of form(v) mod L over v in [0, L)^3, index order (x, y, z), uint8.
+
+    With coefficients and coordinates reduced mod L each of the six terms
+    is below L^3, so the sum stays below 6 L^3 < 2^31 for L <= 144 (the
+    limits clause) and one int32 grid holds it.
+    """
+    a, b, c, r, s, t = (k % L for k in form.coefficients)
+    v = np.arange(L, dtype=np.int32)
     x, y, z = v[:, None, None], v[None, :, None], v[None, None, :]
-    return (a * x * x + b * y * y + c * z * z + r * y * z + s * x * z + t * x * y) % L
+    grid = np.empty((L, L, L), dtype=np.int32)
+    np.add(s * x + r * y, c * z, out=grid)
+    grid *= z
+    grid += a * x * x + t * x * y + b * y * y
+    grid %= L
+    return grid.astype(np.uint8)
 
 
 def _attained_residues(g, L):
@@ -179,7 +189,7 @@ def _check_cover(tag, sub, sup, record):
     for cls in class_ids:
         modulus = lcm(modulus, cls.d)
     # MAX_MODULUS (144), the largest cover modulus the prover uses, bounds
-    # every L^3 scan below to ~24 MB whatever the certificate says
+    # every L^3 scan below to ~15 MB whatever the certificate says
     if modulus > MAX_MODULUS:
         return _fail(f"{tag}.limits", f"lcm of class moduli {modulus} exceeds {MAX_MODULUS}")
     for rho in _attained_residues(sub, modulus):

@@ -20,10 +20,20 @@ per slice to fit comfortably.
 
 Only z >= 0 is scanned: v and -v take the same value, and negation maps
 the slice at z to the slice at -z.
+
+representations(f, n) solves each row (y, z) for x instead.  The
+discriminant of f(x, y, z) = n as a quadratic in x is 4 a n minus the
+slice polynomial above, so a row has a solution only where that int64
+value is a perfect square; a float square root rounded to an integer
+and squared back decides it exactly.  The rows of consecutive slices are
+solved in chunks of at most _BLOCK_CELLS.  Their magnitudes are bounded
+once, over the whole bounding box, before any work: a form or n beyond
+int64 raises OverflowError at once.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import isqrt
 
 import numpy as np
@@ -156,37 +166,88 @@ def represented_set(form: QuadForm, bound: int, primitive: bool = False) -> RepS
     return RepSet(bound, np.flatnonzero(mask))
 
 
+def _solve_rows(form: QuadForm, n: int, chunk) -> np.ndarray:
+    """The (x, y, z) with f = n on the rows of a chunk, as a (3, k) int64 array.
+
+    chunk lists (z, ylo, width) per slice: the rows (y, z) for y in
+    [ylo, ylo + width).  Values fit in int64 by the caller's check.
+    """
+    a, b, c, r, s, t = form.coefficients
+    beta, gy, dy = 4 * a * b - t * t, 4 * a * r - 2 * s * t, 4 * a * c - s * s
+    zs, ylos, widths = np.array(chunk, dtype=np.int64).T
+    z = np.repeat(zs, widths)
+    starts = np.cumsum(widths) - widths
+    y = np.arange(len(z), dtype=np.int64) + np.repeat(ylos - starts, widths)
+    # B^2 - 4aC = 4an - (beta y^2 + gy y z + dy z^2), the slice polynomial
+    D = np.repeat(4 * a * n - dy * zs * zs, widths) - y * (beta * y + gy * z)
+    k = np.rint(np.sqrt(np.maximum(D, 0))).astype(np.int64)
+    rows = np.flatnonzero(k * k == D)
+    y, z, k = y[rows], z[rows], k[rows]
+    B = t * y + s * z
+    twice = k != 0  # a double root counts once
+    num = np.concatenate((k - B, -k[twice] - B[twice]))
+    y = np.concatenate((y, y[twice]))
+    z = np.concatenate((z, z[twice]))
+    whole = num % (2 * a) == 0
+    return np.stack((num[whole] // (2 * a), y[whole], z[whole]))
+
+
+_vector3 = partial(tuple.__new__, Vector3)
+
+
 def representations(form: QuadForm, n: int) -> list:
-    """The complete set {v : f(v) = n}, in lexicographic order."""
+    """The complete set {v : f(v) = n}, in lexicographic order.
+
+    Each row (y, z) of the region f(v) <= n is solved for x: with
+    B = t y + s z and C = b y^2 + c z^2 + r y z - n, a x^2 + B x + C = 0
+    has an integer root iff D = B^2 - 4aC is a perfect square k^2 and
+    2a divides -B + k or -B - k.  The rows are those of the slices
+    z >= 0, each slice's y-interval exact from _quad_interval; -v gives
+    the slices z < 0.  Consecutive slices are solved together by numpy in
+    chunks of at most _BLOCK_CELLS rows (a wider slice is a chunk of its
+    own), so the working arrays do not grow with n.  k is the float64
+    square root of D rounded to an integer and is kept only if k^2 == D
+    exactly: for D < 2^62 the float root of a perfect square k^2 lies
+    within 2^-20 of k, so no square is missed, and the exact test rejects
+    every other D.
+
+    Raises OverflowError before any row is solved when some value of the
+    int64 computation could reach 2^62.
+    """
     require_positive_definite(form)
     n = int(n)
     if n < 0:
         return []
-    if n == 0:
-        return [Vector3(0, 0, 0)]
     a, b, c, r, s, t = form.coefficients
     beta = 4 * a * b - t * t
-    detG = _mat.det(doubled_gram(form))
-    zb = isqrt((2 * n * beta) // detG) + 1
     gy, dy = 4 * a * r - 2 * s * t, 4 * a * c - s * s
-    out = []
-    for z in range(-zb, zb + 1):
+    detG = _mat.det(doubled_gram(form))
+    # |y|, |z| <= sqrt(2n adj(2M)_ii / det 2M) on the ellipsoid; over that
+    # box, worst bounds |D|, |B| + k and every intermediate of _solve_rows
+    zb = isqrt((2 * n * beta) // detG) + 1
+    yb = isqrt((2 * n * dy) // detG) + 1
+    worst = (abs(t) * yb + abs(s) * zb) ** 2 + 4 * a * (
+        b * yb * yb + c * zb * zb + abs(r) * yb * zb + n
+    )
+    if worst >= _INT64_SAFE:
+        raise OverflowError("representation discriminants would not fit in int64")
+    hits, chunk, cells = [], [], 0
+    for z in range(zb + 1):
         ylo, yhi = _quad_interval(beta, gy * z, dy * z * z - 4 * a * n)
-        for y in range(ylo, yhi + 1):
-            # a x^2 + (t y + s z) x + (b y^2 + c z^2 + r y z - n) = 0
-            B = t * y + s * z
-            C = b * y * y + c * z * z + r * y * z - n
-            D = B * B - 4 * a * C
-            if D < 0:
-                continue
-            iD = isqrt(D)
-            if iD * iD != D:
-                continue
-            if (-B + iD) % (2 * a) == 0:
-                out.append(Vector3((-B + iD) // (2 * a), y, z))
-            if iD != 0 and (-B - iD) % (2 * a) == 0:
-                out.append(Vector3((-B - iD) // (2 * a), y, z))
-    return sorted(out)
+        if ylo > yhi:
+            continue
+        width = yhi - ylo + 1
+        if chunk and cells + width > _BLOCK_CELLS:
+            hits.append(_solve_rows(form, n, chunk))
+            chunk, cells = [], 0
+        chunk.append((z, ylo, width))
+        cells += width
+    if chunk:
+        hits.append(_solve_rows(form, n, chunk))
+    v = np.concatenate(hits, axis=1)  # the slice z = 0 is never empty
+    v = np.concatenate((v, -v[:, v[2] > 0]), axis=1)  # -v solves the slice at -z
+    x, y, z = v
+    return list(map(_vector3, v.T[np.lexsort((z, y, x))].tolist()))
 
 
 class ThetaSeries:

@@ -102,7 +102,8 @@ def find_transforms(f: QuadForm, g: QuadForm, d: int, max_nodes=None) -> Transfo
         for i in range(3)
         for j in range(i + 1, 3)
     }
-    cands = [representations(f, d * d * diag[j]) for j in order]
+    reps = {m: representations(f, m) for m in {d * d * g_jj for g_jj in diag}}
+    cands = [reps[d * d * diag[j]] for j in order]
     if not all(cands):
         return TransformSet(f, g, d)
     cols, complete = _search_columns(Gf, crosses, cands, max_nodes)

@@ -75,6 +75,23 @@ def value_mask(form, bound):
     return value_counts(form, bound) > 0
 
 
+def reps_in_box(form, n):
+    """Every v with form(v) = n, in lexicographic order, from the box of form itself.
+
+    The form is not reduced: each plane x = const of the box is evaluated
+    in full, so memory stays at one plane.
+    """
+    rx, ry, rz = box(form, n)
+    a, b, c, r, s, t = form.coefficients
+    Y = np.arange(-ry, ry + 1, dtype=np.int64)[:, None]
+    Z = np.arange(-rz, rz + 1, dtype=np.int64)[None, :]
+    out = []
+    for x in range(-rx, rx + 1):
+        vals = a * x * x + b * Y * Y + c * Z * Z + r * Y * Z + s * x * Z + t * x * Y
+        out.extend((x, int(y) - ry, int(z) - rz) for y, z in np.argwhere(vals == n))
+    return out
+
+
 def triple_loop_reps(form, n, radius):
     """Pure-Python triple loop; only for tiny radii."""
     out = []

@@ -2,15 +2,26 @@ import copy
 import json
 import random
 import time
+import tracemalloc
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
 from test_congruence import positive_definite_forms
-from ternrep import ResidueClass, certificate, congruence, isometry, named_form, prove_pair, prover
+from ternrep import (
+    QuadForm,
+    ResidueClass,
+    certificate,
+    congruence,
+    isometry,
+    named_form,
+    prove_pair,
+    prover,
+)
 
 S4_PAPER_CLASSES = [(4, 0), (12, 6), (12, 10), (12, 2)]
 
@@ -256,6 +267,29 @@ def test_checker_coset_scan_matches_naive_scan(form, d):
     naive = oracle.class_cosets(form, d)
     for a in range(d):
         assert certificate._class_cosets(form, d, a).tolist() == naive.get(a, [])
+
+
+def test_checker_value_grid_is_exact_at_the_largest_modulus():
+    # every coefficient is -1 mod 144, so each term takes its largest residue
+    L = 144
+    coeffs = [L * 10**20 - 1] * 6
+    v = np.arange(L, dtype=np.int64)
+    x, y, z = np.meshgrid(v, v, v, indexing="ij")
+    a, b, c, r, s, t = (k % L for k in coeffs)
+    expected = (a * x * x + b * y * y + c * z * z + r * y * z + s * x * z + t * x * y) % L
+    assert np.array_equal(certificate._values_mod(QuadForm(*coeffs), L), expected)
+
+
+def test_checker_value_grid_memory_at_the_largest_modulus():
+    # an int64 grid with its temporaries peaked at ~46 MB; numpy reports its
+    # buffers to tracemalloc
+    tracemalloc.start()
+    try:
+        certificate._values_mod(named_form("S4f"), 144)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def _escape_swapped_for(outcome):

@@ -184,6 +184,14 @@ def test_enum_bound_too_large_is_a_usage_error(capsys, form, bound, message):
     assert len(err) == 1 and err[0].startswith("ternrep: error: ") and message in err[0]
 
 
+def test_transforms_modulus_too_large_is_a_usage_error(capsys):
+    # the columns would be representations of up to 14 * 10^18; refused before any search
+    assert run(["transforms", "--f", "S4f", "--g", "S4g", "--d", "1000000000"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ternrep: error: ")
+    assert "would not fit in int64" in err[0]
+
+
 def test_table_ok(capsys):
     rc = run(["table", "--set", "S13", "--max", "20000"])
     assert rc == EXIT_OK

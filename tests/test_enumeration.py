@@ -206,3 +206,31 @@ def test_mask_memory_does_not_grow_with_slice_width():
         finally:
             tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_forms, st.integers(0, 2000))
+def test_representations_match_box_scan(form, n):
+    # one row per chunk, a few slices per chunk, and the default chunk size
+    expected = oracle.reps_in_box(form, n)
+    assert representations(form, n) == expected
+    for cells in (1, 7, 64):
+        with mock.patch.object(enumeration, "_BLOCK_CELLS", cells):
+            assert representations(form, n) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_forms, st.integers(0, 200))
+def test_representation_counts_match_theta(form, bound):
+    series = theta(form, bound)
+    assert [len(representations(form, n)) for n in range(bound + 1)] == list(series.coeffs)
+
+
+@pytest.mark.parametrize("form, n", [
+    (QuadForm(10**9, 10**9, 10**9, 0, 0, 0), 10),
+    (SUM_OF_SQUARES, 2**61),
+], ids=["coefficients", "norm"])
+def test_representations_refuse_int64_overflow_before_any_work(form, n):
+    with mock.patch.object(enumeration, "_solve_rows", side_effect=AssertionError):
+        with pytest.raises(OverflowError, match="would not fit in int64"):
+            representations(form, n)
