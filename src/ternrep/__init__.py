@@ -50,6 +50,7 @@ from .prover import (
     EscapeArgument,
     MismatchAt,
     NoEscapeMatrix,
+    NoRationalTransform,
     PairProof,
     ProofError,
     SetReport,

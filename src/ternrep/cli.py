@@ -168,12 +168,13 @@ def _cmd_prove(args):
             classes_f_in_g=args.classes_rev,
             empirical_bound=bound,
         )
-    except MismatchAt as exc:
-        print(f"MISMATCH: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except ProofError as exc:
-        print(f"UNPROVABLE: {exc}", file=sys.stderr)
-        return EXIT_UNPROVABLE
+        mismatch = isinstance(exc, MismatchAt)
+        print(f"{'MISMATCH' if mismatch else 'UNPROVABLE'}: {exc}", file=sys.stderr)
+        failure = {"f": str(args.f), "g": str(args.g), "proved": False,
+                   "kind": type(exc).__name__, "reason": str(exc)}
+        _emit(failure, args.format, ())  # text mode: the stderr line alone
+        return EXIT_MISMATCH if mismatch else EXIT_UNPROVABLE
     cert = certificate.proof_to_dict(proof)
     blob = certificate.encode(cert)
     if args.out:
@@ -182,6 +183,7 @@ def _cmd_prove(args):
     summary = {
         "f": str(args.f),
         "g": str(args.g),
+        "proved": True,
         "f_in_g": cert["f_in_g"]["kind"],
         "g_in_f": cert["g_in_f"]["kind"],
         "empirical_bound": proof.empirical_bound,

@@ -9,12 +9,22 @@ coefficient of g) by f, and pairs of columns must hit the prescribed
 doubled inner products.  Candidates therefore come from the complete
 representation lists of the enumeration module, and a backtracking scan
 over column triples (smallest target norm first) cannot miss a solution.
+
+Taking determinants of the defining identity gives
+
+    det(T)^2 * det 2M_f = d^6 * det 2M_g,
+
+so no T exists at any d unless det 2M_g / det 2M_f is the square of a
+rational number, that is unless det 2M_f * det 2M_g is a perfect square.
+find_transforms tests this first and answers the other pairs without a
+search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -85,14 +95,31 @@ def _search_columns(gram_f, crosses, candidate_lists, max_nodes):
     return found, True
 
 
+def _det_ratio_is_square(f: QuadForm, g: QuadForm) -> bool:
+    """Whether det 2M_g / det 2M_f is the square of a rational number.
+
+    Both determinants are positive for definite forms, and the ratio is a
+    rational square exactly when their product is a perfect square.
+    """
+    product = _mat.det(doubled_gram(f)) * _mat.det(doubled_gram(g))
+    return isqrt(product) ** 2 == product
+
+
 @lru_cache(maxsize=256)
 def find_transforms(f: QuadForm, g: QuadForm, d: int, max_nodes=None) -> TransformSet:
-    """The complete set of T with T^t (2M_f) T = d^2 (2M_g); may be empty."""
+    """The complete set of T with T^t (2M_f) T = d^2 (2M_g); may be empty.
+
+    When det 2M_g / det 2M_f is not a rational square the set is empty at
+    every d (module docstring), and the empty, complete set is returned
+    before any representation is enumerated.
+    """
     require_positive_definite(f)
     require_positive_definite(g)
     d = int(d)
     if d < 1:
         raise ValueError("d must be a positive integer")
+    if not _det_ratio_is_square(f, g):
+        return TransformSet(f, g, d)
     Gf = doubled_gram(f)
     Gg = doubled_gram(g)
     diag = (g.a, g.b, g.c)

@@ -17,12 +17,24 @@ Every power of such an E has one rational eigenline, the axis of E
 (_mat.axis), so the values there form one family m * t^2 (m the value at
 the primitive axis vector), swallowed by one witness f(w) = m, since
 f(t w) = m t^2.  The witness is all a certificate records beside E.
+
+Every route needs integer transforms T^t (2M_f) T = d^2 (2M_g): the
+subform witness (d = 1), the good cosets and the escape argument.  Their
+determinants give det(T)^2 det 2M_f = d^6 det 2M_g, so unless
+det 2M_g / det 2M_f is a rational square there is no transform at any d
+(isometry.find_transforms): no subform witness, and every coset of every
+class is bad.  No escape can close such a class either.  A valid E would
+keep the descent from any v of the class in bad cosets forever, so v
+would lie on the axis of E; but v and v + d e_i (i = 1, 2, 3) are all in
+the class, and they do not lie on one line through 0.  search_cover
+therefore raises NoRationalTransform before it tries any class.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
 import numpy as np
@@ -37,8 +49,8 @@ from .congruence import (
     precedes,
 )
 from .enumeration import representations, represented_mask
-from .forms import QuadForm, Vector3, evaluate, require_positive_definite
-from .isometry import is_isometric, scaled_automorphisms, subform_witness
+from .forms import QuadForm, Vector3, doubled_gram, evaluate, require_positive_definite
+from .isometry import _det_ratio_is_square, is_isometric, scaled_automorphisms, subform_witness
 
 AUTO_MODULI = (4, 8, 12, 24, 36, 48)
 # the largest cover modulus the search reaches; explicit class lists and
@@ -62,6 +74,18 @@ class ClassUnprovable(ProofError):
     def __init__(self, cls: ResidueClass, reason=""):
         self.cls = cls
         super().__init__(f"class ({cls.d},{cls.a}) resists both routes{': ' + reason if reason else ''}")
+
+
+class NoRationalTransform(ProofError):
+    """det 2M_sub / det 2M_sup is not a rational square: no transform at any d."""
+
+    def __init__(self, sub: QuadForm, sup: QuadForm):
+        self.sub, self.sup = sub, sup
+        ratio = Fraction(_mat.det(doubled_gram(sub)), _mat.det(doubled_gram(sup)))
+        super().__init__(
+            f"det 2M_sub / det 2M_sup = {ratio.numerator}/{ratio.denominator} is not a "
+            "rational square: no transform exists at any modulus"
+        )
 
 
 class NoEscapeMatrix(ProofError):
@@ -210,7 +234,15 @@ def search_cover(f: QuadForm, g: QuadForm) -> CoverDirection:
     good-vector class, then with an escape argument.  Every modulus divides
     L = lcm(AUTO_MODULI), so the uncovered residues are tracked as one
     mask over the residues g attains mod L.
+
+    Raises NoRationalTransform before any class is tried when
+    det 2M_g / det 2M_f is not a rational square: then no class can be
+    proved by either route (module docstring).
     """
+    require_positive_definite(f)
+    require_positive_definite(g)
+    if not _det_ratio_is_square(f, g):
+        raise NoRationalTransform(g, f)
     L = lcm(*AUTO_MODULI)
     uncovered = np.zeros(L, dtype=bool)
     uncovered[list(attainable_residues(g, L))] = True

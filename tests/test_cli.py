@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +175,59 @@ def test_prove_post_proof_mismatch_exit_code(monkeypatch, capsys):
     rc = run(["prove", "--f", "S4f", "--g", "S4g", "--max", "100"])
     assert rc == EXIT_MISMATCH
     assert "MISMATCH" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("f, g, kind, reason", [
+    ("S12a", "S12b", "NoRationalTransform",
+     "det 2M_sub / det 2M_sup = 7/4 is not a rational square: no transform exists at any modulus"),
+    ("S9a", "S9b", "CoverIncomplete",
+     "classes miss attainable residues (1, 3, 7, 13, 15, 19, 21, 25, 31, 33) mod 36"),
+], ids=["no_rational_transform", "cover_incomplete"])
+def test_prove_failure_json(capsys, f, g, kind, reason):
+    rc = run(["prove", "--f", f, "--g", g, "--format", "json"])
+    assert rc == EXIT_UNPROVABLE
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "f": str(named_form(f)), "g": str(named_form(g)),
+        "proved": False, "kind": kind, "reason": reason,
+    }
+    assert captured.err == f"UNPROVABLE: {reason}\n"
+    assert run(["prove", "--f", f, "--g", g]) == EXIT_UNPROVABLE
+    assert capsys.readouterr().out == ""
+
+
+def test_prove_mismatch_json(monkeypatch, capsys):
+    real, g = prover.represented_mask, named_form("S4g")
+
+    def flipped_for_g(form, bound):
+        mask = real(form, bound).copy()
+        mask[7] ^= form == g
+        return mask
+
+    monkeypatch.setattr(prover, "represented_mask", flipped_for_g)
+    rc = run(["prove", "--f", "S4f", "--g", "S4g", "--max", "100", "--format", "json"])
+    assert rc == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert (payload["proved"], payload["kind"]) == (False, "MismatchAt")
+    assert payload["reason"] == "represented sets differ first at 7"
+    assert captured.err == "MISMATCH: represented sets differ first at 7\n"
+
+
+def test_prove_success_json(capsys):
+    rc = run(["prove", "--f", "S7f", "--g", "S7g", "--max", "1000", "--format", "json"])
+    assert rc == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["proved"] is True and payload["g_in_f"] == "cover"
+
+
+def test_python_m_ternrep_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "ternrep", "isometric", "--f", "S1a", "--g", "S1b"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_OK
+    assert done.stdout == "NOT ISOMETRIC\n"
 
 
 @pytest.mark.parametrize("form, bound, message", [

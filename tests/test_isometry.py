@@ -1,16 +1,23 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternrep import (
+    QuadForm,
     change_of_basis,
     doubled_gram,
     find_transforms,
     is_isometric,
+    is_positive_definite,
     named_form,
     scaled_automorphisms,
     subform_witness,
+    table_set,
 )
-from ternrep import _mat
+from ternrep import _mat, isometry
 
 T1 = ((4, 2, 2), (0, 4, 2), (0, 0, 2))
 TTILDE = ((12, 6, 2), (0, 0, 12), (0, -12, -8))
@@ -62,6 +69,62 @@ def test_empty_set_is_valid_answer():
     g = named_form("S5b")
     ts = find_transforms(f, g, 1)
     assert len(ts) == 0 and ts.complete
+
+
+small_forms = st.builds(
+    QuadForm,
+    *[st.integers(1, 5)] * 3,
+    *[st.integers(-5, 5)] * 3,
+).filter(is_positive_definite)
+
+unit_entries = st.lists(st.integers(-1, 1), min_size=9, max_size=9)
+
+
+@st.composite
+def form_pairs(draw):
+    """A random pair, or a form and one of its sublattices (square ratio det(U)^2)."""
+    f = draw(small_forms)
+    if draw(st.booleans()):
+        return f, draw(small_forms)
+    U = draw(unit_entries.map(lambda e: (e[0:3], e[3:6], e[6:9])).filter(_mat.det))
+    return f, change_of_basis(f, U)
+
+
+def _full_search(f, g, d):
+    """find_transforms with the determinant precondition passing for every pair."""
+    find_transforms.cache_clear()
+    try:
+        with mock.patch.object(isometry, "_det_ratio_is_square", lambda *forms: True):
+            return find_transforms(f, g, d)
+    finally:
+        find_transforms.cache_clear()
+
+
+@settings(max_examples=60, deadline=None)
+@given(form_pairs(), st.integers(1, 12))
+def test_determinant_precondition_is_exact(pair, d):
+    f, g = pair
+    full = _full_search(f, g, d)
+    assert find_transforms(f, g, d) == full
+    if not isometry._det_ratio_is_square(f, g):
+        assert len(full) == 0 and full.complete
+
+
+def test_square_ratio_catalog_sets_pass_the_precondition():
+    for sid in ("S4", "S5", "S6", "S7", "S8", "S9"):
+        f, g = table_set(sid, 2)
+        assert isometry._det_ratio_is_square(f, g) and isometry._det_ratio_is_square(g, f)
+
+
+def test_non_square_pairs_answer_without_enumeration():
+    f, g = named_form("S1a"), named_form("S1b")
+    find_transforms.cache_clear()
+    with mock.patch.object(isometry, "representations", side_effect=AssertionError):
+        for d in (1, 12, 144):
+            ts = find_transforms(f, g, d)
+            assert len(ts) == 0 and ts.complete
+        assert subform_witness(f, g) is None and subform_witness(g, f) is None
+        assert is_isometric(f, g) is None
 
 
 def test_subform_witness_fixed_matrix(s4):

@@ -1,5 +1,8 @@
 import random
 import time
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,9 +18,12 @@ from ternrep import (
     GoodVectorReport,
     MismatchAt,
     NoEscapeMatrix,
+    NoRationalTransform,
     NotPositiveDefinite,
+    ProofError,
     QuadForm,
     ResidueClass,
+    SET_IDS,
     SubformDirection,
     Vector3,
     attainable_residues,
@@ -40,7 +46,7 @@ from ternrep import (
     verify_pairwise,
     verify_table,
 )
-from ternrep import _mat, prover
+from ternrep import _mat, isometry, prover
 
 TTILDE = ((12, 6, 2), (0, 0, 12), (0, -12, -8))
 
@@ -309,18 +315,19 @@ def test_prove_pair_with_explicit_lists(s8):
 
 # what search_cover finds on the catalog pairs, recorded from the search
 # that recomputed the attainable residues for every (d, a): the classes for
-# Q(g) <= Q(f) and Q(f) <= Q(g), or the CoverIncomplete message
+# Q(g) <= Q(f) and Q(f) <= Q(g), or the type and message of its ProofError
 SEARCHED = {
     "S4": ([(4, 0), (12, 2), (12, 6)], [(4, 0), (4, 2)]),
     "S6": ([(4, 2), (8, 0), (12, 0), (48, 4), (48, 28)], [(4, 0), (4, 2)]),
     "S7": ([(4, 2), (12, 0), (12, 4), (12, 8)], [(4, 0), (4, 2)]),
     "S8": ([(4, 0), (12, 2), (12, 6), (36, 10), (36, 22), (36, 34)],) * 2,
 }
-UNCOVERED = {
-    "S1": "(0,) mod 1",
-    "S5": "(84,) mod 144",
-    "S9": "(2, 6, 14, 26, 30) mod 36",
-    "S12": "(0,) mod 1",
+NO_TRANSFORM = "is not a rational square: no transform exists at any modulus"
+FAILED = {
+    "S1": (NoRationalTransform, f"det 2M_sub / det 2M_sup = 25/37 {NO_TRANSFORM}"),
+    "S5": (CoverIncomplete, "classes miss attainable residues (84,) mod 144"),
+    "S9": (CoverIncomplete, "classes miss attainable residues (2, 6, 14, 26, 30) mod 36"),
+    "S12": (NoRationalTransform, f"det 2M_sub / det 2M_sup = 4/7 {NO_TRANSFORM}"),
 }
 
 
@@ -332,12 +339,58 @@ def test_search_cover_classes_pinned(sid):
     assert [(p.cls.d, p.cls.a) for p in search_cover(g, f).classes] == f_in_g
 
 
-@pytest.mark.parametrize("sid", sorted(UNCOVERED))
+@pytest.mark.parametrize("sid", sorted(FAILED))
 def test_search_cover_failures_pinned(sid):
     f, g = table_set(sid, 2)[:2]
-    with pytest.raises(CoverIncomplete) as info:
+    kind, message = FAILED[sid]
+    with pytest.raises(ProofError) as info:
         search_cover(f, g)
-    assert str(info.value) == f"classes miss attainable residues {UNCOVERED[sid]}"
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
+def _catalog_pairs():
+    for sid in SET_IDS:
+        for f, g in combinations(table_set(sid, 2), 2):
+            yield sid, f, g
+
+
+NON_SQUARE_PAIRS = [(sid, f, g) for sid, f, g in _catalog_pairs()
+                    if not isometry._det_ratio_is_square(f, g)]
+
+
+def test_non_square_catalog_pairs_are_the_expected_24():
+    counts = Counter(sid for sid, _, _ in NON_SQUARE_PAIRS)
+    singles = ("S1", "S2", "S3", "S10", "S11", "S12")
+    assert counts == {**{sid: 1 for sid in singles}, "S13": 6, "S14": 6, "S15": 6}
+
+
+def _no_search(*args):
+    raise AssertionError("a search ran")
+
+
+def test_non_square_pairs_fail_before_any_search(monkeypatch):
+    for module, name in ((prover, "precedes"), (prover, "representations"),
+                         (prover, "attainable_residues"), (isometry, "representations")):
+        monkeypatch.setattr(module, name, _no_search)
+    for sid, f, g in NON_SQUARE_PAIRS:
+        for sup, sub in ((f, g), (g, f)):
+            with pytest.raises(NoRationalTransform) as info:
+                search_cover(sup, sub)
+            ratio = Fraction(_mat.det(doubled_gram(sub)), _mat.det(doubled_gram(sup)))
+            assert (info.value.sub, info.value.sup) == (sub, sup)
+            assert str(info.value) == (
+                f"det 2M_sub / det 2M_sup = {ratio.numerator}/{ratio.denominator} {NO_TRANSFORM}"
+            ), sid
+
+
+def test_prove_pair_reports_the_rational_obstruction(monkeypatch):
+    # S12a, S12b: the subform test and the f <= g search both end at once
+    f, g = table_set("S12", 2)
+    monkeypatch.setattr(isometry, "representations", _no_search)
+    with pytest.raises(NoRationalTransform) as info:
+        prove_pair(f, g)
+    assert str(info.value) == f"det 2M_sub / det 2M_sup = 7/4 {NO_TRANSFORM}"
 
 
 def test_search_cover_scans_attainable_residues_once(s6, monkeypatch):
@@ -378,6 +431,14 @@ def test_search_cover_reports_failure_when_moduli_exhausted(s4, monkeypatch):
 def test_prove_pair_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         prove_pair(QuadForm(1, 1, 1, 0, 0, 3), QuadForm(1, 1, 1, 0, 0, 0))
+
+
+def test_search_cover_rejects_indefinite():
+    # det 2M = -10 for the first form: the determinant test must not see it
+    indefinite, f = QuadForm(1, 1, 1, 0, 0, 3), QuadForm(1, 1, 1, 0, 0, 0)
+    for pair in ((indefinite, f), (f, indefinite)):
+        with pytest.raises(NotPositiveDefinite):
+            search_cover(*pair)
 
 
 def test_post_proof_mismatch_raises_mismatch_at(s4, monkeypatch):
