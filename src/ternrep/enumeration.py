@@ -1,34 +1,39 @@
 """Complete bounded enumeration of lattice points of a definite ternary form.
 
-The region f(v) <= N is sliced along z.  For each slice the admissible
-y and x ranges come from eliminating one variable at a time:
+Every enumeration walks the same rows (y, z) of the region f(v) <= N,
+z >= 0, in _rows.  Eliminating x,
 
     min over x of f(x, y, z)  <=  N
-    <=>  (4ab - t^2) y^2 + (4ar - 2st) z y + (4ac - s^2) z^2 <= 4 a N
+    <=>  (4ab - t^2) y^2 + (4ar - 2st) z y + (4ac - s^2) z^2 <= 4 a N,
 
-and symmetrically for x.  All interval endpoints are computed with
-integer square roots, widened by one, and every candidate is re-checked
-exactly, so no lattice point can be missed.
+gives each slice z its y-range, computed with integer square roots,
+widened by one, so no lattice point can be missed.  With B = t y + s z,
+a row's values are f(x, y, z) = ((2 a x + B)^2 - D) / 4a + N, where
+D = 4aN minus the slice polynomial above: the row is a parabola in x
+whose vertex lies at -B / 2a and whose points with f <= N lie within
+sqrt(D) / 2a of it.
 
-Bulk work (marking a bitset, counting values) runs with numpy int64 on
-row blocks: a slice's (y, x) rectangle is filled a few whole rows at a
-time, at most _BLOCK_CELLS cells (256 KB; a row wider than that is a
-block of its own), in one buffer reused for every block.  The block
-stays in cache between the steps that fill it, and the memory used does
-not grow with the widest slice.  The magnitudes involved are asserted
-per slice to fit comfortably.
-
-Only z >= 0 is scanned: v and -v take the same value, and negation maps
+Only z >= 0 is walked: v and -v take the same value, and negation maps
 the slice at z to the slice at -z.
 
-representations(f, n) solves each row (y, z) for x instead.  The
-discriminant of f(x, y, z) = n as a quadratic in x is 4 a n minus the
-slice polynomial above, so a row has a solution only where that int64
-value is a perfect square; a float square root rounded to an integer
-and squared back decides it exactly.  The rows of consecutive slices are
-solved in chunks of at most _BLOCK_CELLS.  Their magnitudes are bounded
-once, over the whole bounding box, before any work: a form or n beyond
-int64 raises OverflowError at once.
+represented_mask and theta scan each row from the integer x0 nearest
+its vertex, x = x0 + j for |j| <= J, with J = floor(sqrt(D) / 2a) + 1.
+Consecutive rows are filled together in a block of at most _BLOCK_CELLS
+int64 cells (256 KB; a row wider than that is a block of its own), in
+one buffer reused for every block: the block stays in cache between the
+steps that fill it, and the memory used does not grow with the widest
+row.  The cells a sweep fills therefore follow the lattice points, not
+a rectangle around them: a shear x -> x + k y + m z leaves every row's D
+unchanged and only moves its vertex, so it changes no cell count.
+
+representations(f, n) solves each row for x instead: D is the
+discriminant of f(x, y, z) = n as a quadratic in x, so a row has a
+solution only where D is a perfect square; a float square root rounded
+to an integer and squared back decides it exactly.
+
+The int64 magnitudes of both are bounded once, over the whole bounding
+box, before any row is walked: a form or bound beyond int64 raises
+OverflowError at once.
 """
 
 from __future__ import annotations
@@ -70,65 +75,121 @@ def _quad_interval(P, Q, R):
     return lo, hi
 
 
-def _capped_slices(form: QuadForm, bound: int, primitive: bool):
-    """Yield (z, values) for each row block of each slice z >= 0 of f(v) <= bound.
+def _rows(form: QuadForm, bound: int, size: int):
+    """Yield (y, z, D) for the rows of f(v) <= bound, z >= 0, size rows at a time.
 
-    values holds f over a block of whole rows of the slice's (y, x)
-    rectangle, flattened, with every value above bound - and with
-    primitive=True every value of a vector whose coordinates share a
-    factor - replaced by bound + 1.  A block has at most _BLOCK_CELLS
-    cells, or one row when a row is wider than that.
+    form must be positive definite.
+    y and z are int64 arrays of the rows (y, z) of the slices z = 0, 1, ...
+    in order, each slice's y-range exact from _quad_interval; a chunk
+    holds `size` rows (the last fewer), so the rows of consecutive slices
+    share a chunk and a long slice is split over several.
+    D = 4 a bound - (beta y^2 + gy y z + dy z^2) is B^2 - 4a(C - bound) for
+    B = t y + s z and C = f(0, y, z): f(x, y, z) <= bound iff
+    (2 a x + B)^2 <= D.
+
+    Overflow guard, checked once before the first row: on the ellipsoid
+    |y| <= yb and |z| <= zb, yb^2 and zb^2 being 2 bound adj(2M)_ii / det 2M
+    rounded up, and
+
+        worst = (|t| yb + |s| zb)^2 + 4a (b yb^2 + c zb^2 + |r| yb zb + bound)
+
+    bounds B^2 + 4a C, 4a bound + 4a C, every term and partial sum of D
+    and so |D|.  representations adds only B and k <= sqrt(D).  The sweep
+    adds c1 = 2a x0 + B, which is B reduced into (-a, a], so c1^2 <= B^2,
+    and the terms of its cells: with S = 4aC - B^2 >= 0 and
+    |j| <= J <= sqrt(bound / a) + 1, c0 = (c1^2 + S) / 4a, |c1 j| and a j^2
+    sum to at most 2.5 bound + 3.75 a + worst / 4a, which is below
+    1.4 worst since 4a bound <= worst and 8a <= worst.  So every
+    intermediate of both stays below 2 worst < 2^63 when worst < 2^62;
+    otherwise OverflowError is raised before any row is walked.
+    """
+    a, b, c, r, s, t = form.coefficients
+    beta = 4 * a * b - t * t
+    gy, dy = 4 * a * r - 2 * s * t, 4 * a * c - s * s
+    detG = _mat.det(doubled_gram(form))
+    zb = isqrt((2 * bound * beta) // detG) + 1
+    yb = isqrt((2 * bound * dy) // detG) + 1
+    worst = (abs(t) * yb + abs(s) * zb) ** 2 + 4 * a * (
+        b * yb * yb + c * zb * zb + abs(r) * yb * zb + bound
+    )
+    if worst >= _INT64_SAFE:
+        raise OverflowError("slice values would not fit in int64")
+
+    def chunk(pieces):
+        zs, ylos, widths = np.array(pieces, dtype=np.int64).T
+        z = np.repeat(zs, widths)
+        starts = np.cumsum(widths) - widths
+        y = np.arange(len(z), dtype=np.int64) + np.repeat(ylos - starts, widths)
+        D = np.repeat(4 * a * bound - dy * zs * zs, widths) - y * (beta * y + gy * z)
+        return y, z, D
+
+    pieces, filled = [], 0
+    for z in range(zb + 1):
+        lo, hi = _quad_interval(beta, gy * z, dy * z * z - 4 * a * bound)
+        while hi - lo + 1 >= size - filled:  # the slice completes this chunk
+            width = size - filled
+            pieces.append((z, lo, width))
+            yield chunk(pieces)
+            lo, pieces, filled = lo + width, [], 0
+        if lo <= hi:
+            pieces.append((z, lo, hi - lo + 1))
+            filled += hi - lo + 1
+    if pieces:
+        yield chunk(pieces)
+
+
+def _capped_rows(form: QuadForm, bound: int, primitive: bool):
+    """Yield (on_plane, values) for each row block of f(v) <= bound, z >= 0.
+
+    values holds f at x = x0 + j, |j| <= J_b, for each row of a block of
+    consecutive rows, flattened, where x0 is the integer nearest the
+    row's vertex and J_b the largest J of the block's rows; every value
+    above bound - and with primitive=True every value of a vector whose
+    coordinates share a factor - is replaced by bound + 1.  A block has
+    at most _BLOCK_CELLS cells, or is one row when a row is wider than
+    that.  on_plane is True for the blocks of rows with z = 0, which
+    hold no other rows.
 
     values is a view of one buffer that the next step of the generator
     overwrites: use it before asking for the next block.
     """
     require_positive_definite(form)
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    a, b, c, r, s, t = form.coefficients
-    beta = 4 * a * b - t * t
-    gy, dy = 4 * a * r - 2 * s * t, 4 * a * c - s * s
-    gx, dx = 4 * b * s - 2 * r * t, 4 * b * c - r * r
-    z_max = isqrt((2 * bound * beta) // _mat.det(doubled_gram(form))) + 1
+    a, _, _, _, s, t = form.coefficients
     cap = bound + 1
     buf = np.empty(0, dtype=np.int64)
-    for z in range(z_max + 1):
-        ylo, yhi = _quad_interval(beta, gy * z, dy * z * z - 4 * a * bound)
-        if ylo > yhi:
-            continue
-        xlo, xhi = _quad_interval(beta, gx * z, dx * z * z - 4 * b * bound)
-        if xlo > xhi:
-            continue
-        xm = max(abs(xlo), abs(xhi))
-        ym = max(abs(ylo), abs(yhi))
-        worst = (
-            a * xm * xm + b * ym * ym + c * z * z
-            + abs(r) * ym * z + abs(s) * xm * z + abs(t) * xm * ym
-        )
-        if worst >= _INT64_SAFE:
-            raise OverflowError("slice values would not fit in int64")
-        ys = np.arange(ylo, yhi + 1, dtype=np.int64)
-        xs = np.arange(xlo, xhi + 1, dtype=np.int64)
-        qy = b * ys * ys + (r * z) * ys + (c * z * z)
-        ly = t * ys + (s * z)
-        ax2 = a * xs * xs
+    # a dozen int64 arrays per row: 1024 rows keep them under half a block
+    for y, z, D in _rows(form, bound, max(1, _BLOCK_CELLS // 32)):
+        # f(x0 + j) = c0 + c1 j + a j^2, c1 = 2a x0 + B in (-a, a]
+        B = t * y + s * z
+        x0 = (a - B) // (2 * a)
+        c1 = 2 * a * x0 + B
+        c0 = (c1 * c1 - D) // (4 * a) + bound
+        widths = 2 * (np.sqrt(np.maximum(D, 0)) / (2 * a)).astype(np.int64) + 3
         if primitive:
-            gyz = np.gcd(ys, z)
-        width = len(xs)
-        rows = max(1, _BLOCK_CELLS // width)
-        if len(buf) < rows * width:
-            buf = np.empty(rows * width, dtype=np.int64)
-        for i in range(0, len(ys), rows):
-            n = min(rows, len(ys) - i)
-            block = buf[: n * width].reshape(n, width)
-            np.multiply.outer(ly[i : i + n], xs, out=block)
-            block += ax2
-            block += qy[i : i + n, None]
+            gyz = np.gcd(y, z)
+        plane = int(np.searchsorted(z, 1))  # rows with z = 0 come first
+        i = 0
+        while i < len(y):
+            # the longest run from row i whose rows times its widest row fit
+            end = plane if i < plane else len(y)
+            stop = min(end, i + _BLOCK_CELLS // widths[i] + 1)
+            ahead = np.maximum.accumulate(widths[i:stop])
+            fits = ahead * np.arange(1, len(ahead) + 1) <= _BLOCK_CELLS
+            n = max(1, int(np.count_nonzero(fits)))
+            J = int(ahead[n - 1]) // 2
+            j = np.arange(-J, J + 1, dtype=np.int64)
+            if len(buf) < n * len(j):
+                buf = np.empty(n * len(j), dtype=np.int64)
+            block = buf[: n * len(j)].reshape(n, len(j))
+            np.multiply.outer(c1[i : i + n], j, out=block)
+            block += a * j * j
+            block += c0[i : i + n, None]
             np.minimum(block, cap, out=block)
             if primitive:
-                common = np.gcd(gyz[i : i + n, None], xs)
+                common = np.gcd(gyz[i : i + n, None], x0[i : i + n, None] + j)
                 block[common != 1] = cap
-            yield z, block.ravel()
+            yield i < plane, block.ravel()
+            i += n
 
 
 # (form, primitive) -> (bound, read-only bool mask of length bound + 1)
@@ -142,12 +203,14 @@ def represented_mask(form: QuadForm, bound: int, primitive: bool = False) -> np.
     Results are cached per form; the returned array is read-only.
     """
     bound = int(bound)
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     key = (form, primitive)
     hit = _mask_cache.get(key)
     if hit is not None and hit[0] >= bound:
         return hit[1][: bound + 1]
     seen = np.zeros(bound + 2, dtype=bool)  # slot bound+1 absorbs clipped values
-    for _, values in _capped_slices(form, bound, primitive):
+    for _, values in _capped_rows(form, bound, primitive):
         seen[values] = True
     mask = seen[: bound + 1]
     mask.setflags(write=False)
@@ -166,20 +229,9 @@ def represented_set(form: QuadForm, bound: int, primitive: bool = False) -> RepS
     return RepSet(bound, np.flatnonzero(mask))
 
 
-def _solve_rows(form: QuadForm, n: int, chunk) -> np.ndarray:
-    """The (x, y, z) with f = n on the rows of a chunk, as a (3, k) int64 array.
-
-    chunk lists (z, ylo, width) per slice: the rows (y, z) for y in
-    [ylo, ylo + width).  Values fit in int64 by the caller's check.
-    """
-    a, b, c, r, s, t = form.coefficients
-    beta, gy, dy = 4 * a * b - t * t, 4 * a * r - 2 * s * t, 4 * a * c - s * s
-    zs, ylos, widths = np.array(chunk, dtype=np.int64).T
-    z = np.repeat(zs, widths)
-    starts = np.cumsum(widths) - widths
-    y = np.arange(len(z), dtype=np.int64) + np.repeat(ylos - starts, widths)
-    # B^2 - 4aC = 4an - (beta y^2 + gy y z + dy z^2), the slice polynomial
-    D = np.repeat(4 * a * n - dy * zs * zs, widths) - y * (beta * y + gy * z)
+def _solve_rows(form: QuadForm, y, z, D) -> np.ndarray:
+    """The (x, y, z) with f = n on rows (y, z) from _rows(form, n, ...), as (3, k) int64."""
+    a, _, _, _, s, t = form.coefficients
     k = np.rint(np.sqrt(np.maximum(D, 0))).astype(np.int64)
     rows = np.flatnonzero(k * k == D)
     y, z, k = y[rows], z[rows], k[rows]
@@ -201,15 +253,12 @@ def representations(form: QuadForm, n: int) -> list:
     Each row (y, z) of the region f(v) <= n is solved for x: with
     B = t y + s z and C = b y^2 + c z^2 + r y z - n, a x^2 + B x + C = 0
     has an integer root iff D = B^2 - 4aC is a perfect square k^2 and
-    2a divides -B + k or -B - k.  The rows are those of the slices
-    z >= 0, each slice's y-interval exact from _quad_interval; -v gives
-    the slices z < 0.  Consecutive slices are solved together by numpy in
-    chunks of at most _BLOCK_CELLS rows (a wider slice is a chunk of its
-    own), so the working arrays do not grow with n.  k is the float64
-    square root of D rounded to an integer and is kept only if k^2 == D
-    exactly: for D < 2^62 the float root of a perfect square k^2 lies
-    within 2^-20 of k, so no square is missed, and the exact test rejects
-    every other D.
+    2a divides -B + k or -B - k.  The rows are those of _rows, solved by
+    numpy in chunks of _BLOCK_CELLS rows, so the working arrays do not
+    grow with n; -v gives the slices z < 0.  k is the float64 square root
+    of D rounded to an integer and is kept only if k^2 == D exactly: for
+    D < 2^62 the float root of a perfect square k^2 lies within 2^-20 of
+    k, so no square is missed, and the exact test rejects every other D.
 
     Raises OverflowError before any row is solved when some value of the
     int64 computation could reach 2^62.
@@ -218,32 +267,7 @@ def representations(form: QuadForm, n: int) -> list:
     n = int(n)
     if n < 0:
         return []
-    a, b, c, r, s, t = form.coefficients
-    beta = 4 * a * b - t * t
-    gy, dy = 4 * a * r - 2 * s * t, 4 * a * c - s * s
-    detG = _mat.det(doubled_gram(form))
-    # |y|, |z| <= sqrt(2n adj(2M)_ii / det 2M) on the ellipsoid; over that
-    # box, worst bounds |D|, |B| + k and every intermediate of _solve_rows
-    zb = isqrt((2 * n * beta) // detG) + 1
-    yb = isqrt((2 * n * dy) // detG) + 1
-    worst = (abs(t) * yb + abs(s) * zb) ** 2 + 4 * a * (
-        b * yb * yb + c * zb * zb + abs(r) * yb * zb + n
-    )
-    if worst >= _INT64_SAFE:
-        raise OverflowError("representation discriminants would not fit in int64")
-    hits, chunk, cells = [], [], 0
-    for z in range(zb + 1):
-        ylo, yhi = _quad_interval(beta, gy * z, dy * z * z - 4 * a * n)
-        if ylo > yhi:
-            continue
-        width = yhi - ylo + 1
-        if chunk and cells + width > _BLOCK_CELLS:
-            hits.append(_solve_rows(form, n, chunk))
-            chunk, cells = [], 0
-        chunk.append((z, ylo, width))
-        cells += width
-    if chunk:
-        hits.append(_solve_rows(form, n, chunk))
+    hits = [_solve_rows(form, *rows) for rows in _rows(form, n, _BLOCK_CELLS)]
     v = np.concatenate(hits, axis=1)  # the slice z = 0 is never empty
     v = np.concatenate((v, -v[:, v[2] > 0]), axis=1)  # -v solves the slice at -z
     x, y, z = v
@@ -279,13 +303,15 @@ class ThetaSeries:
 
 
 def theta(form: QuadForm, bound: int, primitive: bool = False) -> ThetaSeries:
-    """All counts r(n, f), n <= bound, in one slice sweep.
+    """All counts r(n, f), n <= bound, in one row sweep.
 
-    The z > 0 slices are counted twice (negation symmetry); z = 0 once.
+    The rows with z > 0 are counted twice (negation symmetry); z = 0 once.
     With primitive=True only coprime-coordinate vectors are counted.
     """
     bound = int(bound)
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     counts = np.zeros(bound + 2, dtype=np.int64)
-    for z, values in _capped_slices(form, bound, primitive):
-        np.add.at(counts, values, 1 if z == 0 else 2)
+    for on_plane, values in _capped_rows(form, bound, primitive):
+        np.add.at(counts, values, 1 if on_plane else 2)
     return ThetaSeries(form, bound, counts[: bound + 1])

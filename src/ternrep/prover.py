@@ -272,6 +272,8 @@ def prove_pair(f: QuadForm, g: QuadForm, *, classes_g_in_f=None, classes_f_in_g=
     to empirical_bound; a disagreement would be an implementation bug and
     raises MismatchAt at the first integer where the sets differ.
     """
+    if empirical_bound < 0:
+        raise ValueError("bound must be nonnegative")
     require_positive_definite(f)
     require_positive_definite(g)
     witness = subform_witness(f, g)

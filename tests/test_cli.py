@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -239,6 +240,20 @@ def test_enum_bound_too_large_is_a_usage_error(capsys, form, bound, message):
     assert run(["enum", "--form", form, "--max", bound]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ternrep: error: ") and message in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enum", "--form", "S4f"],
+    ["enum", "--form", "S4f", "--theta"],
+    ["table", "--set", "S4"],
+    ["prove", "--f", "S4f", "--g", "S4g"],
+], ids=["enum", "theta", "table", "prove"])
+def test_negative_bound_is_a_usage_error(capsys, monkeypatch, argv):
+    # prove must refuse the bound before it searches for a proof
+    monkeypatch.setattr(prover, "search_cover", mock.Mock(side_effect=AssertionError))
+    assert run(argv + ["--max", "-5"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ternrep: error: bound must be nonnegative"]
 
 
 def test_transforms_modulus_too_large_is_a_usage_error(capsys):

@@ -13,6 +13,7 @@ from ternrep import (
     NotPositiveDefinite,
     QuadForm,
     Vector3,
+    change_of_basis,
     is_positive_definite,
     named_form,
     representations,
@@ -226,11 +227,67 @@ def test_representation_counts_match_theta(form, bound):
     assert [len(representations(form, n)) for n in range(bound + 1)] == list(series.coeffs)
 
 
-@pytest.mark.parametrize("form, n", [
-    (QuadForm(10**9, 10**9, 10**9, 0, 0, 0), 10),
-    (SUM_OF_SQUARES, 2**61),
-], ids=["coefficients", "norm"])
-def test_representations_refuse_int64_overflow_before_any_work(form, n):
-    with mock.patch.object(enumeration, "_solve_rows", side_effect=AssertionError):
+HUGE = QuadForm(10**9, 10**9, 10**9, 0, 0, 0)
+
+
+# a mask or theta at the norm 2^61 would first need 2^61 bytes of output
+@pytest.mark.parametrize("enumerate_, form, n", [
+    (representations, HUGE, 10),
+    (representations, SUM_OF_SQUARES, 2**61),
+    (represented_mask, HUGE, 10),
+    (theta, HUGE, 10),
+], ids=["coefficients", "norm", "mask-coefficients", "theta-coefficients"])
+def test_representations_refuse_int64_overflow_before_any_work(enumerate_, form, n):
+    # no slice is walked, so no row is solved and no block filled
+    with mock.patch.object(enumeration, "_solve_rows", side_effect=AssertionError), \
+            mock.patch.object(enumeration, "_quad_interval", side_effect=AssertionError):
         with pytest.raises(OverflowError, match="would not fit in int64"):
-            representations(form, n)
+            enumerate_(form, n)
+
+
+def _swept(form, bound):
+    """(cells filled, lattice points) of the mask sweep of f(v) <= bound, z >= 0."""
+    cells = points = 0
+    for _, values in enumeration._capped_rows(form, bound, False):
+        cells += len(values)
+        points += int(np.count_nonzero(values <= bound))
+    return cells, points
+
+
+def test_sweep_cells_do_not_depend_on_skew():
+    # an x-shear moves each row's vertex but not its width; the axis-aligned
+    # (y, x) rectangles of the slices hold 274,202 and 1,370,482 cells here
+    f = scale(named_form("S7b"), 2)
+    g = change_of_basis(f, ((1, 5, -3), (0, 1, 0), (0, 0, 1)))
+    cells, points = _swept(f, 10**4)
+    assert _swept(g, 10**4) == (cells, points)
+    assert points == 205_586
+    assert cells <= 1.5 * points
+    assert np.array_equal(represented_mask(f, 10**4), represented_mask(g, 10**4))
+
+
+@st.composite
+def sheared_forms(draw):
+    """A small form moved by a signed permutation P times a shear I + k E_ij."""
+    form = draw(small_forms)
+    perm = draw(st.permutations(range(3)))
+    signs = draw(st.tuples(*[st.sampled_from((-1, 1))] * 3))
+    i, j = draw(st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]))
+    k = draw(st.integers(-6, 6))
+    U = [[signs[row] * (perm[row] == col) for col in range(3)] for row in range(3)]
+    for row in U:
+        row[j] += k * row[i]
+    return change_of_basis(form, U)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sheared_forms(), st.integers(0, 300))
+def test_sheared_forms_match_oracle(form, bound):
+    # reaches B < 0, the floor rounding of the vertex and rows far from x = 0
+    expected = {p: oracle.value_counts(form, bound, primitive=p) for p in (False, True)}
+    for cells in (enumeration._BLOCK_CELLS, 1, 7, 64):
+        with mock.patch.object(enumeration, "_BLOCK_CELLS", cells), \
+                mock.patch.dict(enumeration._mask_cache, clear=True):
+            for primitive, counts in expected.items():
+                assert np.array_equal(theta(form, bound, primitive=primitive).coeffs, counts)
+                assert np.array_equal(represented_mask(form, bound, primitive=primitive), counts > 0)
