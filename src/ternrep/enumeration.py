@@ -16,7 +16,7 @@ sqrt(D) / 2a of it.
 Only z >= 0 is walked: v and -v take the same value, and negation maps
 the slice at z to the slice at -z.
 
-represented_mask and theta scan each row from the integer x0 nearest
+theta and the primitive mask scan each row from the integer x0 nearest
 its vertex, x = x0 + j for |j| <= J, with J = floor(sqrt(D) / 2a) + 1.
 Consecutive rows are filled together in a block of at most _BLOCK_CELLS
 int64 cells (256 KB; a row wider than that is a block of its own), in
@@ -26,14 +26,42 @@ row.  The cells a sweep fills therefore follow the lattice points, not
 a rectangle around them: a shear x -> x + k y + m z leaves every row's D
 unchanged and only moves its vertex, so it changes no cell count.
 
+represented_mask (all vectors) visits no lattice point.  With
+c1 = 2a x0 + B in (-a, a] and c0 = f(x0, y, z), the row's minimum, the
+row's values are c0 + c1 j + a j^2, j in Z: a translate of one of a + 1
+parabolas, since c1 = -m gives the values of c1 = m with j -> -j.  So
+with m = |c1|, C_m the row minima c0 <= N of the rows of class m and
+
+    O_m = {m j + a j^2 <= N},
+
+the values <= N are the union over m of the sumsets (C_m + O_m) cut at
+N.  For |j| >= K + 2, K = isqrt(N // a), m j + a j^2 >= a |j| (|j| - 1)
+>= a (K + 2)(K + 1) > a (K + 1)^2 > N, because m <= a and (K + 1)^2 > N / a;
+so |j| <= K + 2 holds all of O_m, with one to spare.  The coordinates are
+first permuted to make a the smallest diagonal coefficient (the values
+do not change), which gives the fewest classes and the fewest rows.
+A class's sumset is ORed into a packed little-endian bitset: the bitset
+of the larger of C_m and O_m (the class's row count stands for |C_m|),
+shifted by each element of the smaller one.  The shifted copy is made
+once per bit phase p = 0..7 in one buffer, so each element s = 8q + p
+costs one byte-aligned np.bitwise_or of a slice, of at most N/8 bytes:
+O(sqrt(a N)) ORs per form in all, where the row scan marks about
+N^(3/2) / sqrt(det) lattice points.  A class with few rows scatters its
+sums c0 + m j + a j^2 instead.
+
+theta cannot take this route: a count needs every lattice point, not
+just the union of the sumsets.  Nor can the primitive mask: whether
+(x0 + j, y, z) is primitive depends on gcd(y, z) and on x0, which the
+row minimum c0 forgets.  Both keep the row scan.
+
 representations(f, n) solves each row for x instead: D is the
 discriminant of f(x, y, z) = n as a quadratic in x, so a row has a
 solution only where D is a perfect square; a float square root rounded
 to an integer and squared back decides it exactly.
 
-The int64 magnitudes of both are bounded once, over the whole bounding
-box, before any row is walked: a form or bound beyond int64 raises
-OverflowError at once.
+The int64 magnitudes of all of them are bounded once, over the whole
+bounding box, before any row is walked: a form or bound beyond int64
+raises OverflowError at once.
 """
 
 from __future__ import annotations
@@ -99,8 +127,14 @@ def _rows(form: QuadForm, bound: int, size: int):
     and the terms of its cells: with S = 4aC - B^2 >= 0 and
     |j| <= J <= sqrt(bound / a) + 1, c0 = (c1^2 + S) / 4a, |c1 j| and a j^2
     sum to at most 2.5 bound + 3.75 a + worst / 4a, which is below
-    1.4 worst since 4a bound <= worst and 8a <= worst.  So every
-    intermediate of both stays below 2 worst < 2^63 when worst < 2^62;
+    1.4 worst since 4a bound <= worst and 8a <= worst.  The sumset kernel
+    of represented_mask keeps only rows with c0 <= bound; its keys
+    c0 (a + 1) + |c1| are at most a bound + bound + a < worst, and its
+    sums c0 + m j + a j^2 with 0 <= m <= a and |j| <= sqrt(bound / a) + 2
+    at most 2 bound + 5 sqrt(a bound) + 6a < 1.3 worst + 3 sqrt(worst);
+    its keys of collected rows stay below 8 (bound + 8), which the mask's
+    own bound + 2 bytes keep far below 2^63.
+    So every intermediate stays below 2 worst < 2^63 when worst < 2^62;
     otherwise OverflowError is raised before any row is walked.
     """
     a, b, c, r, s, t = form.coefficients
@@ -192,6 +226,166 @@ def _capped_rows(form: QuadForm, bound: int, primitive: bool):
             i += n
 
 
+def _smallest_diagonal_first(form: QuadForm) -> QuadForm:
+    """The form with its coordinates permuted so that a <= b and a <= c."""
+    a, b, c, r, s, t = form.coefficients
+    if b < a and b <= c:
+        return QuadForm(b, a, c, s, r, t)  # swap x and y
+    if c < a and c < b:
+        return QuadForm(c, b, a, t, s, r)  # swap x and z
+    return form
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """True where a run of equal values of x starts."""
+    starts = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=starts[1:])
+    return starts
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, ascending (np.unique's hash path is slower on small arrays)."""
+    x = np.sort(x)
+    return x[_run_starts(x)]
+
+
+def _pattern(a: int, m: int, bound: int) -> np.ndarray:
+    """O_m: the distinct m j + a j^2 <= bound, ascending, over |j| <= isqrt(bound // a) + 2."""
+    J = isqrt(bound // a) + 2
+    j = np.arange(-J, J + 1, dtype=np.int64)
+    o = m * j + a * j * j
+    return _distinct(o[o <= bound])
+
+
+def _packed(values: np.ndarray):
+    """(i, b): the nonzero bytes b, at indices i, of the little-endian bitset of values.
+
+    values are ascending and distinct; so is i.
+    """
+    byte = values >> 3
+    first = np.flatnonzero(_run_starts(byte))
+    ones = np.left_shift(1, values & 7).astype(np.uint8)
+    return byte[first], np.bitwise_or.reduceat(ones, first)
+
+
+def _members(bits: np.ndarray) -> np.ndarray:
+    """The values whose bits are set in the little-endian bitset bits, ascending."""
+    byte = np.flatnonzero(bits)
+    row, phase = np.nonzero(np.unpackbits(bits[byte, None], axis=1, bitorder="little"))
+    return byte[row] * 8 + phase
+
+
+def _or_shifted(bits: np.ndarray, big: np.ndarray, small: np.ndarray) -> None:
+    """bits |= {v + s : v in the bitset big, s in small}, cut at the end of bits.
+
+    small is ascending.  One phase buffer holds big shifted up by p bits,
+    p = 0..7 in turn, so each s = 8q + p of that phase is one byte-aligned
+    OR of the buffer into bits at byte q.
+    """
+    phase = np.empty(len(big) + 1, dtype=np.uint8)
+    for p in range(8):
+        shifts = small[small & 7 == p]
+        if not len(shifts):
+            continue
+        np.left_shift(big, p, out=phase[:-1])
+        phase[-1] = 0
+        if p:
+            phase[1:] |= big >> (8 - p)
+        for q in (shifts >> 3).tolist():
+            n = min(len(phase), len(bits) - q)
+            if n <= 0:
+                break
+            bits[q : q + n] |= phase[:n]
+
+
+def _scatter_rows(seen: np.ndarray, a: int, bound: int, c0: np.ndarray, m: np.ndarray) -> None:
+    """seen[c0 + m j + a j^2] = True for each row (c0, m), sums above bound into slot bound + 1.
+
+    c0 is ascending, so the row widths 2 J + 1, J = floor(sqrt((bound - c0) / a)) + 2,
+    do not grow along a block: a block takes the next rows, as many as
+    fit in _BLOCK_CELLS cells at the width of its first row (at least one).
+    """
+    widths = 2 * np.sqrt((bound - c0) / a).astype(np.int64) + 5
+    i = 0
+    while i < len(c0):
+        J = int(widths[i]) // 2
+        n = max(1, _BLOCK_CELLS // int(widths[i]))
+        j = np.arange(-J, J + 1, dtype=np.int64)
+        block = np.multiply.outer(m[i : i + n], j)
+        block += a * j * j
+        block += c0[i : i + n, None]
+        np.minimum(block, bound + 1, out=block)
+        seen[block] = True
+        i += n
+
+
+def _sumset_mask(form: QuadForm, bound: int) -> np.ndarray:
+    """The writable bool mask of the values <= bound of form, from sumsets.
+
+    See the module docstring: each row adds c0 + O_m, and rows are filed
+    by m = |c1|.  A class's rows are scattered until it has had
+    (bytes of the mask bitset + _BLOCK_CELLS) / 256 distinct rows; from
+    then on its row minima are collected in a bitset of its own, and
+    after the walk it ORs in C_m + O_m at once.  Scattering costs in
+    proportion to a class's rows, the ORs in proportion to the bitset's
+    bytes (plus a fixed cost per call); the divisor 256 ran the catalog
+    sweep at 10^6 faster than 64 or 128 and as fast as 512.  At most 8
+    classes are collected, so their bitsets together take no more memory
+    than the mask.
+    """
+    require_positive_definite(form)
+    form = _smallest_diagonal_first(form)
+    a, _, _, _, s, t = form.coefficients
+    seen = np.zeros(bound + 2, dtype=bool)  # slot bound+1 absorbs clipped sums
+    nbytes = bound // 8 + 1
+    dense_from = (nbytes + _BLOCK_CELLS) // 256
+    rows, slots = {}, {}  # class -> its distinct rows so far; class -> k, its bitset in collected[k]
+    collected = []
+    for y, z, D in _rows(form, bound, max(1, _BLOCK_CELLS // 8)):
+        B = t * y + s * z
+        c1 = 2 * a * ((a - B) // (2 * a)) + B  # in (-a, a]
+        c0 = (c1 * c1 - D) // (4 * a) + bound  # f(x0, y, z), the row's minimum
+        near = c0 <= bound
+        # distinct (c0, m) with m = |c1| in [0, a], ordered by c0
+        c0, m = np.divmod(_distinct(c0[near] * (a + 1) + np.abs(c1[near])), a + 1)
+        classes, counts = np.unique(m, return_counts=True)
+        for cls, n in zip(classes.tolist(), counts.tolist()):
+            rows[cls] = rows.get(cls, 0) + n
+            if cls not in slots and rows[cls] >= dense_from and len(slots) < 8:
+                slots[cls] = len(collected)
+                collected.append(np.zeros(nbytes, dtype=np.uint8))
+        if slots:
+            slot = np.array([slots.get(cls, -1) for cls in classes.tolist()], dtype=np.int64)
+            slot = slot[np.searchsorted(classes, m)]
+            take = slot >= 0
+            # the bitsets end to end are one: set its bits in one pass, then split
+            i, b = _packed(np.sort(slot[take] * (8 * nbytes) + c0[take]))
+            k, i = np.divmod(i, nbytes)
+            ends = np.searchsorted(k, np.arange(len(collected) + 1))
+            for C, lo, hi in zip(collected, ends[:-1].tolist(), ends[1:].tolist()):
+                C[i[lo:hi]] |= b[lo:hi]
+            c0, m = c0[~take], m[~take]
+        _scatter_rows(seen, a, bound, c0, m)
+    if not slots:
+        return seen[: bound + 1]
+    bits = np.zeros(nbytes, dtype=np.uint8)  # bit v: v in some collected C_m + O_m
+    for cls, k in slots.items():
+        C, O = collected[k], _pattern(a, cls, bound)
+        if rows[cls] >= len(O):  # rows[cls] bounds |C_m|, without a count of its bits
+            _or_shifted(bits, C, O)
+        else:
+            big = np.zeros(int(O[-1]) // 8 + 1, dtype=np.uint8)
+            i, b = _packed(O)
+            big[i] = b
+            _or_shifted(bits, big, _members(C))
+        collected[k] = None
+    for i in range(0, nbytes, _BLOCK_CELLS):
+        part = seen[8 * i : 8 * (i + _BLOCK_CELLS)]
+        part |= np.unpackbits(bits[i : i + _BLOCK_CELLS], count=len(part),
+                              bitorder="little").view(bool)
+    return seen[: bound + 1]
+
+
 # (form, primitive) -> (bound, read-only bool mask of length bound + 1)
 _mask_cache: dict = {}
 
@@ -209,10 +403,13 @@ def represented_mask(form: QuadForm, bound: int, primitive: bool = False) -> np.
     hit = _mask_cache.get(key)
     if hit is not None and hit[0] >= bound:
         return hit[1][: bound + 1]
-    seen = np.zeros(bound + 2, dtype=bool)  # slot bound+1 absorbs clipped values
-    for _, values in _capped_rows(form, bound, primitive):
-        seen[values] = True
-    mask = seen[: bound + 1]
+    if primitive:
+        seen = np.zeros(bound + 2, dtype=bool)  # slot bound+1 absorbs clipped values
+        for _, values in _capped_rows(form, bound, primitive):
+            seen[values] = True
+        mask = seen[: bound + 1]
+    else:
+        mask = _sumset_mask(form, bound)
     mask.setflags(write=False)
     if hit is None or hit[0] < bound:
         _mask_cache[key] = (bound, mask)

@@ -311,9 +311,12 @@ def verify_pairwise(forms, bound: int, jobs: int = 1):
     """Equal represented sets and pairwise non-isometry for a family of forms.
 
     Returns (value_count, isometric_pairs); raises MismatchAt on the first
-    integer represented by one form but not another.
+    integer represented by one form but not another, and ValueError when
+    forms is empty.
     """
     forms = tuple(forms)
+    if not forms:
+        raise ValueError("no forms")
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             masks = list(pool.map(lambda fm: represented_mask(fm, bound), forms))

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -195,10 +195,16 @@ def test_row_blocks_of_any_size_match_oracle(form, bound):
                 assert np.array_equal(represented_mask(form, bound, primitive=primitive), counts > 0)
 
 
-def test_mask_memory_does_not_grow_with_slice_width():
-    # the widest slice of this form at 10^6 has ~1.3 M cells, ~10 MB of int64;
-    # numpy reports its buffers to tracemalloc
-    form = scale(named_form("S6b"), 2)
+@pytest.mark.parametrize("form", [
+    scale(named_form("S6b"), 2),
+    SUM_OF_SQUARES,
+    QuadForm(200, 210, 230, 17, 19, 23),
+], ids=str)
+def test_mask_memory_does_not_grow_with_slice_width(form):
+    # at 10^6 the mask is 1 MB and its bitset 125 KB; a table of one bitset
+    # per vertex class would take (a + 1) x 125 KB, 25 MB for a = 200, and
+    # the slice z = 0 of the sum of three squares alone holds ~3.1 M lattice
+    # points, 25 MB of int64.  numpy reports its buffers to tracemalloc
     with mock.patch.dict(enumeration._mask_cache, clear=True):
         tracemalloc.start()
         try:
@@ -291,3 +297,39 @@ def test_sheared_forms_match_oracle(form, bound):
             for primitive, counts in expected.items():
                 assert np.array_equal(theta(form, bound, primitive=primitive).coeffs, counts)
                 assert np.array_equal(represented_mask(form, bound, primitive=primitive), counts > 0)
+
+
+@st.composite
+def sumset_forms(draw):
+    """Forms that reach every branch of the sumset kernel of represented_mask.
+
+    a is the smallest diagonal coefficient, up to 40, so a class may hold
+    few rows; t and s are often odd, so the rows spread over many vertex
+    classes; a coordinate permutation then puts a in any place.
+    """
+    a = draw(st.integers(1, 40))
+    b, c = draw(st.integers(a, a + 30)), draw(st.integers(a, a + 30))
+    odd = st.integers(-8, 7).map(lambda k: 2 * k + 1)
+    s, t = (draw(st.one_of(odd, st.integers(-a, a))) for _ in range(2))
+    r = draw(st.integers(-b, b))
+    form = QuadForm(a, b, c, r, s, t)
+    assume(is_positive_definite(form))
+    perm = draw(st.permutations(range(3)))
+    return change_of_basis(form, [[int(perm[i] == j) for j in range(3)] for i in range(3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(sumset_forms(), st.integers(0, 250), st.sampled_from((-1, 0, 1)))
+@example(SUM_OF_SQUARES, 0, 0)  # later row chunks hold no row with c0 <= bound
+@example(QuadForm(2, 3, 3, -1, -1, 0), 4, -1)  # a value <= 31 needs |j| = isqrt(31 // 2) + 1
+def test_sumset_mask_matches_oracle(form, k, offset):
+    # bounds 8k - 1, 8k and 8k + 1 end the mask's bitset inside, at and just
+    # past a byte; one cell per block collects every class's row minima in
+    # a bitset from its first row (up to 8 classes), the default block
+    # scatters the classes of small bounds row by row
+    bound = max(0, 8 * k + offset)
+    expected = oracle.value_counts(form, bound) > 0
+    for cells in (enumeration._BLOCK_CELLS, 1, 7, 64):
+        with mock.patch.object(enumeration, "_BLOCK_CELLS", cells), \
+                mock.patch.dict(enumeration._mask_cache, clear=True):
+            assert np.array_equal(represented_mask(form, bound), expected)

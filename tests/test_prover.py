@@ -464,6 +464,12 @@ def test_verify_pairwise_mismatch():
     assert info.value.n == 7  # 7 = 1 + 4 + 2 but not a sum of three squares
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_pairwise_refuses_no_forms(jobs):
+    with pytest.raises(ValueError, match="no forms"):
+        verify_pairwise((), 50, jobs)
+
+
 def test_verify_table_smoke():
     report = verify_table("S13", bound=20000)
     assert len(report.forms) == 4
