@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import certificate, fixtures
@@ -306,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="'S1'..'S15' or 'all'")
     p.add_argument("--max", type=int, default=10**6)
     p.add_argument("--deep", action="store_true")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for the enumeration")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker threads for the enumeration (default 1)")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("cert", parents=[common], help="check an emitted certificate")

@@ -8,6 +8,18 @@ A coset is *good* for a transform set R = {T : T^t M_f T = d^2 M_g} when
 some T in R maps it to an integral vector, (1/d) v T^t in Z^3; that vector
 then represents the same value under f.  When every coset of a class is
 good, each value of g in the progression { d n + a } is a value of f.
+
+classify_good decides this for all cosets at once from kernel bitsets.
+(1/d) v T^t is integral iff T v^t = 0 (mod d), that is iff v lies in the
+kernel of T mod d.  By the Chinese remainder theorem (Z/dZ)^3 is the
+product of the (Z/qZ)^3 over the prime powers q of d, and T v^t = 0
+(mod d) iff T v^t = 0 (mod q) for every q.  So each q gets one table,
+built once per transform set and shared by every class of modulus d: for
+each of the q^3 cosets u mod q, a bitset whose bit t says T_t u^t = 0
+(mod q).  A coset's bitset mod d is the AND of its rows mod each q.  Bit
+t of a bitset is bit t % 8 of byte t // 8, so the lowest set bit is the
+first integral transform in the set's order, the witness the certificate
+records.
 """
 
 from __future__ import annotations
@@ -45,18 +57,26 @@ class ResidueClass:
         return f"{self.d}n+{self.a}"
 
 
-# grids are d^3 int64 entries: 0.9 MB at the largest class modulus the
-# prover scans (48); attainable_residues asks only for prime powers
+# grids are d^3 uint16 entries: 6 MB at the largest class modulus a
+# certificate may use (144), 0.2 MB at the largest the search scans (48);
+# attainable_residues and the kernel bitsets ask only for prime powers
 @lru_cache(maxsize=16)
 def _value_grid(g: QuadForm, d: int):
     """d^3 grid of 2*g(v) mod 2d, index order (x, y, z)."""
-    rng = np.arange(d, dtype=np.int64)
-    X, Y, Z = np.meshgrid(rng, rng, rng, indexing="ij")
-    # 2*g(v) mod 2d depends on the coefficients mod d only; reducing them
-    # keeps every term within int64 however large the coefficients are
+    # 2*g(v) mod 2d depends on the coefficients mod d only; every term is
+    # reduced mod d on a 1-D or 2-D range before the d^3 sum, so no product
+    # leaves int64 however large the coefficients are
     a, b, c, r, s, t = (k % d for k in g.coefficients)
-    vals = 2 * (a * X * X + b * Y * Y + c * Z * Z + r * Y * Z + s * X * Z + t * X * Y)
-    grid = vals % (2 * d)
+    u = np.arange(d, dtype=np.int64)
+    xy = ((a * u * u)[:, None] + (b * u * u)[None, :] + t * np.outer(u, u)) % d
+    xz = ((c * u * u)[None, :] + s * np.outer(u, u)) % d
+    yz = (r * np.outer(u, u)) % d
+    # each 2-D term is below d, so the uint16 sum below 3d and the final
+    # 2 * (sum mod d) < 2d stay in range for any d whose grid fits in memory
+    grid = xy.astype(np.uint16)[:, :, None] + xz.astype(np.uint16)[:, None, :]
+    grid += yz.astype(np.uint16)[None, :, :]
+    grid %= d
+    grid *= 2
     grid.setflags(write=False)
     return grid
 
@@ -152,10 +172,50 @@ class GoodVectorReport:
         )
 
 
-# transforms tried per array product in classify_good: each product is a
-# (cosets, block) int64 array, 1.3 MB for the 16,128 cosets of the largest
-# class the catalog searches meet
-_TRANSFORM_BLOCK = 10
+# transforms per step of _kernel_bits: a step holds (q^2, chunk, 3) int64
+# codes and a (q^3, chunk) bool array, under 1 MB at q = 16, whatever the
+# size of the set
+_KERNEL_CHUNK = 64
+
+# cosets per step of classify_good: a step holds a few (block, |T| / 8)
+# byte arrays, 0.4 MB each for the 720 transforms of S6 at 48
+_COSET_BLOCK = 4096
+
+# _LOW_BIT[b] is the index of the lowest set bit of the byte b > 0
+_LOW_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.int64)
+
+
+@lru_cache(maxsize=16)
+def _kernel_bits(transforms: TransformSet) -> tuple:
+    """((q, bits_q) for each prime power q of d), the kernels of the set mod q.
+
+    bits_q is a (q^3, ceil(|T| / 8)) uint8 array: bit t (little-endian
+    within each byte) of row x q^2 + y q + z is set iff T_t (x, y, z)^t = 0
+    (mod q).  It is found meet-in-the-middle: x T_0 + y T_1 = -z T_2 (mod q)
+    for the columns T_j of T, comparing q^2 codes with q codes.
+    """
+    mats = np.asarray(transforms.matrices, dtype=np.int64).reshape(-1, 3, 3)
+    n = len(mats)
+    out = []
+    for q in _prime_powers(transforms.d):
+        u = np.arange(q, dtype=np.int64)
+        place = np.array([q * q, q, 1], dtype=np.int64)
+        bits = np.zeros((q**3, -(-n // 8)), dtype=np.uint8)
+        for start in range(0, n, _KERNEL_CHUNK):
+            cols = mats[start:start + _KERNEL_CHUNK].transpose(2, 0, 1) % q  # cols[j, t] = T_t e_j
+            # codes of x T_0 + y T_1, shape (q, q, chunk), and of -z T_2, shape (q, chunk)
+            pair = ((u[:, None, None, None] * cols[0] + u[None, :, None, None] * cols[1]) % q) @ place
+            single = ((-u[:, None, None] * cols[2]) % q) @ place
+            # the chunk's bits start `lead` bits into a byte: pack behind `lead`
+            # zero columns and OR the bytes in, so any chunk size lines up
+            lead = start % 8
+            hits = np.zeros((q, q, q, lead + len(cols[0])), dtype=bool)
+            np.equal(pair[:, :, None, :], single[None, None, :, :], out=hits[..., lead:])
+            packed = np.packbits(hits.reshape(q**3, -1), axis=1, bitorder="little")
+            bits[:, start // 8:start // 8 + packed.shape[1]] |= packed
+        bits.setflags(write=False)
+        out.append((q, bits))
+    return tuple(out)
 
 
 def classify_good(f: QuadForm, g: QuadForm, cls: ResidueClass,
@@ -163,30 +223,33 @@ def classify_good(f: QuadForm, g: QuadForm, cls: ResidueClass,
     """Split the cosets of the class by existence of an integral transport.
 
     `transforms` must be the complete set for (f, g, cls.d); with a
-    truncated set a coset could be declared bad wrongly.
+    truncated set a coset could be declared bad wrongly.  The witness of
+    a coset is the lowest set bit of the AND of its kernel bitsets (module
+    docstring).
     """
     if not transforms.complete:
         raise IncompleteTransformSet("good/bad classification needs the complete transform set")
     if (transforms.f, transforms.g, transforms.d) != (f, g, cls.d):
         raise ValueError("transform set does not match (f, g, d)")
     V = _residue_array(g, cls)
-    d = cls.d
-    witness = np.full(len(V), -1, dtype=np.int64)
-    pending = np.arange(len(V))
-    mats = np.asarray(transforms.matrices, dtype=np.int64).reshape(-1, 3, 3)
-    for start in range(0, len(mats), _TRANSFORM_BLOCK):
-        if not len(pending):
-            break
-        block = mats[start:start + _TRANSFORM_BLOCK]
-        rows = V[pending]
-        # hits[i, j]: coset i is sent to an integral vector by T_j = block[j];
-        # rows @ block[:, k].T holds component k of every image v T_j^t
-        hits = (rows @ block[:, 0].T) % d == 0
-        for k in (1, 2):
-            hits &= (rows @ block[:, k].T) % d == 0
-        found = hits.any(axis=1)
-        witness[pending[found]] = start + hits[found].argmax(axis=1)
-        pending = pending[~found]
+    if not len(transforms) or not len(V):
+        witness = np.full(len(V), -1, dtype=np.int64)
+    elif cls.d == 1:
+        # no prime power: every T sends the one coset 0 to 0
+        witness = np.zeros(len(V), dtype=np.int64)
+    else:
+        kernels = _kernel_bits(transforms)
+        witness = np.empty(len(V), dtype=np.int64)
+        for lo in range(0, len(V), _COSET_BLOCK):
+            part = V[lo:lo + _COSET_BLOCK]
+            acc = None  # acc[i]: the kernel bits of coset i mod every q, ANDed
+            for q, bits in kernels:
+                row = bits[((part[:, 0] % q) * q + part[:, 1] % q) * q + part[:, 2] % q]
+                acc = row if acc is None else np.bitwise_and(acc, row, out=acc)
+            nonzero = acc != 0
+            first = nonzero.argmax(axis=1)
+            low = _LOW_BIT[acc[np.arange(len(part)), first]]
+            witness[lo:lo + len(part)] = np.where(nonzero.any(axis=1), 8 * first + low, -1)
     V.setflags(write=False)
     witness.setflags(write=False)
     return GoodVectorReport(f, g, cls, transforms, V, witness)

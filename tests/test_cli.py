@@ -300,3 +300,11 @@ def test_theta_subcommand(capsys):
 def test_jobs_flag(capsys):
     rc = run(["table", "--set", "S4", "--max", "5000", "--jobs", "2"])
     assert rc == EXIT_OK
+
+
+def test_table_runs_single_threaded_by_default(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("table started a thread pool without --jobs")
+
+    monkeypatch.setattr(prover, "ThreadPoolExecutor", no_pool)
+    assert run(["table", "--set", "S4", "--max", "5000"]) == EXIT_OK

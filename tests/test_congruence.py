@@ -1,5 +1,7 @@
 import random
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from ternrep import (
     precedes,
     residue_vectors,
     scaled_automorphisms,
+    search_cover,
     transport,
 )
 from ternrep import certificate, congruence
@@ -106,10 +109,11 @@ def test_classify_good_checks_matching_arguments(s4):
         classify_good(f, g, ResidueClass(12, 2), find_transforms(f, g, 4))
 
 
-@pytest.mark.parametrize("block", [1, 7, congruence._TRANSFORM_BLOCK])
-def test_witness_is_the_first_integral_transform(s4, monkeypatch, block):
+@pytest.mark.parametrize("chunk", [1, 7, congruence._KERNEL_CHUNK])
+def test_witness_is_the_first_integral_transform(s4, monkeypatch, chunk):
     f, g = s4
-    monkeypatch.setattr(congruence, "_TRANSFORM_BLOCK", block)
+    monkeypatch.setattr(congruence, "_KERNEL_CHUNK", chunk)
+    congruence._kernel_bits.cache_clear()  # build the bitsets with this chunk
     cls = ResidueClass(12, 2)
     ts = find_transforms(f, g, 12)
     report = classify_good(f, g, cls, ts)
@@ -119,6 +123,68 @@ def test_witness_is_the_first_integral_transform(s4, monkeypatch, block):
     ]
     assert report.witness.tolist() == expected
     assert len(report.bad) == expected.count(-1) == 32
+
+
+small_forms = st.builds(
+    QuadForm,
+    *[st.integers(1, 6)] * 3,
+    *[st.integers(-3, 3)] * 3,
+).filter(is_positive_definite)
+# upper triangular, determinant 2 or 3: change_of_basis(h, U) is h on a sublattice
+sublattice_bases = st.builds(
+    lambda k, p, q, r: ((1, p, q), (0, 1, r), (0, 0, k)),
+    st.sampled_from((2, 3)), *[st.integers(-1, 1)] * 3,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    f=small_forms,
+    other=small_forms,
+    basis=st.none() | sublattice_bases,
+    swap=st.booleans(),
+    d=st.sampled_from((1, 2, 3, 4, 5, 8, 9, 16, 6, 12, 24, 36, 48, 60)),
+    v=st.tuples(*[st.integers(0, 59)] * 3),
+    chunk=st.sampled_from((1, 7, 8, 64)),
+    block=st.sampled_from((5, congruence._COSET_BLOCK)),
+)
+def test_witness_matches_first_transport(f, other, basis, swap, d, v, chunk, block):
+    # with g on a sublattice of f, T = d U makes every coset good; with f on
+    # a sublattice of g, classes at d divisible by det U have some bad cosets
+    g = other if basis is None else change_of_basis(f, basis)
+    if swap:
+        f, g = g, f
+    cls = ResidueClass(d, evaluate(g, v) % d)  # a class with at least one coset
+    ts = find_transforms(f, g, d)
+    with patch.object(congruence, "_KERNEL_CHUNK", chunk), \
+            patch.object(congruence, "_COSET_BLOCK", block):
+        congruence._kernel_bits.cache_clear()
+        report = classify_good(f, g, cls, ts)
+    expected = [
+        next((i for i, T in enumerate(ts.matrices) if transport(w, T, d) is not None), -1)
+        for w in residue_vectors(g, cls)
+    ]
+    assert report.witness.tolist() == expected
+
+
+def test_kernel_bits_built_once_per_transform_set(s6, monkeypatch):
+    f, g = s6
+    scanned = []
+    classify = congruence.classify_good
+
+    def recording(f, g, cls, ts):
+        report = classify(f, g, cls, ts)
+        if len(report.cosets) and len(ts) and cls.d > 1:  # the calls that read bitsets
+            scanned.append((ts.f, ts.g, ts.d))
+        return report
+
+    monkeypatch.setattr(congruence, "classify_good", recording)
+    congruence._kernel_bits.cache_clear()
+    search_cover(f, g)
+    info = congruence._kernel_bits.cache_info()
+    assert len(set(scanned)) < len(scanned)  # several classes share a modulus
+    assert info.misses == len(set(scanned))
+    assert info.hits == len(scanned) - len(set(scanned))
 
 
 def test_classify_good_independent_of_transform_order(s4):
@@ -209,6 +275,33 @@ def test_attainable_residues_scan_prime_powers_only(s6, monkeypatch):
     monkeypatch.setattr(congruence, "_value_grid", recording_grid)
     assert attainable_residues(g, 144) == attained_residues(g, 144)
     assert sorted(seen) == [9, 16]
+
+
+def _int64_grid(g, d):
+    """2*g(v) mod 2d on three int64 meshgrids, coefficients reduced mod d."""
+    rng = np.arange(d, dtype=np.int64)
+    X, Y, Z = np.meshgrid(rng, rng, rng, indexing="ij")
+    a, b, c, r, s, t = (k % d for k in g.coefficients)
+    return 2 * (a * X * X + b * Y * Y + c * Z * Z + r * Y * Z + s * X * Z + t * X * Y) % (2 * d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 9, 16, 48, 97])
+def test_value_grid_matches_int64_reference(d):
+    # every coefficient is -1 mod d, so every reduced term is as large as it gets
+    g = QuadForm(5 * d - 1, 5 * d - 1, 5 * d - 1, -1, -1, -1)
+    grid = congruence._value_grid.__wrapped__(g, d)
+    assert grid.dtype == np.uint16
+    assert np.array_equal(grid, _int64_grid(g, d))
+
+
+def test_value_grid_reduces_huge_coefficients():
+    d = 48
+    big = QuadForm(*(10**40 * d - 1 for _ in range(3)), *(-(10**40) * d - 1 for _ in range(3)))
+    small = QuadForm(d - 1, d - 1, d - 1, -1, -1, -1)
+    grid = congruence._value_grid.__wrapped__(big, d)
+    assert np.array_equal(grid, _int64_grid(small, d))
+    for v in ((0, 0, 0), (1, 2, 3), (47, 46, 45), (5, 0, 47)):
+        assert grid[v] == 2 * evaluate(big, v) % (2 * d)
 
 
 def test_residue_scans_reduce_huge_coefficients():
