@@ -22,7 +22,7 @@ print("  so every value of f is a value of g")
 print("\nComplete transform sets:")
 for d in (4, 12):
     ts = tr.find_transforms(f, g, d)
-    print(f"  |R(f, g, {d})| = {len(ts)} (complete: {ts.complete})")
+    print(f"  |R(f, g, {d})| = {len(ts)}")
 
 print("\nOne member of R(f, g, 4):")
 for row in tr.find_transforms(f, g, 4).matrices[-1]:

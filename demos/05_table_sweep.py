@@ -16,7 +16,7 @@ bound = int(sys.argv[1]) if len(sys.argv) > 1 else 10**5
 total = time.perf_counter()
 for sid in tr.SET_IDS:
     t0 = time.perf_counter()
-    report = tr.verify_table(sid, bound=bound, jobs=2)
+    report = tr.verify_table(sid, bound=bound)
     print(
         f"{sid:>4}: {len(report.forms)} forms, {report.value_count} shared values, "
         f"non-isometric: {report.all_non_isometric}  [{time.perf_counter() - t0:.1f}s]"

@@ -8,44 +8,32 @@ certificates that an independent checker re-verifies from raw integers.
 from .forms import (
     NotPositiveDefinite,
     QuadForm,
-    RepSet,
-    Vector3,
     change_of_basis,
     doubled_gram,
     evaluate,
     is_positive_definite,
-    scale,
 )
 from .enumeration import (
-    ThetaSeries,
     representations,
     represented_mask,
     represented_set,
     theta,
 )
 from .isometry import (
-    TransformSet,
     find_transforms,
     is_isometric,
     scaled_automorphisms,
     subform_witness,
 )
 from .congruence import (
-    CoverReport,
-    GoodVectorReport,
-    IncompleteTransformSet,
     ResidueClass,
-    attainable_residues,
-    classify_good,
     cover_check,
     precedes,
     residue_vectors,
     transport,
 )
 from .prover import (
-    ClassProof,
     ClassUnprovable,
-    CoverDirection,
     CoverIncomplete,
     EscapeArgument,
     MismatchAt,
@@ -53,10 +41,7 @@ from .prover import (
     NoRationalTransform,
     PairProof,
     ProofError,
-    SetReport,
-    SubformDirection,
     build_escape,
-    evaluate_escape_matrix,
     kaplansky_family_pair,
     prove_direction,
     prove_pair,
@@ -65,7 +50,7 @@ from .prover import (
     verify_table,
 )
 from .certificate import Verdict, check, emit, proof_to_dict
-from .fixtures import REGISTRY, SET_IDS, TABLE, named_form, resolve_form, table_set
+from .fixtures import SET_IDS, TABLE, named_form, resolve_form, table_set
 
 __version__ = "0.1.0"
 

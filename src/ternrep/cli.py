@@ -5,7 +5,8 @@ aliases S4f, S4g, ...) or as six comma-separated coefficients
 "a,b,c,r,s,t" of a x^2 + b y^2 + c z^2 + r yz + s xz + t xy.
 
 Exit codes: 0 success, 1 verification mismatch / rejected certificate,
-2 proof failure, 64 usage error (including a bound too large to enumerate).
+2 proof failure, 64 usage error (including a bound too large to enumerate
+or a prec modulus above the largest class modulus).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .congruence import ResidueClass, precedes
 from .enumeration import represented_set, theta
 from .isometry import find_transforms, is_isometric, subform_witness
 from .prover import (
+    MAX_MODULUS,
     MismatchAt,
     ProofError,
     prove_pair,
@@ -138,6 +140,10 @@ def _cmd_subform(args):
 
 
 def _cmd_prec(args):
+    # the value grid and the residue mask take d^3 cells each: refuse a
+    # modulus no certificate may use before anything is allocated
+    if args.d > MAX_MODULUS:
+        raise ValueError(f"--d {args.d} exceeds {MAX_MODULUS}, the largest class modulus")
     report = precedes(args.f, args.g, ResidueClass(args.d, args.a))
     total = len(report.cosets)
     payload = {
@@ -206,7 +212,7 @@ def _cmd_table(args):
     results = []
     for sid in set_ids:
         try:
-            report = verify_table(sid, bound, jobs=args.jobs)
+            report = verify_table(sid, bound)
         except MismatchAt as exc:
             print(f"{sid}: MISMATCH at {exc.n}", file=sys.stderr)
             return EXIT_MISMATCH
@@ -295,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=_classes_arg, default=None,
                    help="explicit residue classes 'd:a,d:a,...' for Q(g) <= Q(f)")
     p.add_argument("--classes-rev", type=_classes_arg, default=None,
-                   help="explicit classes for Q(f) <= Q(g) (skips the subform shortcut)")
+                   help="explicit classes for Q(f) <= Q(g)")
     p.add_argument("--max", type=int, default=10**6, help="empirical verification bound")
     p.add_argument("--deep", action="store_true", help=f"verify up to {DEEP_BOUND}")
     p.add_argument("--out", default=None, help="write the certificate JSON here")
@@ -305,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="'S1'..'S15' or 'all'")
     p.add_argument("--max", type=int, default=10**6)
     p.add_argument("--deep", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for the enumeration (default 1)")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("cert", parents=[common], help="check an emitted certificate")

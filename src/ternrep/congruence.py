@@ -34,10 +34,6 @@ from .forms import QuadForm, Vector3
 from .isometry import TransformSet, find_transforms
 
 
-class IncompleteTransformSet(ValueError):
-    """Raised when a good/bad classification is attempted with a truncated set."""
-
-
 @dataclass(frozen=True, order=True)
 class ResidueClass:
     """The arithmetic progression {d n + a : n >= 0}."""
@@ -222,13 +218,10 @@ def classify_good(f: QuadForm, g: QuadForm, cls: ResidueClass,
                   transforms: TransformSet) -> GoodVectorReport:
     """Split the cosets of the class by existence of an integral transport.
 
-    `transforms` must be the complete set for (f, g, cls.d); with a
-    truncated set a coset could be declared bad wrongly.  The witness of
-    a coset is the lowest set bit of the AND of its kernel bitsets (module
+    `transforms` must be the set for (f, g, cls.d).  The witness of a
+    coset is the lowest set bit of the AND of its kernel bitsets (module
     docstring).
     """
-    if not transforms.complete:
-        raise IncompleteTransformSet("good/bad classification needs the complete transform set")
     if (transforms.f, transforms.g, transforms.d) != (f, g, cls.d):
         raise ValueError("transform set does not match (f, g, d)")
     V = _residue_array(g, cls)
@@ -259,7 +252,7 @@ def precedes(f: QuadForm, g: QuadForm, cls: ResidueClass) -> GoodVectorReport:
     """Decide whether every coset of the class is good (report.all_good).
 
     When it is, every value of g congruent to a mod d is also a value of
-    f; the transform set is computed internally and is complete.
+    f; the transform set is computed internally.
     """
     return classify_good(f, g, cls, find_transforms(f, g, cls.d))
 

@@ -264,10 +264,22 @@ def search_cover(f: QuadForm, g: QuadForm) -> CoverDirection:
     raise CoverIncomplete(CoverReport(False, 1, (0,), (0,)))
 
 
+def _inclusion(sup: QuadForm, sub: QuadForm, classes):
+    """Prove Q(sub) <= Q(sup): with the explicit classes when given, else by
+    a subform witness when one exists, else by a searched cover."""
+    if classes is not None:
+        return prove_direction(sup, sub, classes)
+    witness = subform_witness(sub, sup)
+    if witness is not None:
+        return SubformDirection(sub=sub, sup=sup, witness=witness)
+    return search_cover(sup, sub)
+
+
 def prove_pair(f: QuadForm, g: QuadForm, *, classes_g_in_f=None, classes_f_in_g=None,
                empirical_bound: int = 10**6) -> PairProof:
-    """Prove Q(f) = Q(g): subform shortcut for f in g when available, covers otherwise.
+    """Prove Q(f) = Q(g): subform shortcut in either direction, covers otherwise.
 
+    An explicit class list for a direction overrides its subform shortcut.
     The finished proof is cross-checked against exhaustive enumeration up
     to empirical_bound; a disagreement would be an implementation bug and
     raises MismatchAt at the first integer where the sets differ.
@@ -276,17 +288,8 @@ def prove_pair(f: QuadForm, g: QuadForm, *, classes_g_in_f=None, classes_f_in_g=
         raise ValueError("bound must be nonnegative")
     require_positive_definite(f)
     require_positive_definite(g)
-    witness = subform_witness(f, g)
-    if witness is not None and classes_f_in_g is None:
-        f_in_g = SubformDirection(sub=f, sup=g, witness=witness)
-    elif classes_f_in_g is not None:
-        f_in_g = prove_direction(g, f, classes_f_in_g)
-    else:
-        f_in_g = search_cover(g, f)
-    if classes_g_in_f is not None:
-        g_in_f = prove_direction(f, g, classes_g_in_f)
-    else:
-        g_in_f = search_cover(f, g)
+    f_in_g = _inclusion(g, f, classes_f_in_g)
+    g_in_f = _inclusion(f, g, classes_g_in_f)
     mf = represented_mask(f, empirical_bound)
     mg = represented_mask(g, empirical_bound)
     if not np.array_equal(mf, mg):
@@ -336,15 +339,14 @@ def verify_pairwise(forms, bound: int, jobs: int = 1):
     return int(masks[0].sum()), isometric
 
 
-def verify_table(set_id: str, bound: int = 10**6, scale_by: int = 2,
-                 jobs: int = 1) -> SetReport:
+def verify_table(set_id: str, bound: int = 10**6, scale_by: int = 2) -> SetReport:
     """Check one catalog set empirically: equal value sets, pairwise non-isometric.
 
     Raises MismatchAt on the first integer represented by one member but
     not another.
     """
     forms = fixtures.table_set(set_id, scale_by)
-    value_count, isometric = verify_pairwise(forms, bound, jobs)
+    value_count, isometric = verify_pairwise(forms, bound)
     return SetReport(set_id, int(bound), forms, value_count, isometric)
 
 

@@ -19,10 +19,8 @@ from ternrep import (
     TABLE,
     build_escape,
     certificate,
-    classify_good,
     doubled_gram,
     evaluate,
-    evaluate_escape_matrix,
     find_transforms,
     kaplansky_family_pair,
     named_form,
@@ -31,11 +29,13 @@ from ternrep import (
     representations,
     represented_mask,
     subform_witness,
+    table_set,
     theta,
-    verify_table,
+    verify_pairwise,
 )
 from ternrep import _mat
-from ternrep.prover import EscapeArgument
+from ternrep.congruence import classify_good
+from ternrep.prover import EscapeArgument, evaluate_escape_matrix
 
 BOUND = 3 * 10**6 if os.environ.get("TERNREP_DEEP") else 10**6
 
@@ -157,9 +157,10 @@ def test_criterion_06_end_to_end_proofs_and_perturbations():
 def test_criterion_07_table_verification():
     t0 = time.perf_counter()
     for sid in SET_IDS:
-        report = verify_table(sid, bound=BOUND, jobs=2)
-        assert report.all_non_isometric, f"{sid}: some members are isometric"
-        assert report.value_count > 0
+        # two threads, so that the threaded path sees the whole catalog
+        value_count, isometric = verify_pairwise(table_set(sid, 2), BOUND, jobs=2)
+        assert not isometric, f"{sid}: some members are isometric"
+        assert value_count > 0
     _report(7, f"all 15 sets equal and non-isometric up to {BOUND}", t0)
 
 

@@ -69,6 +69,25 @@ def test_prec_counts_without_building_good_cosets(capsys, monkeypatch):
     assert "good" not in vars(reports[0])
 
 
+def test_prec_refuses_a_modulus_above_the_largest_class_modulus(capsys, monkeypatch):
+    from ternrep import cli
+
+    seen = []
+
+    def recorded(f, g, cls):
+        seen.append(cls.d)
+        raise ValueError("stopped before the grids")
+
+    monkeypatch.setattr(cli, "precedes", recorded)
+    limit = prover.MAX_MODULUS
+    run(["prec", "--f", "S4f", "--g", "S4g", "--d", str(limit), "--a", "0"])
+    capsys.readouterr()
+    rc = run(["prec", "--f", "S4f", "--g", "S4g", "--d", str(limit + 1), "--a", "0"])
+    assert rc == EXIT_USAGE
+    assert seen == [limit]  # the larger modulus never reached precedes
+    assert f"{limit + 1} exceeds {limit}" in capsys.readouterr().err
+
+
 def test_prec_false_with_report(capsys):
     rc = run(["prec", "--f", "S4f", "--g", "S4g", "--d", "12", "--a", "2", "--report"])
     assert rc == EXIT_OK
@@ -297,14 +316,9 @@ def test_theta_subcommand(capsys):
     assert payload["coeffs"][0] == 1 and payload["coeffs"][8] == 2
 
 
-def test_jobs_flag(capsys):
-    rc = run(["table", "--set", "S4", "--max", "5000", "--jobs", "2"])
-    assert rc == EXIT_OK
-
-
 def test_table_runs_single_threaded_by_default(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("table started a thread pool without --jobs")
+        raise AssertionError("table started a thread pool")
 
     monkeypatch.setattr(prover, "ThreadPoolExecutor", no_pool)
     assert run(["table", "--set", "S4", "--max", "5000"]) == EXIT_OK

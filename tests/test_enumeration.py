@@ -12,16 +12,15 @@ import oracle
 from ternrep import (
     NotPositiveDefinite,
     QuadForm,
-    Vector3,
     change_of_basis,
     is_positive_definite,
     named_form,
     representations,
     represented_mask,
     represented_set,
-    scale,
     theta,
 )
+from ternrep.forms import Vector3, scale
 from ternrep import enumeration
 
 SUM_OF_SQUARES = QuadForm(1, 1, 1, 0, 0, 0)

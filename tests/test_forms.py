@@ -5,17 +5,15 @@ import pytest
 from ternrep import (
     NotPositiveDefinite,
     QuadForm,
-    REGISTRY,
     TABLE,
-    Vector3,
     change_of_basis,
     doubled_gram,
     evaluate,
     is_positive_definite,
     named_form,
-    scale,
 )
-from ternrep.forms import require_positive_definite
+from ternrep.fixtures import REGISTRY
+from ternrep.forms import Vector3, require_positive_definite, scale
 
 
 def test_evaluate_worked_values(s4):

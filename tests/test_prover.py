@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 import oracle
 from ternrep import (
     ClassUnprovable,
-    CoverDirection,
     CoverIncomplete,
     EscapeArgument,
-    GoodVectorReport,
     MismatchAt,
     NoEscapeMatrix,
     NoRationalTransform,
@@ -24,13 +22,9 @@ from ternrep import (
     QuadForm,
     ResidueClass,
     SET_IDS,
-    SubformDirection,
-    Vector3,
-    attainable_residues,
     build_escape,
     doubled_gram,
     evaluate,
-    evaluate_escape_matrix,
     find_transforms,
     is_positive_definite,
     kaplansky_family_pair,
@@ -46,7 +40,10 @@ from ternrep import (
     verify_pairwise,
     verify_table,
 )
-from ternrep import _mat, isometry, prover
+from ternrep.congruence import GoodVectorReport, attainable_residues
+from ternrep.forms import Vector3
+from ternrep.prover import CoverDirection, SubformDirection, evaluate_escape_matrix
+from ternrep import _mat, certificate, isometry, prover
 
 TTILDE = ((12, 6, 2), (0, 0, 12), (0, -12, -8))
 
@@ -299,6 +296,37 @@ def test_prove_pair_structures(s4, s7, s8):
     trivial = prove_pair(f4, f4, empirical_bound=1000)
     assert isinstance(trivial.f_in_g, SubformDirection)
     assert trivial.f_in_g.witness == _mat.IDENTITY
+
+
+# the family pairs of demos/06_family_pairs.py
+FAMILY_PAIRS = [("iii", 1, 1), ("iii", 2, 1), ("iii", 1, 2), ("iii", 3, 2),
+                ("iv", 3, 1), ("iv", 4, 1), ("iv", 5, 2)]
+
+
+@pytest.mark.parametrize("kind,a,b", FAMILY_PAIRS)
+def test_family_pairs_take_the_subform_shortcut_for_g_in_f(kind, a, b):
+    p, q = kaplansky_family_pair(kind, a, b)
+    proof = prove_pair(p, q, empirical_bound=10**4)
+    assert isinstance(proof.g_in_f, SubformDirection)
+    assert (proof.g_in_f.sub, proof.g_in_f.sup) == (q, p)
+    assert certificate.check(certificate.emit(proof)).ok
+
+
+def test_prove_pair_directions_mirror_when_swapped(s7):
+    f7, g7 = s7
+    forward = prove_pair(f7, g7, empirical_bound=20000)
+    backward = prove_pair(g7, f7, empirical_bound=20000)
+    assert type(backward.f_in_g) is type(forward.g_in_f) is CoverDirection
+    assert type(backward.g_in_f) is type(forward.f_in_g) is SubformDirection
+    assert backward.g_in_f.witness == forward.f_in_g.witness
+
+
+def test_explicit_classes_override_a_subform_witness(s7):
+    f7, g7 = s7
+    # Q(f7) <= Q(g7) has a subform witness; the list still wins
+    proof = prove_pair(g7, f7, classes_g_in_f=[(4, 0), (4, 2)], empirical_bound=20000)
+    assert isinstance(proof.g_in_f, CoverDirection)
+    assert [(p.cls.d, p.cls.a) for p in proof.g_in_f.classes] == [(4, 0), (4, 2)]
 
 
 def test_prove_pair_with_explicit_lists(s8):
