@@ -185,9 +185,7 @@ def _check_cover(tag, sub, sup, record):
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"{tag}.schema", str(exc))
     # cover arithmetic: every attainable residue lies in some class
-    modulus = 1
-    for cls in class_ids:
-        modulus = lcm(modulus, cls.d)
+    modulus = lcm(*(cls.d for cls in class_ids))
     # MAX_MODULUS (144), the largest cover modulus the prover uses, bounds
     # every L^3 scan below to ~15 MB whatever the certificate says
     if modulus > MAX_MODULUS:
@@ -243,6 +241,9 @@ def _check_escape(ctag, sub, sup, cls, escape, bad):
     # values m t^2 are the only ones that may never leave the bad cosets;
     # the witness covers them all, since sup(t w) = m t^2
     v = _mat.axis(E, d)
+    lam = _mat.det(E) // (d * d)
+    if tuple(sum(E[i][j] * v[j] for j in range(3)) for i in range(3)) != tuple(lam * x for x in v):
+        return _fail(f"{etag}.axis", f"{v} is not an eigenvector of E for det E / d^2 = {lam}")
     if evaluate(sup, witness) != evaluate(sub, v):
         return _fail(f"{etag}.base_witness", f"witness value differs from the value at axis {v}")
     return Verdict(True)

@@ -46,7 +46,8 @@ def _form(text):
     try:
         return fixtures.resolve_form(text)
     except (KeyError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        # str(KeyError(msg)) is repr(msg), quotes and all
+        raise argparse.ArgumentTypeError(exc.args[0] if isinstance(exc, KeyError) else str(exc))
 
 
 def _classes_arg(text):
@@ -330,7 +331,7 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (KeyError, ValueError, OSError, MemoryError, OverflowError) as exc:
-        print(f"ternrep: error: {exc}", file=sys.stderr)
+        print(f"ternrep: error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

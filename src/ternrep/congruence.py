@@ -263,9 +263,7 @@ def transport(v, T, d: int):
     For T in the transform set of (f, g, d), a defined transport w
     satisfies f(w) = g(v).
     """
-    w = tuple(
-        T[i][0] * v[0] + T[i][1] * v[1] + T[i][2] * v[2] for i in range(3)
-    )
+    w = tuple(T[i][0] * v[0] + T[i][1] * v[1] + T[i][2] * v[2] for i in range(3))
     if any(c % d for c in w):
         return None
     return Vector3(*(c // d for c in w))
@@ -294,9 +292,7 @@ def cover_check(g: QuadForm, classes) -> CoverReport:
     classes = list(classes)
     if not classes:
         raise ValueError("cover_check needs at least one residue class")
-    L = 1
-    for cls in classes:
-        L = lcm(L, cls.d)
+    L = lcm(*(cls.d for cls in classes))
     attain = attainable_residues(g, L)
     uncovered = tuple(
         rho for rho in attain

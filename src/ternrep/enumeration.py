@@ -416,10 +416,6 @@ def represented_mask(form: QuadForm, bound: int, primitive: bool = False) -> np.
     return mask
 
 
-def clear_cache() -> None:
-    _mask_cache.clear()
-
-
 def represented_set(form: QuadForm, bound: int, primitive: bool = False) -> RepSet:
     """All represented integers in [0, bound] as a RepSet."""
     mask = represented_mask(form, bound, primitive=primitive)

@@ -7,8 +7,10 @@ find_transforms(f, g, d) returns every integer matrix T with
 Column j of such a T is a representation of d^2 * (j-th diagonal
 coefficient of g) by f, and pairs of columns must hit the prescribed
 doubled inner products.  Candidates therefore come from the complete
-representation lists of the enumeration module, and a backtracking scan
-over column triples (smallest target norm first) cannot miss a solution.
+representation lists of the enumeration module.  Three tables of doubled
+inner products, one per pair of columns, mark the candidate pairs that
+hit their target, and every column triple whose three pairs are all
+marked is a solution (_search_columns), so none is missed.
 
 Taking determinants of the defining identity gives
 
@@ -55,32 +57,33 @@ class TransformSet:
         return _mat.from_rows(T) in self.matrices
 
 
-def _search_columns(gram_f, crosses, candidate_lists):
-    """Backtrack over column tuples; returns every matching (c0, c1, c2).
+_PAIR_BLOCK = 1024  # (c0, c1) pairs per step of the third-column scan
 
-    candidate_lists[j] holds every vector of the right norm for column j;
-    crosses[(i, j)] is the required doubled inner product of columns i, j.
-    The scan is exhaustive, bounded by the product of the list lengths.
+
+def _search_columns(gram_f, targets, candidate_lists):
+    """Every column triple (c0, c1, c2) with c_i 2M_f c_j = targets[i, j], as (N, 3, 3).
+
+    candidate_lists[j] holds every vector of the right norm for column j.
+    Table P_ij marks every candidate pair (c_i, c_j) that hits its target,
+    so the solutions are exactly the triples marked in all of P01, P02 and
+    P12: each marked pair of P01 takes every c2 of P02[c0] & P12[c1].  The
+    scan is exhaustive; it takes _PAIR_BLOCK pairs at a time, so its
+    (pairs, candidates c2) boolean table stays bounded (1.5 MB at S5, d = 144).
     """
     G = np.asarray(gram_f, dtype=np.int64)
-    arrays = [np.asarray(c, dtype=np.int64).reshape(-1, 3) for c in candidate_lists]
-    found = []
-    A1, A2 = arrays[1], arrays[2]
-    for c0 in arrays[0]:
-        w0 = G @ c0
-        keep1 = A1 @ w0 == crosses[(0, 1)]
-        if not keep1.any():
-            continue
-        pre2 = A2 @ w0 == crosses[(0, 2)]
-        if not pre2.any():
-            continue
-        B2 = A2[pre2]
-        for c1 in A1[keep1]:
-            w1 = G @ c1
-            keep2 = B2 @ w1 == crosses[(1, 2)]
-            for c2 in B2[keep2]:
-                found.append((c0, c1, c2))
-    return found
+    A0, A1, A2 = (np.asarray(c, dtype=np.int64).reshape(-1, 3) for c in candidate_lists)
+    W0 = A0 @ G
+    P01 = W0 @ A1.T == targets[0, 1]
+    P02 = W0 @ A2.T == targets[0, 2]
+    P12 = (A1 @ G) @ A2.T == targets[1, 2]
+    i0, i1 = np.nonzero(P01)
+    triples = [np.empty((0, 3), dtype=np.intp)]
+    for start in range(0, len(i0), _PAIR_BLOCK):
+        b0, b1 = i0[start:start + _PAIR_BLOCK], i1[start:start + _PAIR_BLOCK]
+        k, i2 = np.nonzero(P02[b0] & P12[b1])
+        triples.append(np.column_stack((b0[k], b1[k], i2)))
+    t = np.concatenate(triples)
+    return np.stack((A0[t[:, 0]], A1[t[:, 1]], A2[t[:, 2]]), axis=1)
 
 
 def _det_ratio_is_square(f: QuadForm, g: QuadForm) -> bool:
@@ -108,27 +111,15 @@ def find_transforms(f: QuadForm, g: QuadForm, d: int) -> TransformSet:
         raise ValueError("d must be a positive integer")
     if not _det_ratio_is_square(f, g):
         return TransformSet(f, g, d)
-    Gf = doubled_gram(f)
-    Gg = doubled_gram(g)
     diag = (g.a, g.b, g.c)
     order = sorted(range(3), key=lambda j: (diag[j], j))  # small norms first
-    crosses = {
-        (i, j): d * d * Gg[order[i]][order[j]]
-        for i in range(3)
-        for j in range(i + 1, 3)
-    }
     reps = {m: representations(f, m) for m in {d * d * g_jj for g_jj in diag}}
     cands = [reps[d * d * diag[j]] for j in order]
-    if not all(cands):
-        return TransformSet(f, g, d)
-    mats = []
-    for tri in _search_columns(Gf, crosses, cands):
-        T = [[0] * 3 for _ in range(3)]
-        for slot, j in enumerate(order):
-            for i in range(3):
-                T[i][j] = int(tri[slot][i])
-        mats.append(_mat.from_rows(T))
-    return TransformSet(f, g, d, tuple(sorted(mats)))
+    targets = d * d * np.asarray(doubled_gram(g), dtype=np.int64)[np.ix_(order, order)]
+    # column j of T is the solution column in slot order.index(j)
+    T = _search_columns(doubled_gram(f), targets, cands)[:, np.argsort(order)].transpose(0, 2, 1)
+    T = T[np.lexsort(T.reshape(-1, 9).T[::-1])]  # lexsort's last key is the primary one
+    return TransformSet(f, g, d, tuple(tuple(map(tuple, M)) for M in T.tolist()))
 
 
 def subform_witness(f: QuadForm, g: QuadForm):

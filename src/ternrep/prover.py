@@ -148,6 +148,21 @@ class PairProof:
     empirical_bound: int
 
 
+def _has_finite_order(E, d):
+    """Whether (1/d)E has finite order, for E with E^t (2M) E = d^2 (2M), M definite.
+
+    (1/d)E is an isometry of a definite form, so its eigenvalues are
+    eps = det E / d^3 = +-1 and e^{+-i theta}, and tr E / d = eps + 2 cos theta:
+    2 cos theta = t / d with t = tr E - eps d = tr E - det E / d^2 is
+    rational.  Finite order makes e^{i theta} a root of unity, so 2 cos theta
+    is an algebraic integer; being rational, it is an integer in {-2, ..., 2}.
+    Conversely those values give e^{i theta} of order 1, 2, 3, 4 or 6, and
+    (1/d)E, orthogonal for the form, is diagonalizable, so it has finite order.
+    """
+    t = E[0][0] + E[1][1] + E[2][2] - _mat.det(E) // (d * d)
+    return t % d == 0 and abs(t // d) <= 2
+
+
 def evaluate_escape_matrix(f, g, cls, report, matrix):
     """Validate one candidate escape matrix.
 
@@ -164,7 +179,7 @@ def evaluate_escape_matrix(f, g, cls, report, matrix):
     for chunk in (report.bad_array[:64], report.bad_array[64:]):
         if ((chunk @ E_t) % d).any():
             return "integrality"
-    if _mat.is_finite_order_scaled(matrix, d):
+    if _has_finite_order(matrix, d):
         return "finite_order"
     # Descent never leaves the class, so it needs no test: for a bad coset
     # u, w = (1/d) u E^t is integral and E^t (2M) E = d^2 (2M) gives

@@ -318,6 +318,16 @@ def test_wrong_escape_rejected(s4_cert, clause):
     assert not verdict.ok and verdict.clause == f"g_in_f.escape(12,2).{clause}"
 
 
+@pytest.mark.parametrize("wrong_axis", [(0, 1, 0), (1, -1, 2)])
+def test_wrong_axis_from_the_shared_matrix_code_rejected(s4_cert, monkeypatch, wrong_axis):
+    # the S4 escape matrix has axis (1, 0, 0); another primitive vector from
+    # the shared _mat.axis must fail the eigenvector test, not base_witness
+    assert certificate.check(s4_cert).ok
+    monkeypatch.setattr(certificate._mat, "axis", lambda E, d: wrong_axis)
+    verdict = certificate.check(s4_cert)
+    assert not verdict.ok and verdict.clause == "g_in_f.escape(12,2).axis"
+
+
 def test_v2_escape_records_rejected(s4_cert):
     cert = copy.deepcopy(s4_cert)
     cert["version"] = 2

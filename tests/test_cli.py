@@ -307,6 +307,16 @@ def test_usage_errors(capsys):
     assert run([]) == EXIT_USAGE
 
 
+def test_key_error_messages_print_without_quotes(capsys):
+    # str(KeyError(msg)) is repr(msg): the message must not come out quoted
+    assert run(["table", "--set", "S99"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "ternrep: error: unknown set id 'S99' (expected 'S1'..'S15')\n"
+    assert run(["prove", "--f", "S99a", "--g", "S4g"]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "ternrep prove: error: argument --f: unknown form 'S99a': "
+        "not a fixture name and not six coefficients")
+
+
 def test_theta_subcommand(capsys):
     # representation counts come from `enum --theta`; there is no `theta` command
     assert run(["theta", "--form", "S4f", "--max", "10"]) == EXIT_USAGE

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from ternrep import (
     QuadForm,
     change_of_basis,
@@ -236,3 +238,66 @@ def test_isometric_forms_share_theta():
     moved = change_of_basis(f, ((1, 0, 1), (0, 1, 1), (0, 0, 1)))
     assert is_isometric(f, moved) is not None
     assert np.array_equal(theta(f, 10**4).coeffs, theta(moved, 10**4).coeffs)
+
+
+def _reference_transforms(f, g, d):
+    """Every T with T^t (2M_f) T = d^2 (2M_g), lexicographic: column j runs over
+    oracle.reps_in_box(f, d^2 g_jj), pairs of columns are filtered by their
+    doubled inner products, and each full T is checked by the identity."""
+    Gf, Gg = doubled_gram(f), doubled_gram(g)
+    cols = [oracle.reps_in_box(f, d * d * g_jj) for g_jj in (g.a, g.b, g.c)]
+
+    def inner(u, v):
+        return sum(u[i] * Gf[i][j] * v[j] for i in range(3) for j in range(3))
+
+    found = []
+    for c0 in cols[0]:
+        for c1 in cols[1]:
+            if inner(c0, c1) != d * d * Gg[0][1]:
+                continue
+            for c2 in cols[2]:
+                T = tuple(zip(c0, c1, c2))
+                if _mat.congruence(T, Gf) == _mat.scalar_mul(d * d, Gg):
+                    found.append(T)
+    return tuple(sorted(found))
+
+
+@settings(max_examples=40, deadline=None)
+@given(form_pairs(), st.integers(1, 4))
+def test_search_matches_brute_force_reference(pair, d):
+    f, g = pair
+    assert find_transforms(f, g, d).matrices == _reference_transforms(f, g, d)
+
+
+@pytest.mark.parametrize("sid, d, sizes", [("S5", 144, (720, 976)), ("S12", 48, (280, 912))])
+def test_largest_automorphism_sets(sid, d, sizes):
+    # the largest sets the prover builds: the scaled automorphisms of the
+    # S5 and S12 forms at the top cover moduli they reach
+    a, b = table_set(sid, 2)
+    assert (len(find_transforms(a, a, d)), len(find_transforms(b, b, d))) == sizes
+
+
+def test_search_memory_stays_bounded():
+    # S5b at 144 has the longest candidate lists (252, 252, 1464); the
+    # search's peak is its inner-product tables, not the (c0, c1) pairs
+    _, b = table_set("S5", 2)
+    find_transforms.cache_clear()
+    tracemalloc.start()
+    try:
+        ts = find_transforms(b, b, 144)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        find_transforms.cache_clear()
+    assert len(ts) == 976
+    assert peak <= 4 * 2**20
+
+
+def test_pair_blocks_do_not_change_the_set(s4):
+    _, g = s4
+    full = find_transforms(g, g, 12).matrices
+    for block in (1, 7):
+        find_transforms.cache_clear()
+        with mock.patch.object(isometry, "_PAIR_BLOCK", block):
+            assert find_transforms(g, g, 12).matrices == full
+    find_transforms.cache_clear()

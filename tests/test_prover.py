@@ -176,16 +176,39 @@ def _reference_escape_outcome(f, g, cls, report, matrix):
     return EscapeArgument(matrix, *families[0])
 
 
-@pytest.mark.parametrize("pair, cls", [("S4", ResidueClass(12, 2)), ("S6", ResidueClass(12, 0))])
-def test_escape_outcomes_match_per_coset_reference(pair, cls):
-    f, g = named_form(f"{pair}f"), named_form(f"{pair}g")
+@pytest.mark.parametrize("sid, cls, escapes", [
+    ("S4", ResidueClass(12, 2), True),
+    ("S6", ResidueClass(12, 0), True),
+    # S9 resists: its 52 candidates fail integrality (48) or finite order (4)
+    ("S9", ResidueClass(36, 2), False),
+])
+def test_escape_outcomes_match_per_coset_reference(sid, cls, escapes):
+    f, g = table_set(sid, 2)
     report = precedes(f, g, cls)
     assert report.bad
     autos = scaled_automorphisms(g, cls.d)
     outcomes = [evaluate_escape_matrix(f, g, cls, report, M) for M in autos.matrices]
     assert outcomes == [_reference_escape_outcome(f, g, cls, report, M) for M in autos.matrices]
     assert "integrality" in outcomes
-    assert any(isinstance(o, EscapeArgument) for o in outcomes)
+    assert any(isinstance(o, EscapeArgument) for o in outcomes) == escapes
+    if sid == "S9":
+        assert Counter(outcomes) == {"integrality": 48, "finite_order": 4}
+
+
+FINITE_ORDER_MODULI = (1, 2, 3, 4, 6, 8, 12, 24, 36, 48)
+
+
+def test_closed_form_finite_order_matches_matrix_powers():
+    # every scaled automorphism of the 36 catalog forms at scale 2
+    total = finite = 0
+    for sid in SET_IDS:
+        for g in table_set(sid, 2):
+            for d in FINITE_ORDER_MODULI:
+                for E in scaled_automorphisms(g, d).matrices:
+                    expected = _mat.is_finite_order_scaled(E, d)
+                    assert prover._has_finite_order(E, d) == expected, (g, d, E)
+                    total, finite = total + 1, finite + expected
+    assert (total, finite) == (17174, 7608)
 
 
 random_forms = st.builds(
@@ -193,6 +216,13 @@ random_forms = st.builds(
     *[st.integers(1, 7)] * 3,
     *[st.integers(-7, 7)] * 3,
 ).filter(is_positive_definite)
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_forms, st.sampled_from(FINITE_ORDER_MODULI[:8]))
+def test_closed_form_finite_order_on_random_forms(g, d):
+    for E in scaled_automorphisms(g, d).matrices:
+        assert prover._has_finite_order(E, d) == _mat.is_finite_order_scaled(E, d)
 
 
 @settings(max_examples=8, deadline=None)
