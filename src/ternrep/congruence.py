@@ -263,7 +263,9 @@ def transport(v, T, d: int):
     For T in the transform set of (f, g, d), a defined transport w
     satisfies f(w) = g(v).
     """
-    w = tuple(T[i][0] * v[0] + T[i][1] * v[1] + T[i][2] * v[2] for i in range(3))
+    w = tuple(
+        T[i][0] * v[0] + T[i][1] * v[1] + T[i][2] * v[2] for i in range(3)
+    )
     if any(c % d for c in w):
         return None
     return Vector3(*(c // d for c in w))

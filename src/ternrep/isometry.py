@@ -7,10 +7,9 @@ find_transforms(f, g, d) returns every integer matrix T with
 Column j of such a T is a representation of d^2 * (j-th diagonal
 coefficient of g) by f, and pairs of columns must hit the prescribed
 doubled inner products.  Candidates therefore come from the complete
-representation lists of the enumeration module.  Three tables of doubled
-inner products, one per pair of columns, mark the candidate pairs that
-hit their target, and every column triple whose three pairs are all
-marked is a solution (_search_columns), so none is missed.
+representation lists of the enumeration module, and a triple of them is
+a solution exactly when each of its three pairs hits its target in one
+table of pairwise inner products (_search_columns): none is missed.
 
 Taking determinants of the defining identity gives
 
@@ -65,10 +64,9 @@ def _search_columns(gram_f, targets, candidate_lists):
 
     candidate_lists[j] holds every vector of the right norm for column j.
     Table P_ij marks every candidate pair (c_i, c_j) that hits its target,
-    so the solutions are exactly the triples marked in all of P01, P02 and
-    P12: each marked pair of P01 takes every c2 of P02[c0] & P12[c1].  The
-    scan is exhaustive; it takes _PAIR_BLOCK pairs at a time, so its
-    (pairs, candidates c2) boolean table stays bounded (1.5 MB at S5, d = 144).
+    so the solutions are exactly the triples marked in P01, P02 and P12:
+    each marked pair of P01 takes every c2 of P02[c0] & P12[c1], in steps
+    of _PAIR_BLOCK pairs, so the (pairs, c2) table stays under 2 MB at S5, d = 144.
     """
     G = np.asarray(gram_f, dtype=np.int64)
     A0, A1, A2 = (np.asarray(c, dtype=np.int64).reshape(-1, 3) for c in candidate_lists)
