@@ -47,15 +47,15 @@ def scaled_identity(k):
     return ((k, 0, 0), (0, k, 0), (0, 0, k))
 
 
-def is_finite_order_scaled(T, d, kmax=12):
-    """True iff (T/d)^k = I for some k <= kmax.
+def is_finite_order_scaled(T, d):
+    """True iff (T/d)^k = I for some k <= 12, that is iff T/d has finite order.
 
-    A 3x3 rational matrix of finite order has order dividing 12, so for
-    kmax >= 12 this decides finite order outright.
+    A 3x3 rational matrix of finite order has order dividing 12, so the
+    first 12 powers decide finite order outright.
     """
     P = IDENTITY
     target = 1
-    for _ in range(kmax):
+    for _ in range(12):
         P = mat_mul(P, T)
         target *= d
         if P == scaled_identity(target):

@@ -32,8 +32,6 @@ EXIT_MISMATCH = 1
 EXIT_UNPROVABLE = 2
 EXIT_USAGE = 64
 
-DEEP_BOUND = 3 * 10**6
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -74,15 +72,14 @@ def _matrix_lines(T):
 def _cmd_enum(args):
     form = args.form
     if args.theta:
-        series = theta(form, args.max, primitive=args.primitive)
-        coeffs = [int(c) for c in series.coeffs]
+        coeffs = theta(form, args.max, primitive=args.primitive).tolist()
         _emit(
             {"form": str(form), "max": args.max, "coeffs": coeffs},
             args.format,
             (f"{n}:{c}" for n, c in enumerate(coeffs)),
         )
     else:
-        values = [int(n) for n in represented_set(form, args.max, primitive=args.primitive)]
+        values = represented_set(form, args.max, primitive=args.primitive).tolist()
         _emit(
             {"form": str(form), "max": args.max, "represented": values},
             args.format,
@@ -165,14 +162,13 @@ def _cmd_prec(args):
 
 
 def _cmd_prove(args):
-    bound = DEEP_BOUND if args.deep else args.max
     try:
         proof = prove_pair(
             args.f,
             args.g,
             classes_g_in_f=args.classes,
             classes_f_in_g=args.classes_rev,
-            empirical_bound=bound,
+            empirical_bound=args.max,
         )
     except ProofError as exc:
         mismatch = isinstance(exc, MismatchAt)
@@ -208,18 +204,17 @@ def _cmd_prove(args):
 
 
 def _cmd_table(args):
-    bound = DEEP_BOUND if args.deep else args.max
     set_ids = fixtures.SET_IDS if args.set == "all" else (args.set,)
     results = []
     for sid in set_ids:
         try:
-            report = verify_table(sid, bound)
+            report = verify_table(sid, args.max)
         except MismatchAt as exc:
             print(f"{sid}: MISMATCH at {exc.n}", file=sys.stderr)
             return EXIT_MISMATCH
         results.append(report)
     payload = {
-        "bound": bound,
+        "bound": args.max,
         "sets": [
             {
                 "set": rep.set_id,
@@ -231,7 +226,7 @@ def _cmd_table(args):
         ],
     }
     lines = [
-        f"{rep.set_id}: {len(rep.forms)} forms, {rep.value_count} common values <= {bound}, "
+        f"{rep.set_id}: {len(rep.forms)} forms, {rep.value_count} common values <= {args.max}, "
         f"non-isometric: {'yes' if rep.all_non_isometric else 'NO'}"
         for rep in results
     ]
@@ -304,14 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes-rev", type=_classes_arg, default=None,
                    help="explicit classes for Q(f) <= Q(g)")
     p.add_argument("--max", type=int, default=10**6, help="empirical verification bound")
-    p.add_argument("--deep", action="store_true", help=f"verify up to {DEEP_BOUND}")
     p.add_argument("--out", default=None, help="write the certificate JSON here")
     p.set_defaults(func=_cmd_prove)
 
     p = sub.add_parser("table", parents=[common], help="verify a catalog set empirically")
     p.add_argument("--set", required=True, help="'S1'..'S15' or 'all'")
     p.add_argument("--max", type=int, default=10**6)
-    p.add_argument("--deep", action="store_true")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("cert", parents=[common], help="check an emitted certificate")

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import index
 
 import numpy as np
 
@@ -42,8 +43,8 @@ class ResidueClass:
     a: int
 
     def __post_init__(self):
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "a", int(self.a))
+        object.__setattr__(self, "d", index(self.d))
+        object.__setattr__(self, "a", index(self.a))
         if self.d < 1:
             raise ValueError("modulus d must be a positive integer")
         if not 0 <= self.a < self.d:

@@ -66,18 +66,11 @@ raises OverflowError at once.
 
 from __future__ import annotations
 
-from functools import partial
 from math import isqrt
 
 import numpy as np
 
-from .forms import (
-    QuadForm,
-    RepSet,
-    Vector3,
-    doubled_gram,
-    require_positive_definite,
-)
+from .forms import QuadForm, doubled_gram, require_positive_definite
 from . import _mat
 
 _INT64_SAFE = 2**62
@@ -386,40 +379,26 @@ def _sumset_mask(form: QuadForm, bound: int) -> np.ndarray:
     return seen[: bound + 1]
 
 
-# (form, primitive) -> (bound, read-only bool mask of length bound + 1)
-_mask_cache: dict = {}
-
-
 def represented_mask(form: QuadForm, bound: int, primitive: bool = False) -> np.ndarray:
-    """Boolean mask m with m[n] = True iff n <= bound is represented.
+    """Boolean mask m of length bound + 1 with m[n] = True iff n is represented.
 
     With primitive=True only vectors with coprime coordinates count.
-    Results are cached per form; the returned array is read-only.
+    Each call builds a fresh, writable mask.
     """
     bound = int(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    key = (form, primitive)
-    hit = _mask_cache.get(key)
-    if hit is not None and hit[0] >= bound:
-        return hit[1][: bound + 1]
-    if primitive:
-        seen = np.zeros(bound + 2, dtype=bool)  # slot bound+1 absorbs clipped values
-        for _, values in _capped_rows(form, bound, primitive):
-            seen[values] = True
-        mask = seen[: bound + 1]
-    else:
-        mask = _sumset_mask(form, bound)
-    mask.setflags(write=False)
-    if hit is None or hit[0] < bound:
-        _mask_cache[key] = (bound, mask)
-    return mask
+    if not primitive:
+        return _sumset_mask(form, bound)
+    seen = np.zeros(bound + 2, dtype=bool)  # slot bound+1 absorbs clipped values
+    for _, values in _capped_rows(form, bound, primitive):
+        seen[values] = True
+    return seen[: bound + 1]
 
 
-def represented_set(form: QuadForm, bound: int, primitive: bool = False) -> RepSet:
-    """All represented integers in [0, bound] as a RepSet."""
-    mask = represented_mask(form, bound, primitive=primitive)
-    return RepSet(bound, np.flatnonzero(mask))
+def represented_set(form: QuadForm, bound: int, primitive: bool = False) -> np.ndarray:
+    """All represented integers in [0, bound], ascending, as an int64 array."""
+    return np.flatnonzero(represented_mask(form, bound, primitive=primitive))
 
 
 def _solve_rows(form: QuadForm, y, z, D) -> np.ndarray:
@@ -437,11 +416,8 @@ def _solve_rows(form: QuadForm, y, z, D) -> np.ndarray:
     return np.stack((num[whole] // (2 * a), y[whole], z[whole]))
 
 
-_vector3 = partial(tuple.__new__, Vector3)
-
-
-def representations(form: QuadForm, n: int) -> list:
-    """The complete set {v : f(v) = n}, in lexicographic order.
+def representations(form: QuadForm, n: int) -> np.ndarray:
+    """The complete set {v : f(v) = n} as an (N, 3) int64 array, rows in lexicographic order.
 
     Each row (y, z) of the region f(v) <= n is solved for x: with
     B = t y + s z and C = b y^2 + c z^2 + r y z - n, a x^2 + B x + C = 0
@@ -452,6 +428,7 @@ def representations(form: QuadForm, n: int) -> list:
     of D rounded to an integer and is kept only if k^2 == D exactly: for
     D < 2^62 the float root of a perfect square k^2 lies within 2^-20 of
     k, so no square is missed, and the exact test rejects every other D.
+    For n < 0 the array is empty, of shape (0, 3).
 
     Raises OverflowError before any row is solved when some value of the
     int64 computation could reach 2^62.
@@ -459,44 +436,16 @@ def representations(form: QuadForm, n: int) -> list:
     require_positive_definite(form)
     n = int(n)
     if n < 0:
-        return []
+        return np.empty((0, 3), dtype=np.int64)
     hits = [_solve_rows(form, *rows) for rows in _rows(form, n, _BLOCK_CELLS)]
     v = np.concatenate(hits, axis=1)  # the slice z = 0 is never empty
     v = np.concatenate((v, -v[:, v[2] > 0]), axis=1)  # -v solves the slice at -z
     x, y, z = v
-    return list(map(_vector3, v.T[np.lexsort((z, y, x))].tolist()))
+    return v.T[np.lexsort((z, y, x))]
 
 
-class ThetaSeries:
-    """Representation counts coeffs[n] = r(n, f) for 0 <= n <= bound."""
-
-    __slots__ = ("form", "bound", "coeffs")
-
-    def __init__(self, form: QuadForm, bound: int, coeffs):
-        self.form = form
-        self.bound = int(bound)
-        arr = np.asarray(coeffs, dtype=np.int64)
-        arr.setflags(write=False)
-        self.coeffs = arr
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, n):
-        return int(self.coeffs[n])
-
-    def __eq__(self, other):
-        if not isinstance(other, ThetaSeries):
-            return NotImplemented
-        return self.bound == other.bound and np.array_equal(self.coeffs, other.coeffs)
-
-    def __repr__(self):
-        head = ", ".join(str(int(x)) for x in self.coeffs[:8])
-        return f"ThetaSeries(bound={self.bound}, coeffs=[{head}{', ...' if self.bound > 7 else ''}])"
-
-
-def theta(form: QuadForm, bound: int, primitive: bool = False) -> ThetaSeries:
-    """All counts r(n, f), n <= bound, in one row sweep.
+def theta(form: QuadForm, bound: int, primitive: bool = False) -> np.ndarray:
+    """The int64 counts r(n, f), 0 <= n <= bound (length bound + 1), in one row sweep.
 
     The rows with z > 0 are counted twice (negation symmetry); z = 0 once.
     With primitive=True only coprime-coordinate vectors are counted.
@@ -507,4 +456,4 @@ def theta(form: QuadForm, bound: int, primitive: bool = False) -> ThetaSeries:
     counts = np.zeros(bound + 2, dtype=np.int64)
     for on_plane, values in _capped_rows(form, bound, primitive):
         np.add.at(counts, values, 1 if on_plane else 2)
-    return ThetaSeries(form, bound, counts[: bound + 1])
+    return counts[: bound + 1]

@@ -2,8 +2,8 @@
 
 Set S<i> holds two (or, for S13-S15, four) positive definite ternary
 forms, addressed as "S1a", "S1b", ..., "S15d".  The aliases "S4f"/"S4g",
-"S6f"/"S6g", "S7f"/"S7g", "S8f"/"S8g" are the scaled-by-2 versions used
-throughout the proof machinery (f is the first-listed entry of its set).
+"S6f"/"S6g", "S7f"/"S7g", "S8f"/"S8g" are the versions at CATALOG_SCALE
+used throughout the proof machinery (f is the first-listed entry of its set).
 """
 
 from __future__ import annotations
@@ -49,14 +49,17 @@ TABLE: dict = {
 
 SET_IDS = tuple(TABLE)
 
+# the scale of the forms the proofs and the table sweep use
+CATALOG_SCALE = 2
+
 REGISTRY: dict = {}
 for _sid, _forms in TABLE.items():
     for _letter, _form in zip("abcd", _forms):
         REGISTRY[f"{_sid}{_letter}"] = _form
 # scaled pairs used by the worked proofs; "f" is the first-listed form
 for _sid in ("S4", "S6", "S7", "S8"):
-    REGISTRY[f"{_sid}f"] = scale(TABLE[_sid][0], 2)
-    REGISTRY[f"{_sid}g"] = scale(TABLE[_sid][1], 2)
+    REGISTRY[f"{_sid}f"] = scale(TABLE[_sid][0], CATALOG_SCALE)
+    REGISTRY[f"{_sid}g"] = scale(TABLE[_sid][1], CATALOG_SCALE)
 
 
 def named_form(name: str) -> QuadForm:

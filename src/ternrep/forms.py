@@ -13,6 +13,7 @@ which is integral.  Row-vector convention throughout: f(v) = v M_f v^t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import NamedTuple
 
 from . import _mat
@@ -41,7 +42,7 @@ class QuadForm:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "r", "s", "t"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, index(getattr(self, name)))
 
     @classmethod
     def from_string(cls, text: str) -> "QuadForm":
@@ -82,7 +83,7 @@ class QuadForm:
 
 def evaluate(form: QuadForm, v) -> int:
     """Value of the form at an integer vector; >= 0 for definite forms."""
-    x, y, z = (int(v[0]), int(v[1]), int(v[2]))
+    x, y, z = (index(v[0]), index(v[1]), index(v[2]))
     return (
         form.a * x * x
         + form.b * y * y
@@ -115,7 +116,7 @@ def require_positive_definite(form: QuadForm) -> None:
 
 def scale(form: QuadForm, m: int) -> QuadForm:
     """The form m*f; its represented set is m times the represented set of f."""
-    m = int(m)
+    m = index(m)
     if m < 1:
         raise ValueError("scale factor must be a positive integer")
     return QuadForm(*(m * c for c in form.coefficients))
@@ -130,41 +131,3 @@ def change_of_basis(form: QuadForm, U) -> QuadForm:
     return QuadForm(
         G[0][0] // 2, G[1][1] // 2, G[2][2] // 2, G[1][2], G[0][2], G[0][1]
     )
-
-
-class RepSet:
-    """Sorted, duplicate-free set of represented values n <= bound."""
-
-    __slots__ = ("bound", "members")
-
-    def __init__(self, bound: int, members):
-        import numpy as np
-
-        self.bound = int(bound)
-        arr = np.asarray(members, dtype=np.int64).reshape(-1)
-        arr.setflags(write=False)
-        self.members = arr
-
-    def __contains__(self, n) -> bool:
-        import numpy as np
-
-        idx = np.searchsorted(self.members, int(n))
-        return bool(idx < len(self.members) and self.members[idx] == int(n))
-
-    def __iter__(self):
-        return (int(n) for n in self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __eq__(self, other):
-        import numpy as np
-
-        if not isinstance(other, RepSet):
-            return NotImplemented
-        return self.bound == other.bound and np.array_equal(self.members, other.members)
-
-    def __repr__(self):
-        head = ", ".join(str(int(n)) for n in self.members[:8])
-        tail = ", ..." if len(self.members) > 8 else ""
-        return f"RepSet(bound={self.bound}, members=[{head}{tail}])"

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
+from operator import index
 
 import numpy as np
 
@@ -62,14 +63,15 @@ _PAIR_BLOCK = 1024  # (c0, c1) pairs per step of the third-column scan
 def _search_columns(gram_f, targets, candidate_lists):
     """Every column triple (c0, c1, c2) with c_i 2M_f c_j = targets[i, j], as (N, 3, 3).
 
-    candidate_lists[j] holds every vector of the right norm for column j.
+    candidate_lists[j] is the (n_j, 3) int64 array of every vector of the
+    right norm for column j.
     Table P_ij marks every candidate pair (c_i, c_j) that hits its target,
     so the solutions are exactly the triples marked in P01, P02 and P12:
     each marked pair of P01 takes every c2 of P02[c0] & P12[c1], in steps
     of _PAIR_BLOCK pairs, so the (pairs, c2) table stays under 2 MB at S5, d = 144.
     """
     G = np.asarray(gram_f, dtype=np.int64)
-    A0, A1, A2 = (np.asarray(c, dtype=np.int64).reshape(-1, 3) for c in candidate_lists)
+    A0, A1, A2 = candidate_lists
     W0 = A0 @ G
     P01 = W0 @ A1.T == targets[0, 1]
     P02 = W0 @ A2.T == targets[0, 2]
@@ -104,7 +106,7 @@ def find_transforms(f: QuadForm, g: QuadForm, d: int) -> TransformSet:
     """
     require_positive_definite(f)
     require_positive_definite(g)
-    d = int(d)
+    d = index(d)
     if d < 1:
         raise ValueError("d must be a positive integer")
     if not _det_ratio_is_square(f, g):

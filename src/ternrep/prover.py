@@ -36,6 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import index
 
 import numpy as np
 
@@ -188,9 +189,9 @@ def evaluate_escape_matrix(f, g, cls, report, matrix):
     v = _mat.axis(matrix, d)
     base = evaluate(g, v)
     reps = representations(f, base)
-    if not reps:
+    if not len(reps):
         return ("base", base)
-    return EscapeArgument(matrix, Vector3(*v), base, reps[0])
+    return EscapeArgument(matrix, Vector3(*v), base, Vector3(*reps[0].tolist()))
 
 
 def build_escape(f: QuadForm, g: QuadForm, cls: ResidueClass,
@@ -354,13 +355,13 @@ def verify_pairwise(forms, bound: int, jobs: int = 1):
     return int(masks[0].sum()), isometric
 
 
-def verify_table(set_id: str, bound: int = 10**6, scale_by: int = 2) -> SetReport:
-    """Check one catalog set empirically: equal value sets, pairwise non-isometric.
+def verify_table(set_id: str, bound: int = 10**6) -> SetReport:
+    """Check one catalog set, at the catalog scale: equal value sets, pairwise non-isometric.
 
     Raises MismatchAt on the first integer represented by one member but
     not another.
     """
-    forms = fixtures.table_set(set_id, scale_by)
+    forms = fixtures.table_set(set_id, fixtures.CATALOG_SCALE)
     value_count, isometric = verify_pairwise(forms, bound)
     return SetReport(set_id, int(bound), forms, value_count, isometric)
 
@@ -372,7 +373,7 @@ def kaplansky_family_pair(kind: str, a: int, b: int):
     iv:  (a x^2 + a y^2 + a z^2 + b yz + b xz + b xy,
           a x^2 + (2a-b) y^2 + (2a+b) z^2 + 2b xz)
     """
-    a, b = int(a), int(b)
+    a, b = index(a), index(b)
     if kind == "iii":
         pair = (QuadForm(a, b, b, b, 0, 0), QuadForm(a, b, 3 * b, 0, 0, 0))
     elif kind == "iv":

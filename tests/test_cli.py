@@ -304,6 +304,7 @@ def test_usage_errors(capsys):
     assert run(["enum", "--form", "1,2", "--max", "3"]) == EXIT_USAGE
     assert run(["enum", "--max", "3"]) == EXIT_USAGE
     assert run(["table", "--set", "S99"]) == EXIT_USAGE
+    assert run(["table", "--set", "S1", "--deep"]) == EXIT_USAGE  # --max sets the bound
     assert run([]) == EXIT_USAGE
 
 

@@ -1,6 +1,7 @@
-"""Every demo script runs to completion (exit code 0)."""
+"""Every demo script runs to completion (exit code 0) and prints no numpy scalar reprs."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +20,4 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo), *ARGS.get(demo.name, [])],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert not re.search(r"np\.\w+\(", proc.stdout), proc.stdout

@@ -20,7 +20,7 @@ from ternrep import (
     represented_set,
     theta,
 )
-from ternrep.forms import Vector3, scale
+from ternrep.forms import scale
 from ternrep import enumeration
 
 SUM_OF_SQUARES = QuadForm(1, 1, 1, 0, 0, 0)
@@ -28,16 +28,16 @@ SUM_OF_SQUARES = QuadForm(1, 1, 1, 0, 0, 0)
 
 def test_representations_worked_values(s4):
     f, g = s4
-    assert representations(f, 0) == [Vector3(0, 0, 0)]
-    assert Vector3(1, 4, 2) in representations(g, 392)
-    assert Vector3(4, 5, 1) in representations(f, 392)
+    assert representations(f, 0).tolist() == [[0, 0, 0]]
+    assert [1, 4, 2] in representations(g, 392).tolist()
+    assert [4, 5, 1] in representations(f, 392).tolist()
 
 
 def test_representations_sorted_and_exact(s4):
     f, _ = s4
-    reps = representations(f, 392)
+    reps = representations(f, 392).tolist()
     assert reps == sorted(reps)
-    assert len(reps) == len(set(reps))
+    assert len(reps) == len(set(map(tuple, reps)))
     from ternrep import evaluate
 
     assert all(evaluate(f, v) == 392 for v in reps)
@@ -46,8 +46,8 @@ def test_representations_sorted_and_exact(s4):
 def test_representations_against_triple_loop(s4):
     f, g = s4
     for n in (8, 14, 18, 32, 50):
-        assert representations(f, n) == oracle.triple_loop_reps(f, n, 6)
-        assert representations(g, n) == oracle.triple_loop_reps(g, n, 6)
+        assert representations(f, n).tolist() == list(map(list, oracle.triple_loop_reps(f, n, 6)))
+        assert representations(g, n).tolist() == list(map(list, oracle.triple_loop_reps(g, n, 6)))
 
 
 def test_rep_count_values(s4):
@@ -55,38 +55,36 @@ def test_rep_count_values(s4):
     assert len(representations(f, 0)) == 1
     assert len(representations(f, 8)) == 2  # exactly +-(1,0,0)
     assert len(representations(g, 14)) == 4  # +-(0,1,0), +-(0,0,1)
-    assert representations(f, 8) == [Vector3(-1, 0, 0), Vector3(1, 0, 0)]
+    assert representations(f, 8).tolist() == [[-1, 0, 0], [1, 0, 0]]
 
 
 def test_represented_set_small(s4):
     f, g = s4
-    assert list(represented_set(f, 20)) == [0, 8, 14, 18]
-    assert list(represented_set(g, 20)) == [0, 8, 14, 18]
-    assert list(represented_set(f, 0)) == [0]
+    assert represented_set(f, 20).tolist() == [0, 8, 14, 18]
+    assert represented_set(g, 20).tolist() == [0, 8, 14, 18]
+    assert represented_set(f, 0).tolist() == [0]
 
 
 def _primitive_representations(form, n):
-    return [v for v in representations(form, n) if gcd(gcd(v.x, v.y), v.z) == 1]
+    return [v for v in representations(form, n).tolist() if gcd(*v) == 1]
 
 
 def test_primitive_representations(s4):
     f, _ = s4
-    assert _primitive_representations(f, 8) == [Vector3(-1, 0, 0), Vector3(1, 0, 0)]
+    assert _primitive_representations(f, 8) == [[-1, 0, 0], [1, 0, 0]]
     assert _primitive_representations(f, 32) == []  # only +-(2,0,0)
     assert _primitive_representations(f, 0) == []
 
 
 def test_theta_sum_of_three_squares():
-    series = theta(SUM_OF_SQUARES, 3)
-    assert list(series.coeffs) == [1, 6, 12, 8]
-    assert series[0] == 1
+    assert theta(SUM_OF_SQUARES, 3).tolist() == [1, 6, 12, 8]
 
 
 def test_theta_consistency(s4):
     f, _ = s4
-    series = theta(f, 20)
+    series = theta(f, 20).tolist()
     assert [n for n in range(21) if series[n]] == [0, 8, 14, 18]
-    assert all(series[n] == len(representations(f, n)) for n in range(21))
+    assert series == [len(representations(f, n)) for n in range(21)]
     assert all(series[n] % 2 == 0 for n in range(1, 21))
 
 
@@ -96,8 +94,7 @@ def test_theta_primitive_counts(s4):
     assert series[0] == 0
     assert series[8] == 2
     assert series[32] == 0  # imprimitive value
-    full = theta(f, 40)
-    assert all(series[n] <= full[n] for n in range(41))
+    assert np.all(series <= theta(f, 40))
 
 
 def test_mask_matches_oracle_midsize():
@@ -109,7 +106,7 @@ def test_mask_matches_oracle_midsize():
 def test_theta_matches_oracle_counts():
     for name in ("S4f", "S2b", "S13c"):
         form = named_form(name)
-        assert np.array_equal(theta(form, 1500).coeffs, oracle.value_counts(form, 1500))
+        assert np.array_equal(theta(form, 1500), oracle.value_counts(form, 1500))
 
 
 def test_primitive_mask_matches_filtered_oracle():
@@ -142,10 +139,18 @@ def test_scaling_law():
 
 def test_membership_matches_rep_count(s4):
     _, g = s4
-    members = represented_set(g, 300)
+    members = set(represented_set(g, 300).tolist())
     rng = random.Random(17)
     for n in rng.sample(range(301), 40):
         assert (n in members) == (len(representations(g, n)) > 0)
+
+
+def test_results_are_fresh_arrays(s4):
+    f, _ = s4
+    assert representations(f, -1).shape == (0, 3)
+    first = represented_mask(f, 20)
+    first[:] = False  # each call builds its own writable mask
+    assert np.flatnonzero(represented_mask(f, 20)).tolist() == [0, 8, 14, 18]
 
 
 def test_rejects_indefinite_forms():
@@ -158,10 +163,10 @@ def test_rejects_indefinite_forms():
 
 def test_repset_equality_and_contains(s4):
     f, g = s4
-    assert represented_set(f, 20) == represented_set(g, 20)
-    assert represented_set(f, 20) != represented_set(f, 19)
-    assert 14 in represented_set(f, 20)
-    assert 15 not in represented_set(f, 20)
+    assert np.array_equal(represented_set(f, 20), represented_set(g, 20))
+    assert represented_set(f, 19).tolist() == [0, 8, 14, 18]  # the same members as at 20
+    assert 14 in represented_set(f, 20).tolist()
+    assert 15 not in represented_set(f, 20).tolist()
 
 
 small_forms = st.builds(
@@ -176,7 +181,7 @@ small_forms = st.builds(
 def test_mask_and_theta_match_oracle_on_random_forms(form, bound):
     for primitive in (False, True):
         counts = oracle.value_counts(form, bound, primitive=primitive)
-        assert np.array_equal(theta(form, bound, primitive=primitive).coeffs, counts)
+        assert np.array_equal(theta(form, bound, primitive=primitive), counts)
         assert np.array_equal(represented_mask(form, bound, primitive=primitive), counts > 0)
 
 
@@ -187,10 +192,9 @@ def test_row_blocks_of_any_size_match_oracle(form, bound):
     # group the rows of narrow slices and leave wide rows whole
     expected = {p: oracle.value_counts(form, bound, primitive=p) for p in (False, True)}
     for cells in (1, 7, 64):
-        with mock.patch.object(enumeration, "_BLOCK_CELLS", cells), \
-                mock.patch.dict(enumeration._mask_cache, clear=True):
+        with mock.patch.object(enumeration, "_BLOCK_CELLS", cells):
             for primitive, counts in expected.items():
-                assert np.array_equal(theta(form, bound, primitive=primitive).coeffs, counts)
+                assert np.array_equal(theta(form, bound, primitive=primitive), counts)
                 assert np.array_equal(represented_mask(form, bound, primitive=primitive), counts > 0)
 
 
@@ -204,13 +208,12 @@ def test_mask_memory_does_not_grow_with_slice_width(form):
     # per vertex class would take (a + 1) x 125 KB, 25 MB for a = 200, and
     # the slice z = 0 of the sum of three squares alone holds ~3.1 M lattice
     # points, 25 MB of int64.  numpy reports its buffers to tracemalloc
-    with mock.patch.dict(enumeration._mask_cache, clear=True):
-        tracemalloc.start()
-        try:
-            represented_mask(form, 10**6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        represented_mask(form, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < 4 * 2**20
 
 
@@ -218,18 +221,17 @@ def test_mask_memory_does_not_grow_with_slice_width(form):
 @given(small_forms, st.integers(0, 2000))
 def test_representations_match_box_scan(form, n):
     # one row per chunk, a few slices per chunk, and the default chunk size
-    expected = oracle.reps_in_box(form, n)
-    assert representations(form, n) == expected
+    expected = list(map(list, oracle.reps_in_box(form, n)))
+    assert representations(form, n).tolist() == expected
     for cells in (1, 7, 64):
         with mock.patch.object(enumeration, "_BLOCK_CELLS", cells):
-            assert representations(form, n) == expected
+            assert representations(form, n).tolist() == expected
 
 
 @settings(max_examples=50, deadline=None)
 @given(small_forms, st.integers(0, 200))
 def test_representation_counts_match_theta(form, bound):
-    series = theta(form, bound)
-    assert [len(representations(form, n)) for n in range(bound + 1)] == list(series.coeffs)
+    assert [len(representations(form, n)) for n in range(bound + 1)] == theta(form, bound).tolist()
 
 
 HUGE = QuadForm(10**9, 10**9, 10**9, 0, 0, 0)
@@ -291,10 +293,9 @@ def test_sheared_forms_match_oracle(form, bound):
     # reaches B < 0, the floor rounding of the vertex and rows far from x = 0
     expected = {p: oracle.value_counts(form, bound, primitive=p) for p in (False, True)}
     for cells in (enumeration._BLOCK_CELLS, 1, 7, 64):
-        with mock.patch.object(enumeration, "_BLOCK_CELLS", cells), \
-                mock.patch.dict(enumeration._mask_cache, clear=True):
+        with mock.patch.object(enumeration, "_BLOCK_CELLS", cells):
             for primitive, counts in expected.items():
-                assert np.array_equal(theta(form, bound, primitive=primitive).coeffs, counts)
+                assert np.array_equal(theta(form, bound, primitive=primitive), counts)
                 assert np.array_equal(represented_mask(form, bound, primitive=primitive), counts > 0)
 
 
@@ -329,6 +330,5 @@ def test_sumset_mask_matches_oracle(form, k, offset):
     bound = max(0, 8 * k + offset)
     expected = oracle.value_counts(form, bound) > 0
     for cells in (enumeration._BLOCK_CELLS, 1, 7, 64):
-        with mock.patch.object(enumeration, "_BLOCK_CELLS", cells), \
-                mock.patch.dict(enumeration._mask_cache, clear=True):
+        with mock.patch.object(enumeration, "_BLOCK_CELLS", cells):
             assert np.array_equal(represented_mask(form, bound), expected)

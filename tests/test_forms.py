@@ -1,15 +1,19 @@
 import random
 
+import numpy as np
 import pytest
 
 from ternrep import (
     NotPositiveDefinite,
     QuadForm,
+    ResidueClass,
     TABLE,
     change_of_basis,
     doubled_gram,
     evaluate,
+    find_transforms,
     is_positive_definite,
+    kaplansky_family_pair,
     named_form,
 )
 from ternrep.fixtures import REGISTRY
@@ -125,3 +129,21 @@ def test_vector3_is_a_tuple():
     v = Vector3(1, -2, 3)
     assert tuple(v) == (1, -2, 3)
     assert v.x == 1 and v.y == -2 and v.z == 3
+
+
+UNIT = QuadForm(1, 1, 1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda k: QuadForm(k, 1, 1, 0, 0, 0),
+    lambda k: ResidueClass(4, k),
+    lambda k: evaluate(UNIT, (k, 0, 0)),
+    lambda k: scale(UNIT, k),
+    lambda k: find_transforms(UNIT, UNIT, k),
+    lambda k: kaplansky_family_pair("iii", k, 1),
+], ids=["QuadForm", "ResidueClass", "evaluate", "scale", "find_transforms", "kaplansky"])
+def test_integer_arguments_refuse_floats(make):
+    # a float used to be truncated silently, so a proof could be about another form
+    with pytest.raises(TypeError):
+        make(1.5)
+    assert make(np.int64(1)) == make(1)

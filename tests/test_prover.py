@@ -164,11 +164,11 @@ def _reference_escape_outcome(f, g, cls, report, matrix):
                 continue
             base = evaluate(g, v)
             reps = representations(f, base)
-            if not reps:
+            if not len(reps):
                 base_failure = base
                 continue
             seen.add(v)
-            families.append((Vector3(*v), base, reps[0]))
+            families.append((Vector3(*v), base, Vector3(*reps[0].tolist())))
     if base_failure is not None:
         return ("base", base_failure)
     if len(families) != 1:
@@ -561,4 +561,4 @@ def test_kaplansky_family_sets_agree_small():
 
     for kind, a, b in (("iii", 1, 1), ("iv", 3, 1)):
         p, q = kaplansky_family_pair(kind, a, b)
-        assert represented_set(p, 2000) == represented_set(q, 2000)
+        assert np.array_equal(represented_set(p, 2000), represented_set(q, 2000))
