@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ternrep import (
 )
 
 S4_PAPER_CLASSES = [(4, 0), (12, 6), (12, 10), (12, 2)]
+CERTS = Path(__file__).resolve().parent.parent / "certs"
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +37,16 @@ def s4_proof():
 @pytest.fixture(scope="module")
 def s4_cert(s4_proof):
     return json.loads(certificate.emit(s4_proof))
+
+
+@pytest.mark.parametrize("sid", ["S4", "S6", "S7", "S8"])
+def test_golden_certificate(sid):
+    # certs/<sid>.json holds the bytes `ternrep prove --out` writes at the
+    # default bound: any change to the proof or its encoding shows as a diff
+    golden = (CERTS / f"{sid}.json").read_bytes()
+    assert certificate.check(golden).ok
+    proof = prove_pair(named_form(f"{sid}f"), named_form(f"{sid}g"), empirical_bound=10**6)
+    assert certificate.emit(proof) + b"\n" == golden
 
 
 def matrix_paths(node, path=()):
