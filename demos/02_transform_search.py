@@ -25,7 +25,7 @@ for d in (4, 12):
     print(f"  |R(f, g, {d})| = {len(ts)}")
 
 print("\nOne member of R(f, g, 4):")
-for row in tr.find_transforms(f, g, 4).matrices[-1]:
+for row in _mat.from_rows(tr.find_transforms(f, g, 4).matrices[-1]):
     print("   ", row)
 
 print("\nScaled automorphisms R(g, g, 12) exist too:")

@@ -41,9 +41,10 @@ def _vec_json(v):
 
 
 def _class_json(proof) -> dict:
-    report = proof.report
-    used = sorted({report.transforms.matrices[idx]
-                   for idx in np.unique(report.witness[report.witness >= 0]).tolist()})
+    witness = proof.report.witness
+    # the set is sorted, so the witnesses in index order are the distinct
+    # used transforms in lexicographic order
+    used = proof.report.transforms.matrices[np.unique(witness[witness >= 0])]
     escape = None
     if proof.escape is not None:
         escape = {"matrix": _matrix_json(proof.escape.matrix),
@@ -51,7 +52,7 @@ def _class_json(proof) -> dict:
     return {
         "d": proof.cls.d,
         "a": proof.cls.a,
-        "transforms": [_matrix_json(T) for T in used],
+        "transforms": used.tolist(),
         "escape": escape,
     }
 

@@ -89,52 +89,41 @@ def _cmd_enum(args):
 
 
 def _cmd_transforms(args):
-    ts = find_transforms(args.f, args.g, args.d)
+    matrices = find_transforms(args.f, args.g, args.d).matrices.tolist()
     payload = {
         "f": str(args.f),
         "g": str(args.g),
         "d": args.d,
-        "count": len(ts),
-        "matrices": [[list(row) for row in T] for T in ts.matrices],
+        "count": len(matrices),
+        "matrices": matrices,
     }
-    lines = [f"{len(ts)} transforms"]
-    for T in ts.matrices:
+    lines = [f"{len(matrices)} transforms"]
+    for T in matrices:
         lines.extend(_matrix_lines(T))
         lines.append("")
     _emit(payload, args.format, lines)
     return EXIT_OK
 
 
-def _cmd_isometric(args):
-    T = is_isometric(args.f, args.g)
+def _witness_output(args, key, T, found, missing):
     payload = {
         "f": str(args.f),
         "g": str(args.g),
-        "isometric": T is not None,
+        key: T is not None,
         "matrix": None if T is None else [list(row) for row in T],
     }
-    if T is not None:
-        lines = ["ISOMETRIC"] + _matrix_lines(T)
-    else:
-        lines = ["NOT ISOMETRIC"]
-    _emit(payload, args.format, lines)
+    _emit(payload, args.format, [found] + _matrix_lines(T) if T is not None else [missing])
     return EXIT_OK
+
+
+def _cmd_isometric(args):
+    return _witness_output(args, "isometric", is_isometric(args.f, args.g),
+                           "ISOMETRIC", "NOT ISOMETRIC")
 
 
 def _cmd_subform(args):
-    T = subform_witness(args.f, args.g)
-    payload = {
-        "f": str(args.f),
-        "g": str(args.g),
-        "subform": T is not None,
-        "matrix": None if T is None else [list(row) for row in T],
-    }
-    if T is not None:
-        lines = ["SUBFORM"] + _matrix_lines(T)
-    else:
-        lines = ["NOT A SUBFORM"]
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+    return _witness_output(args, "subform", subform_witness(args.f, args.g),
+                           "SUBFORM", "NOT A SUBFORM")
 
 
 def _cmd_prec(args):

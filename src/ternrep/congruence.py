@@ -19,7 +19,8 @@ each of the q^3 cosets u mod q, a bitset whose bit t says T_t u^t = 0
 (mod q).  A coset's bitset mod d is the AND of its rows mod each q.  Bit
 t of a bitset is bit t % 8 of byte t // 8, so the lowest set bit is the
 first integral transform in the set's order, the witness the certificate
-records.
+records.  prover.build_escape ANDs the same bitsets over the bad cosets of
+a class to find the escape candidates that make every one integral.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def _kernel_bits(transforms: TransformSet) -> tuple:
     (mod q).  It is found meet-in-the-middle: x T_0 + y T_1 = -z T_2 (mod q)
     for the columns T_j of T, comparing q^2 codes with q codes.
     """
-    mats = np.asarray(transforms.matrices, dtype=np.int64).reshape(-1, 3, 3)
+    mats = transforms.matrices
     n = len(mats)
     out = []
     for q in _prime_powers(transforms.d):
@@ -215,35 +216,36 @@ def _kernel_bits(transforms: TransformSet) -> tuple:
     return tuple(out)
 
 
+def _integral_bits(transforms: TransformSet, V):
+    """Yield (lo, bits) per block of the cosets V: bit t of bits[i], packed as
+    in _kernel_bits, says T_t V[lo + i]^t = 0 (mod d), the AND of the rows
+    of V[lo + i] mod every prime power of d (every bit at d = 1)."""
+    kernels = _kernel_bits(transforms)
+    for lo in range(0, len(V), _COSET_BLOCK):
+        part = V[lo:lo + _COSET_BLOCK]
+        acc = np.full((len(part), -(-len(transforms) // 8)), 0xFF, dtype=np.uint8)
+        for q, bits in kernels:
+            acc &= bits[((part[:, 0] % q) * q + part[:, 1] % q) * q + part[:, 2] % q]
+        yield lo, acc
+
+
 def classify_good(f: QuadForm, g: QuadForm, cls: ResidueClass,
                   transforms: TransformSet) -> GoodVectorReport:
     """Split the cosets of the class by existence of an integral transport.
 
     `transforms` must be the set for (f, g, cls.d).  The witness of a
-    coset is the lowest set bit of the AND of its kernel bitsets (module
-    docstring).
+    coset is the lowest set bit of its _integral_bits.
     """
     if (transforms.f, transforms.g, transforms.d) != (f, g, cls.d):
         raise ValueError("transform set does not match (f, g, d)")
     V = _residue_array(g, cls)
-    if not len(transforms) or not len(V):
-        witness = np.full(len(V), -1, dtype=np.int64)
-    elif cls.d == 1:
-        # no prime power: every T sends the one coset 0 to 0
-        witness = np.zeros(len(V), dtype=np.int64)
-    else:
-        kernels = _kernel_bits(transforms)
-        witness = np.empty(len(V), dtype=np.int64)
-        for lo in range(0, len(V), _COSET_BLOCK):
-            part = V[lo:lo + _COSET_BLOCK]
-            acc = None  # acc[i]: the kernel bits of coset i mod every q, ANDed
-            for q, bits in kernels:
-                row = bits[((part[:, 0] % q) * q + part[:, 1] % q) * q + part[:, 2] % q]
-                acc = row if acc is None else np.bitwise_and(acc, row, out=acc)
+    witness = np.full(len(V), -1, dtype=np.int64)
+    if len(transforms) and len(V):
+        for lo, acc in _integral_bits(transforms, V):
             nonzero = acc != 0
             first = nonzero.argmax(axis=1)
-            low = _LOW_BIT[acc[np.arange(len(part)), first]]
-            witness[lo:lo + len(part)] = np.where(nonzero.any(axis=1), 8 * first + low, -1)
+            low = _LOW_BIT[acc[np.arange(len(acc)), first]]
+            witness[lo:lo + len(acc)] = np.where(nonzero.any(axis=1), 8 * first + low, -1)
     V.setflags(write=False)
     witness.setflags(write=False)
     return GoodVectorReport(f, g, cls, transforms, V, witness)

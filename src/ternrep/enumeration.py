@@ -67,6 +67,7 @@ raises OverflowError at once.
 from __future__ import annotations
 
 from math import isqrt
+from operator import index
 
 import numpy as np
 
@@ -385,7 +386,7 @@ def represented_mask(form: QuadForm, bound: int, primitive: bool = False) -> np.
     With primitive=True only vectors with coprime coordinates count.
     Each call builds a fresh, writable mask.
     """
-    bound = int(bound)
+    bound = index(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if not primitive:
@@ -434,7 +435,7 @@ def representations(form: QuadForm, n: int) -> np.ndarray:
     int64 computation could reach 2^62.
     """
     require_positive_definite(form)
-    n = int(n)
+    n = index(n)
     if n < 0:
         return np.empty((0, 3), dtype=np.int64)
     hits = [_solve_rows(form, *rows) for rows in _rows(form, n, _BLOCK_CELLS)]
@@ -450,7 +451,7 @@ def theta(form: QuadForm, bound: int, primitive: bool = False) -> np.ndarray:
     The rows with z > 0 are counted twice (negation symmetry); z = 0 once.
     With primitive=True only coprime-coordinate vectors are counted.
     """
-    bound = int(bound)
+    bound = index(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     counts = np.zeros(bound + 2, dtype=np.int64)

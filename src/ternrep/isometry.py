@@ -37,12 +37,17 @@ from .forms import QuadForm, doubled_gram, require_positive_definite
 
 @dataclass(frozen=True)
 class TransformSet:
-    """All integer T with T^t (2M_f) T = d^2 (2M_g), lexicographically sorted."""
+    """All integer T with T^t (2M_f) T = d^2 (2M_g), lexicographically sorted.
+
+    matrices is a read-only (N, 3, 3) int64 array.  It is left out of
+    equality and hashing: find_transforms builds the one set of each
+    (f, g, d), so the triple names it.
+    """
 
     f: QuadForm
     g: QuadForm
     d: int
-    matrices: tuple = field(default=())
+    matrices: np.ndarray = field(compare=False, hash=False)
     # every set is complete, since the search has no budget; the constant
     # stays for readers of the attribute, such as the benchmark's tracer
     complete = True
@@ -54,7 +59,7 @@ class TransformSet:
         return iter(self.matrices)
 
     def __contains__(self, T):
-        return _mat.from_rows(T) in self.matrices
+        return bool((self.matrices == np.reshape(T, (3, 3))).all(axis=(1, 2)).any())
 
 
 _PAIR_BLOCK = 1024  # (c0, c1) pairs per step of the third-column scan
@@ -110,7 +115,7 @@ def find_transforms(f: QuadForm, g: QuadForm, d: int) -> TransformSet:
     if d < 1:
         raise ValueError("d must be a positive integer")
     if not _det_ratio_is_square(f, g):
-        return TransformSet(f, g, d)
+        return TransformSet(f, g, d, np.empty((0, 3, 3), dtype=np.int64))
     diag = (g.a, g.b, g.c)
     order = sorted(range(3), key=lambda j: (diag[j], j))  # small norms first
     reps = {m: representations(f, m) for m in {d * d * g_jj for g_jj in diag}}
@@ -119,7 +124,8 @@ def find_transforms(f: QuadForm, g: QuadForm, d: int) -> TransformSet:
     # column j of T is the solution column in slot order.index(j)
     T = _search_columns(doubled_gram(f), targets, cands)[:, np.argsort(order)].transpose(0, 2, 1)
     T = T[np.lexsort(T.reshape(-1, 9).T[::-1])]  # lexsort's last key is the primary one
-    return TransformSet(f, g, d, tuple(tuple(map(tuple, M)) for M in T.tolist()))
+    T.setflags(write=False)
+    return TransformSet(f, g, d, T)
 
 
 def subform_witness(f: QuadForm, g: QuadForm):
@@ -131,20 +137,18 @@ def subform_witness(f: QuadForm, g: QuadForm):
     if doubled_gram(f) == doubled_gram(g):
         return _mat.IDENTITY
     ts = find_transforms(g, f, 1)
-    return ts.matrices[0] if ts.matrices else None
+    return _mat.from_rows(ts.matrices[0]) if len(ts) else None
 
 
 def is_isometric(f: QuadForm, g: QuadForm):
     """A unimodular T with T^t (2M_f) T = 2M_g, or None.
 
-    None is conclusive: the candidate search is exhaustive.
+    Every T with T^t (2M_f) T = 2M_g has det(T)^2 det 2M_f = det 2M_g, so
+    all of them are unimodular when the determinants agree and none is
+    otherwise.  None is conclusive: the candidate search is exhaustive.
     """
-    if doubled_gram(f) == doubled_gram(g):
-        return _mat.IDENTITY
-    for T in find_transforms(f, g, 1).matrices:
-        if _mat.det(T) in (1, -1):
-            return T
-    return None
+    T = subform_witness(g, f)
+    return T if _mat.det(doubled_gram(f)) == _mat.det(doubled_gram(g)) else None
 
 
 def scaled_automorphisms(g: QuadForm, d: int) -> TransformSet:

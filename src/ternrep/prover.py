@@ -17,6 +17,10 @@ Every power of such an E has one rational eigenline, the axis of E
 (_mat.axis), so the values there form one family m * t^2 (m the value at
 the primitive axis vector), swallowed by one witness f(w) = m, since
 f(t w) = m t^2.  The witness is all a certificate records beside E.
+build_escape tests the scaled automorphisms of g, one (N, 3, 3) array in
+set order, all at once: integrality with the kernel bitsets that classify
+the good cosets (congruence._integral_bits), finite order from trace and
+determinant.  Only the survivors get an axis, a base and a witness.
 
 Every route needs integer transforms T^t (2M_f) T = d^2 (2M_g): the
 subform witness (d = 1), the good cosets and the escape argument.  Their
@@ -45,6 +49,7 @@ from .congruence import (
     CoverReport,
     GoodVectorReport,
     ResidueClass,
+    _integral_bits,
     attainable_residues,
     cover_check,
     precedes,
@@ -150,7 +155,8 @@ class PairProof:
 
 
 def _has_finite_order(E, d):
-    """Whether (1/d)E has finite order, for E with E^t (2M) E = d^2 (2M), M definite.
+    """Bool array: whether (1/d)E has finite order, for each E of a stack laid
+    out (3, 3, N), with E^t (2M) E = d^2 (2M) for a definite M.
 
     (1/d)E is an isometry of a definite form, so its eigenvalues are
     eps = det E / d^3 = +-1 and e^{+-i theta}, and tr E / d = eps + 2 cos theta:
@@ -160,57 +166,44 @@ def _has_finite_order(E, d):
     Conversely those values give e^{i theta} of order 1, 2, 3, 4 or 6, and
     (1/d)E, orthogonal for the form, is diagonalizable, so it has finite order.
     """
+    # det E = +-d^3 by the defining identity, inside int64 for d < 2^21, so
+    # the int64 determinant, exact mod 2^64 even where a product of entries
+    # wraps, is exact
     t = E[0][0] + E[1][1] + E[2][2] - _mat.det(E) // (d * d)
-    return t % d == 0 and abs(t // d) <= 2
+    return (t % d == 0) & (abs(t // d) <= 2)
 
 
-def evaluate_escape_matrix(f, g, cls, report, matrix):
-    """Validate one candidate escape matrix.
-
-    Returns an EscapeArgument when the matrix satisfies every requirement
-    for the bad cosets of the report, otherwise the name of the first
-    failed requirement ('integrality', 'finite_order', or ('base', m)
-    when f does not represent the value m at the axis of the matrix).
-    """
-    d = cls.d
-    # int64 cannot overflow: coset entries are below d, and the matrix is a
-    # scaled automorphism, each column representing d^2 g_jj under g, so its
-    # entries stay small
-    E_t = np.asarray(matrix, dtype=np.int64).T
-    for chunk in (report.bad_array[:64], report.bad_array[64:]):
-        if ((chunk @ E_t) % d).any():
-            return "integrality"
-    if _has_finite_order(matrix, d):
-        return "finite_order"
-    # Descent never leaves the class, so it needs no test: for a bad coset
-    # u, w = (1/d) u E^t is integral and E^t (2M) E = d^2 (2M) gives
-    # g(w) = g(u) = a (mod d); g(w + d k) - g(w) = d B(w, k) + d^2 g(k)
-    # with B(w, k) integral, so w mod d is again a coset of the class.
-    v = _mat.axis(matrix, d)
-    base = evaluate(g, v)
-    reps = representations(f, base)
-    if not len(reps):
-        return ("base", base)
-    return EscapeArgument(matrix, Vector3(*v), base, Vector3(*reps[0].tolist()))
+def _escape_candidates(autos, report):
+    """Bool mask over autos.matrices, the scaled automorphisms E of g at
+    modulus d: E makes every bad coset of the report integral and (1/d)E
+    has infinite order."""
+    integral = np.full(-(-len(autos) // 8), 0xFF, dtype=np.uint8)
+    for _, bits in _integral_bits(autos, report.bad_array):
+        integral &= np.bitwise_and.reduce(bits, axis=0)
+    finite = _has_finite_order(autos.matrices.transpose(1, 2, 0), autos.d)
+    return np.unpackbits(integral, count=len(autos), bitorder="little").astype(bool) & ~finite
 
 
 def build_escape(f: QuadForm, g: QuadForm, cls: ResidueClass,
                  report: GoodVectorReport) -> EscapeArgument:
-    """Find an escape argument for the bad cosets of a class.
-
-    Scans the scaled automorphisms of g at modulus d in deterministic
-    order and returns the first matrix passing every requirement.
-    """
+    """Find an escape argument for the bad cosets of a class: the first
+    _escape_candidates survivor, in set order, whose axis value f represents."""
     if report.all_good:
         raise ValueError("build_escape requires a class with bad cosets")
-    autos = scaled_automorphisms(g, cls.d)
+    d = cls.d
+    autos = scaled_automorphisms(g, d)
     base_failure = None
-    for matrix in autos.matrices:
-        outcome = evaluate_escape_matrix(f, g, cls, report, matrix)
-        if isinstance(outcome, EscapeArgument):
-            return outcome
-        if isinstance(outcome, tuple) and outcome[0] == "base":
-            base_failure = outcome[1]
+    for matrix in map(_mat.from_rows, autos.matrices[_escape_candidates(autos, report)]):
+        # Descent never leaves the class, so it needs no test: for a bad coset
+        # u, w = (1/d) u E^t is integral and E^t (2M) E = d^2 (2M) gives
+        # g(w) = g(u) = a (mod d); g(w + d k) - g(w) = d B(w, k) + d^2 g(k)
+        # with B(w, k) integral, so w mod d is again a coset of the class.
+        v = _mat.axis(matrix, d)
+        base = evaluate(g, v)
+        reps = representations(f, base)
+        if len(reps):
+            return EscapeArgument(matrix, Vector3(*v), base, Vector3(*reps[0].tolist()))
+        base_failure = base
     reason = "" if base_failure is None else f"; axis value {base_failure} is not represented"
     raise NoEscapeMatrix(f"no scaled automorphism escapes class ({cls.d},{cls.a}){reason}")
 
@@ -300,6 +293,7 @@ def prove_pair(f: QuadForm, g: QuadForm, *, classes_g_in_f=None, classes_f_in_g=
     to empirical_bound; a disagreement would be an implementation bug and
     raises MismatchAt at the first integer where the sets differ.
     """
+    empirical_bound = index(empirical_bound)
     if empirical_bound < 0:
         raise ValueError("bound must be nonnegative")
     require_positive_definite(f)
@@ -310,7 +304,7 @@ def prove_pair(f: QuadForm, g: QuadForm, *, classes_g_in_f=None, classes_f_in_g=
     mg = represented_mask(g, empirical_bound)
     if not np.array_equal(mf, mg):
         raise MismatchAt(np.flatnonzero(mf != mg)[0], f, g)
-    return PairProof(f, g, f_in_g, g_in_f, int(empirical_bound))
+    return PairProof(f, g, f_in_g, g_in_f, empirical_bound)
 
 
 @dataclass(frozen=True)
@@ -361,9 +355,10 @@ def verify_table(set_id: str, bound: int = 10**6) -> SetReport:
     Raises MismatchAt on the first integer represented by one member but
     not another.
     """
+    bound = index(bound)
     forms = fixtures.table_set(set_id, fixtures.CATALOG_SCALE)
     value_count, isometric = verify_pairwise(forms, bound)
-    return SetReport(set_id, int(bound), forms, value_count, isometric)
+    return SetReport(set_id, bound, forms, value_count, isometric)
 
 
 def kaplansky_family_pair(kind: str, a: int, b: int):

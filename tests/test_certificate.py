@@ -21,7 +21,6 @@ from ternrep import (
     isometry,
     named_form,
     prove_pair,
-    prover,
 )
 
 S4_PAPER_CLASSES = [(4, 0), (12, 6), (12, 10), (12, 2)]
@@ -304,19 +303,19 @@ def test_checker_value_grid_memory_at_the_largest_modulus():
     assert peak < 20 * 2**20
 
 
-def _escape_swapped_for(outcome):
-    """The first scaled automorphism of S4g at modulus 12 with this prover outcome."""
+def _first_non_integral_escape():
+    """The first scaled automorphism of S4g at modulus 12 that leaves a bad
+    coset of the class (12, 2) non-integral."""
     f, g = named_form("S4f"), named_form("S4g")
-    cls = ResidueClass(12, 2)
-    report = congruence.precedes(f, g, cls)
+    report = congruence.precedes(f, g, ResidueClass(12, 2))
     return next(E for E in isometry.scaled_automorphisms(g, 12).matrices
-                if prover.evaluate_escape_matrix(f, g, cls, report, E) == outcome)
+                if any(congruence.transport(u, E, 12) is None for u in report.bad))
 
 
 ESCAPE_EDITS = {
     # f(1, 1, 0) = 18, not the value 8 at the axis (1, 0, 0)
     "base_witness": lambda: {"witness": [1, 1, 0]},
-    "integrality": lambda: {"matrix": [list(row) for row in _escape_swapped_for("integrality")]},
+    "integrality": lambda: {"matrix": _first_non_integral_escape().tolist()},
     # 12 I makes every coset integral, but (1/12) 12 I = I has order 1
     "finite_order": lambda: {"matrix": [[12, 0, 0], [0, 12, 0], [0, 0, 12]]},
 }

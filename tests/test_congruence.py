@@ -24,7 +24,7 @@ from ternrep import (
 from ternrep.congruence import attainable_residues, classify_good
 from ternrep.forms import Vector3
 from ternrep.isometry import TransformSet
-from ternrep import certificate, congruence
+from ternrep import certificate, congruence, prover
 
 T1 = ((4, 2, 2), (0, 4, 2), (0, 0, 2))
 
@@ -157,21 +157,23 @@ def test_witness_matches_first_transport(f, other, basis, swap, d, v, chunk, blo
 
 
 def test_kernel_bits_built_once_per_transform_set(s6, monkeypatch):
+    # classify_good and the escape scan of build_escape both read the
+    # bitsets through _integral_bits
     f, g = s6
     scanned = []
-    classify = congruence.classify_good
+    integral_bits = congruence._integral_bits
 
-    def recording(f, g, cls, ts):
-        report = classify(f, g, cls, ts)
-        if len(report.cosets) and len(ts) and cls.d > 1:  # the calls that read bitsets
-            scanned.append((ts.f, ts.g, ts.d))
-        return report
+    def recording(ts, V):
+        scanned.append((ts.f, ts.g, ts.d))
+        return integral_bits(ts, V)
 
-    monkeypatch.setattr(congruence, "classify_good", recording)
+    monkeypatch.setattr(congruence, "_integral_bits", recording)
+    monkeypatch.setattr(prover, "_integral_bits", recording)
     congruence._kernel_bits.cache_clear()
     search_cover(f, g)
     info = congruence._kernel_bits.cache_info()
     assert len(set(scanned)) < len(scanned)  # several classes share a modulus
+    assert any(ts_f == ts_g for ts_f, ts_g, _ in scanned)  # an escape scan ran
     assert info.misses == len(set(scanned))
     assert info.hits == len(scanned) - len(set(scanned))
 
@@ -179,11 +181,17 @@ def test_kernel_bits_built_once_per_transform_set(s6, monkeypatch):
 def test_classify_good_independent_of_transform_order(s4):
     f, g = s4
     ts = find_transforms(f, g, 12)
-    reversed_ts = TransformSet(f, g, 12, tuple(reversed(ts.matrices)))
+    reversed_ts = TransformSet(f, g, 12, ts.matrices[::-1])
     a = classify_good(f, g, ResidueClass(12, 2), ts)
-    b = classify_good(f, g, ResidueClass(12, 2), reversed_ts)
+    # the bitsets are cached by (f, g, d), which does not see the order
+    congruence._kernel_bits.cache_clear()
+    try:
+        b = classify_good(f, g, ResidueClass(12, 2), reversed_ts)
+    finally:
+        congruence._kernel_bits.cache_clear()
     assert {v for v, _ in a.good} == {v for v, _ in b.good}
     assert set(a.bad) == set(b.bad)
+    assert all(transport(v, reversed_ts.matrices[i], 12) is not None for v, i in b.good)
 
 
 def test_precedes_results(s4):

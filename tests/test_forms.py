@@ -15,6 +15,11 @@ from ternrep import (
     is_positive_definite,
     kaplansky_family_pair,
     named_form,
+    prove_pair,
+    representations,
+    represented_mask,
+    theta,
+    verify_table,
 )
 from ternrep.fixtures import REGISTRY
 from ternrep.forms import Vector3, require_positive_definite, scale
@@ -141,9 +146,16 @@ UNIT = QuadForm(1, 1, 1, 0, 0, 0)
     lambda k: scale(UNIT, k),
     lambda k: find_transforms(UNIT, UNIT, k),
     lambda k: kaplansky_family_pair("iii", k, 1),
-], ids=["QuadForm", "ResidueClass", "evaluate", "scale", "find_transforms", "kaplansky"])
+    lambda k: representations(UNIT, k).tolist(),
+    lambda k: represented_mask(UNIT, k).tolist(),
+    lambda k: theta(UNIT, k).tolist(),
+    lambda k: prove_pair(UNIT, UNIT, empirical_bound=k),
+    lambda k: verify_table("S4", k),
+], ids=["QuadForm", "ResidueClass", "evaluate", "scale", "find_transforms", "kaplansky",
+        "representations", "represented_mask", "theta", "prove_pair", "verify_table"])
 def test_integer_arguments_refuse_floats(make):
-    # a float used to be truncated silently, so a proof could be about another form
+    # a float used to be truncated silently, so a proof could be about
+    # another form, and a count or bound about another integer
     with pytest.raises(TypeError):
         make(1.5)
     assert make(np.int64(1)) == make(1)

@@ -38,6 +38,8 @@ def test_transform_set_counts(s4):
     ts4 = find_transforms(f, g, 4)
     assert len(ts4) == 8 and ts4.complete
     assert T1 in ts4
+    assert ts4.matrices.shape == (8, 3, 3) and ts4.matrices.dtype == np.int64
+    assert not ts4.matrices.flags.writeable
     ts12 = find_transforms(f, g, 12)
     assert len(ts12) == 144 and ts12.complete
 
@@ -60,7 +62,7 @@ def test_identity_automorphism():
 def test_closed_under_automorphism_composition(s4):
     f, g = s4
     autos = find_transforms(f, f, 1)
-    ts = set(find_transforms(f, g, 4).matrices)
+    ts = set(map(_mat.from_rows, find_transforms(f, g, 4).matrices))
     for U in autos:
         for T in ts:
             assert _mat.mat_mul(U, T) in ts
@@ -161,6 +163,9 @@ def test_is_isometric(s4):
     T = is_isometric(f, moved)
     assert T is not None and _mat.det(T) in (1, -1)
     assert _mat.congruence(T, doubled_gram(f)) == doubled_gram(moved)
+    # f on an index-2 sublattice: a subform of f, but not isometric to it
+    sub = change_of_basis(f, ((1, 0, 0), (0, 1, 0), (0, 0, 2)))
+    assert subform_witness(sub, f) is not None and is_isometric(f, sub) is None
 
 
 def test_scaled_automorphisms(s4):
@@ -266,7 +271,8 @@ def _reference_transforms(f, g, d):
 @given(form_pairs(), st.integers(1, 4))
 def test_search_matches_brute_force_reference(pair, d):
     f, g = pair
-    assert find_transforms(f, g, d).matrices == _reference_transforms(f, g, d)
+    expected = [[list(row) for row in T] for T in _reference_transforms(f, g, d)]
+    assert find_transforms(f, g, d).matrices.tolist() == expected
 
 
 @pytest.mark.parametrize("sid, d, sizes", [("S5", 144, (720, 976)), ("S12", 48, (280, 912))])
@@ -295,9 +301,9 @@ def test_search_memory_stays_bounded():
 
 def test_pair_blocks_do_not_change_the_set(s4):
     _, g = s4
-    full = find_transforms(g, g, 12).matrices
+    full = find_transforms(g, g, 12).matrices.tolist()
     for block in (1, 7):
         find_transforms.cache_clear()
         with mock.patch.object(isometry, "_PAIR_BLOCK", block):
-            assert find_transforms(g, g, 12).matrices == full
+            assert find_transforms(g, g, 12).matrices.tolist() == full
     find_transforms.cache_clear()

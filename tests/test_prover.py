@@ -42,8 +42,8 @@ from ternrep import (
 )
 from ternrep.congruence import GoodVectorReport, attainable_residues
 from ternrep.forms import Vector3
-from ternrep.prover import CoverDirection, SubformDirection, evaluate_escape_matrix
-from ternrep import _mat, certificate, isometry, prover
+from ternrep.prover import CoverDirection, SubformDirection
+from ternrep import _mat, certificate, congruence, isometry, prover
 
 TTILDE = ((12, 6, 2), (0, 0, 12), (0, -12, -8))
 
@@ -120,11 +120,22 @@ def test_unrepresented_axis_value_is_named(s4):
                                "axis value 8 is not represented")
 
 
+def _batched_filter(g, cls, report):
+    """The scaled automorphisms of g at cls.d as tuples, and per matrix
+    whether it survives the batched integrality and finite-order filter
+    of build_escape."""
+    autos = scaled_automorphisms(g, cls.d)
+    survives = prover._escape_candidates(autos, report)
+    return list(map(_mat.from_rows, autos.matrices)), survives.tolist()
+
+
 def test_displayed_escape_matrix_is_valid(s4):
     f, g = s4
     cls = ResidueClass(12, 2)
     report = precedes(f, g, cls)
-    outcome = evaluate_escape_matrix(f, g, cls, report, TTILDE)
+    matrices, survives = _batched_filter(g, cls, report)
+    assert survives[matrices.index(TTILDE)]
+    outcome = _reference_escape_outcome(f, g, cls, report, TTILDE)
     assert isinstance(outcome, EscapeArgument)
     assert (outcome.axis, outcome.base) == (Vector3(1, 0, 0), 8)
 
@@ -133,8 +144,8 @@ _POWER_RANGE = 6  # the reference excludes the eigenlines of E^k, k <= this
 
 
 def _reference_escape_outcome(f, g, cls, report, matrix):
-    """Reference evaluate_escape_matrix: integrality tested coset by coset,
-    eigenlines of the first powers of the matrix from the sympy oracle.
+    """Reference for one escape candidate: integrality tested coset by
+    coset, eigenlines of the first powers of the matrix from the sympy oracle.
 
     The oracle finds every family of every power, so an escape argument is
     returned only when there is exactly one; any other count is returned as
@@ -188,11 +199,21 @@ def test_escape_outcomes_match_per_coset_reference(sid, cls):
     f, g = table_set(sid, 2)
     report = precedes(f, g, cls)
     assert report.bad
-    autos = scaled_automorphisms(g, cls.d)
-    outcomes = [evaluate_escape_matrix(f, g, cls, report, M) for M in autos.matrices]
-    assert outcomes == [_reference_escape_outcome(f, g, cls, report, M) for M in autos.matrices]
+    matrices, survives = _batched_filter(g, cls, report)
+    outcomes = [_reference_escape_outcome(f, g, cls, report, M) for M in matrices]
+    assert survives == [o not in ("integrality", "finite_order") for o in outcomes]
     assert "integrality" in outcomes
-    assert any(isinstance(o, EscapeArgument) for o in outcomes) == ESCAPE_EXISTS[sid]
+    # every survivor before the returned one has an axis value f misses
+    passed = [o for o, kept in zip(outcomes, survives) if kept]
+    escapes = [o for o in passed if isinstance(o, EscapeArgument)]
+    assert bool(escapes) == ESCAPE_EXISTS[sid]
+    if escapes:
+        first = passed.index(escapes[0])
+        assert all(o[0] == "base" for o in passed[:first])
+        assert build_escape(f, g, cls, report) == escapes[0]
+    else:
+        with pytest.raises(NoEscapeMatrix):
+            build_escape(f, g, cls, report)
     if sid == "S9":
         assert Counter(outcomes) == {"integrality": 48, "finite_order": 4}
 
@@ -206,10 +227,11 @@ def test_closed_form_finite_order_matches_matrix_powers():
     for sid in SET_IDS:
         for g in table_set(sid, 2):
             for d in FINITE_ORDER_MODULI:
-                for E in scaled_automorphisms(g, d).matrices:
-                    expected = _mat.is_finite_order_scaled(E, d)
-                    assert prover._has_finite_order(E, d) == expected, (g, d, E)
-                    total, finite = total + 1, finite + expected
+                stack = scaled_automorphisms(g, d).matrices
+                expected = [_mat.is_finite_order_scaled(E, d) for E in map(_mat.from_rows, stack)]
+                batched = prover._has_finite_order(stack.transpose(1, 2, 0), d)
+                assert batched.tolist() == expected, (g, d)
+                total, finite = total + len(expected), finite + sum(expected)
     assert (total, finite) == (17174, 7608)
 
 
@@ -223,15 +245,16 @@ random_forms = st.builds(
 @settings(max_examples=20, deadline=None)
 @given(random_forms, st.sampled_from(FINITE_ORDER_MODULI[:8]))
 def test_closed_form_finite_order_on_random_forms(g, d):
-    for E in scaled_automorphisms(g, d).matrices:
-        assert prover._has_finite_order(E, d) == _mat.is_finite_order_scaled(E, d)
+    stack = scaled_automorphisms(g, d).matrices
+    expected = [_mat.is_finite_order_scaled(E, d) for E in map(_mat.from_rows, stack)]
+    assert prover._has_finite_order(stack.transpose(1, 2, 0), d).tolist() == expected
 
 
 @settings(max_examples=8, deadline=None)
 @given(random_forms, st.sampled_from((2, 3, 4, 6, 8, 12)))
 def test_axis_is_the_only_rational_eigenline_of_each_power(g, d):
     # the oracle finds every rational eigenline of E^k, k = 1..6, in general
-    for E in scaled_automorphisms(g, d).matrices:
+    for E in map(_mat.from_rows, scaled_automorphisms(g, d).matrices):
         if _mat.is_finite_order_scaled(E, d):
             continue
         v, lam = _mat.axis(E, d), _mat.det(E) // (d * d)
@@ -253,8 +276,9 @@ def test_escape_search_result_is_the_plain_scaled_automorphisms(s4):
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
-def test_integrality_checks_cosets_past_the_first_chunk(s4):
+def test_integrality_checks_cosets_past_the_first_chunk(s4, monkeypatch):
     f, g = s4
+    monkeypatch.setattr(congruence, "_COSET_BLOCK", 64)  # the stray coset is in the second block
     cls = ResidueClass(12, 2)
     report = precedes(f, g, cls)
     good = report.cosets[report.witness >= 0]
@@ -267,8 +291,9 @@ def test_integrality_checks_cosets_past_the_first_chunk(s4):
             np.concatenate([report.witness[report.witness >= 0], np.full(len(bad), -1)]),
         )
         assert len(variant.bad_array) > 64 and variant.bad_array.tolist()[:96] == padded.tolist()
-        outcome = evaluate_escape_matrix(f, g, cls, variant, TTILDE)
-        assert outcome == _reference_escape_outcome(f, g, cls, variant, TTILDE)
+        matrices, survives = _batched_filter(g, cls, variant)
+        outcome = _reference_escape_outcome(f, g, cls, variant, TTILDE)
+        assert survives[matrices.index(TTILDE)] == (outcome != "integrality")
         assert (outcome == "integrality") == (len(bad) > 96)
 
 
@@ -288,8 +313,9 @@ def test_scaled_identity_is_rejected_as_escape(s4):
     f, g = s4
     cls = ResidueClass(12, 2)
     report = precedes(f, g, cls)
-    outcome = evaluate_escape_matrix(f, g, cls, report, _mat.scaled_identity(12))
-    assert outcome == "finite_order"
+    matrices, survives = _batched_filter(g, cls, report)
+    assert _reference_escape_outcome(f, g, cls, report, _mat.scaled_identity(12)) == "finite_order"
+    assert not survives[matrices.index(_mat.scaled_identity(12))]
 
 
 def test_escape_requires_bad_cosets(s4):
