@@ -41,10 +41,7 @@ def _vec_json(v):
 
 
 def _class_json(proof) -> dict:
-    witness = proof.report.witness
-    # the set is sorted, so the witnesses in index order are the distinct
-    # used transforms in lexicographic order
-    used = proof.report.transforms.matrices[np.unique(witness[witness >= 0])]
+    used = proof.report.transforms.matrices[proof.report.cover]
     escape = None
     if proof.escape is not None:
         escape = {"matrix": _matrix_json(proof.escape.matrix),
@@ -154,14 +151,17 @@ def _values_mod(form, L):
     return grid.astype(np.uint8)
 
 
-def _attained_residues(g, L):
-    """Residues mod L that g attains, by a direct scan of all L^3 cosets."""
-    return np.unique(_values_mod(g, L)).tolist()
+def _attained_residues(grid, L):
+    """Residues mod L attained on the L^3 grid of _values_mod, ascending."""
+    hit = np.zeros(L, dtype=bool)
+    hit[grid.ravel()] = True
+    return np.flatnonzero(hit).tolist()
 
 
-def _class_cosets(form, d, a):
-    """The cosets v in [0, d)^3 with form(v) = a (mod d), as (n, 3) int64 rows."""
-    return np.argwhere(_values_mod(form, d) == a)
+def _class_cosets(grid, a):
+    """The cosets v in [0, d)^3 with form(v) = a (mod d), as (n, 3) int64
+    rows, from the d^3 grid of _values_mod."""
+    return np.argwhere(grid == a)
 
 
 def _integral_rows(V, M, d):
@@ -191,7 +191,10 @@ def _check_cover(tag, sub, sup, record):
     # every L^3 scan below to ~15 MB whatever the certificate says
     if modulus > MAX_MODULUS:
         return _fail(f"{tag}.limits", f"lcm of class moduli {modulus} exceeds {MAX_MODULUS}")
-    for rho in _attained_residues(sub, modulus):
+    # one direct scan per distinct modulus of the direction, all below 4 MB
+    # together, since every modulus divides the lcm
+    grids = {modulus: _values_mod(sub, modulus)}
+    for rho in _attained_residues(grids[modulus], modulus):
         if not any(rho % cls.d == cls.a for cls in class_ids):
             return _fail(f"{tag}.cover", f"attainable residue {rho} mod {modulus} uncovered")
     for rec, cls in zip(classes, class_ids):
@@ -207,7 +210,9 @@ def _check_cover(tag, sub, sup, record):
                 return _fail(f"{ctag}.transform_identity", f"table entry {i}")
         # a coset is good when some listed transform makes it integral; the
         # rest are the bad cosets the escape record has to handle
-        bad = _class_cosets(sub, d, a)
+        if d not in grids:
+            grids[d] = _values_mod(sub, d)
+        bad = _class_cosets(grids[d], a)
         for T in transforms:
             bad = bad[~_integral_rows(bad, T, d)]
         escape = rec.get("escape")

@@ -1,6 +1,10 @@
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
 from math import lcm
@@ -13,14 +17,18 @@ from hypothesis import strategies as st
 
 import oracle
 from test_congruence import positive_definite_forms
+from test_prover import FAMILY_PAIRS
 from ternrep import (
     QuadForm,
     ResidueClass,
     certificate,
+    change_of_basis,
     congruence,
     isometry,
+    kaplansky_family_pair,
     named_form,
     prove_pair,
+    search_cover,
 )
 
 S4_PAPER_CLASSES = [(4, 0), (12, 6), (12, 10), (12, 2)]
@@ -46,6 +54,114 @@ def test_golden_certificate(sid):
     assert certificate.check(golden).ok
     proof = prove_pair(named_form(f"{sid}f"), named_form(f"{sid}g"), empirical_bound=10**6)
     assert certificate.emit(proof) + b"\n" == golden
+
+
+def test_prove_emit_and_check_leave_numpy_ma_unimported():
+    # np.unique without return_index/inverse/counts imports numpy.ma on its
+    # first call, 13-17 ms inside the first emit() or check() of a process;
+    # a fresh interpreter shows whether any of them still does
+    script = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+        from ternrep import certificate, named_form, prove_pair
+        certs = Path(sys.argv[1])
+        proof = prove_pair(named_form("S4f"), named_form("S4g"), empirical_bound=10**6)
+        assert certificate.emit(proof) + b"\\n" == (certs / "S4.json").read_bytes()
+        blobs = [path.read_bytes() for path in sorted(certs.glob("*.json"))]
+        assert len(blobs) >= 4 and all(certificate.check(blob).ok for blob in blobs)
+        print("numpy.ma" in sys.modules)
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script, str(CERTS)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+COVER_SOURCES = ["S4", "S6", "S7", "S8"] + FAMILY_PAIRS
+
+
+def _pair(source):
+    if isinstance(source, str):
+        return named_form(f"{source}f"), named_form(f"{source}g")
+    return kaplansky_family_pair(*source)
+
+
+@st.composite
+def unimodular_bases(draw):
+    """A signed permutation matrix times one +-1 shear, the basis changes of
+    the benchmark's seeded inputs."""
+    perm = draw(st.permutations(range(3)))
+    signs = draw(st.tuples(*[st.sampled_from((-1, 1))] * 3))
+    i, j = draw(st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]))
+    k = draw(st.sampled_from((-1, 1)))
+    U = [[signs[row] * (perm[row] == col) for col in range(3)] for row in range(3)]
+    for row in U:
+        row[j] += k * row[i]
+    return U
+
+
+def _integral_table(report):
+    """table[i, t]: transform t of the set makes coset i integral, by direct products."""
+    d = report.cls.d
+    columns = [~((report.cosets @ T.T) % d).any(axis=1) for T in report.transforms.matrices]
+    return np.stack(columns, axis=1) if columns else np.zeros((len(report.cosets), 0), dtype=bool)
+
+
+def _naive_greedy(table):
+    picks, uncovered = [], table.any(axis=1)
+    while uncovered.any():
+        t = int(table[uncovered].sum(axis=0).argmax())
+        picks.append(t)
+        uncovered &= ~table[:, t]
+    return picks
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(COVER_SOURCES), unimodular_bases(), unimodular_bases())
+def test_emitted_transform_lists_are_greedy_covers(source, U, V):
+    f, g = _pair(source)
+    proof = prove_pair(change_of_basis(f, U), change_of_basis(g, V), empirical_bound=100)
+    cert = json.loads(certificate.emit(proof))
+    for tag in ("f_in_g", "g_in_f"):
+        if cert[tag]["kind"] != "cover":
+            continue
+        direction = getattr(proof, tag)
+        classes = sorted(direction.classes, key=lambda p: (p.cls.d, p.cls.a))
+        for class_proof, rec in zip(classes, cert[tag]["classes"], strict=True):
+            report, d = class_proof.report, class_proof.cls.d
+            table = _integral_table(report)
+            # the witness stays the first integral transform of the set
+            assert report.witness.tolist() == np.where(table.any(axis=1), table.argmax(axis=1), -1).tolist()
+            cover = report.cover.tolist()
+            assert rec["transforms"] == report.transforms.matrices[cover].tolist()
+            assert cover == _naive_greedy(table)
+            covered = np.zeros(len(table), dtype=bool)
+            for t in cover:
+                assert (table[:, t] & ~covered).any(), (source, class_proof.cls, t)
+                covered |= table[:, t]
+            assert np.array_equal(covered, report.witness >= 0)
+            assert len(cover) <= len(set(report.witness[report.witness >= 0].tolist()))
+            # the checker's own scan leaves exactly the prover's bad cosets
+            bad = certificate._class_cosets(certificate._values_mod(direction.sub, d), class_proof.cls.a)
+            for T in rec["transforms"]:
+                bad = bad[~certificate._integral_rows(bad, T, d)]
+            assert bad.tolist() == report.bad_array.tolist()
+    assert certificate.check(cert).ok
+
+
+@pytest.mark.parametrize("kind,a,b", FAMILY_PAIRS)
+def test_family_pair_certificates_from_explicit_class_lists(kind, a, b):
+    # the searched classes of each direction, given as lists: the subform
+    # direction then gets a cover record too
+    p, q = kaplansky_family_pair(kind, a, b)
+    classes_g_in_f = [c.cls for c in search_cover(p, q).classes]
+    classes_f_in_g = [c.cls for c in search_cover(q, p).classes]
+    proof = prove_pair(p, q, classes_g_in_f=classes_g_in_f, classes_f_in_g=classes_f_in_g,
+                       empirical_bound=1000)
+    cert = json.loads(certificate.emit(proof))
+    assert cert["f_in_g"]["kind"] == cert["g_in_f"]["kind"] == "cover"
+    assert certificate.check(cert).ok
 
 
 def matrix_paths(node, path=()):
@@ -98,6 +214,13 @@ def test_round_trip_double_cover(s8):
 
 def test_emission_is_deterministic(s4_proof):
     assert certificate.emit(s4_proof) == certificate.emit(s4_proof)
+    # a second proof built from cold caches emits the same bytes
+    for cached in (isometry.find_transforms, congruence._value_grid,
+                   congruence._kernel_bits, congruence._kernel_classes):
+        cached.cache_clear()
+    again = prove_pair(named_form("S4f"), named_form("S4g"), classes_g_in_f=S4_PAPER_CLASSES,
+                       empirical_bound=20000)
+    assert certificate.emit(again) == certificate.emit(s4_proof)
     blob = certificate.emit(s4_proof)
     assert b"e-" not in blob and b"." not in blob.replace(b'"', b"")  # integers only
 
@@ -276,8 +399,9 @@ def test_checker_runs_no_transform_search(s4_proof, monkeypatch):
 @given(positive_definite_forms, st.integers(1, 48))
 def test_checker_coset_scan_matches_naive_scan(form, d):
     naive = oracle.class_cosets(form, d)
+    grid = certificate._values_mod(form, d)
     for a in range(d):
-        assert certificate._class_cosets(form, d, a).tolist() == naive.get(a, [])
+        assert certificate._class_cosets(grid, a).tolist() == naive.get(a, [])
 
 
 def test_checker_value_grid_is_exact_at_the_largest_modulus():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -94,6 +95,21 @@ def test_prec_false_with_report(capsys):
     out = lines_of(capsys)
     assert out[0] == "PRECEDES: false (864 cosets, 32 bad)"
     assert len([line for line in out if line.startswith("  ")]) == 32
+
+
+@pytest.mark.parametrize("f, g, d, a, text_sha, json_sha", [
+    ("S4f", "S4g", 12, 2, "817d506aa0142751f0b8a865db922e8e87494a5710c3449141cb90eac29b90c6",
+     "2300403ace4e4d2d82f9e98d3ba00204a5435db5d52b1713cbab99bf666bcc30"),
+    ("S6f", "S6g", 48, 28, "c59d35c2149bb70ccc6549a027a42776bd632d731913c4367b34f86e5a56c9bd",
+     "e0a3789a6a6ba4ff10117ff6391baa9bc18ee8986c02bf2135beb3cfedd8a4b2"),
+])
+def test_prec_report_output_pinned(capsys, f, g, d, a, text_sha, json_sha):
+    # the witnesses `prec --report` prints are the first integral transform
+    # of each coset, whatever transforms a certificate lists for the class
+    for fmt, sha in (("text", text_sha), ("json", json_sha)):
+        rc = run(["prec", "--f", f, "--g", g, "--d", str(d), "--a", str(a), "--report", "--format", fmt])
+        assert rc == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha, fmt
 
 
 def test_prec_json_content(capsys):

@@ -21,7 +21,7 @@ from ternrep import (
     search_cover,
     transport,
 )
-from ternrep.congruence import attainable_residues, classify_good
+from ternrep.congruence import GoodVectorReport, attainable_residues, classify_good
 from ternrep.forms import Vector3
 from ternrep.isometry import TransformSet
 from ternrep import certificate, congruence, prover
@@ -178,6 +178,43 @@ def test_kernel_bits_built_once_per_transform_set(s6, monkeypatch):
     assert info.hits == len(scanned) - len(set(scanned))
 
 
+def test_kernel_classes_rebuild_the_kernel_rows(s6):
+    f, g = s6
+    ts = find_transforms(f, g, 48)
+    classes = congruence._kernel_classes(ts)
+    assert [q for q, _, _ in classes] == [16, 3]
+    for (q, bits), (_, label, rows) in zip(congruence._kernel_bits(ts), classes, strict=True):
+        assert np.array_equal(rows[label], bits)
+        assert len({row.tobytes() for row in rows}) == len(rows) < q**3
+    assert len(classes[0][2]) == 79
+
+
+def test_cover_at_modulus_one():
+    # no prime powers: every automorphism is integral, so the first covers all
+    f = named_form("S11a")
+    report = precedes(f, f, ResidueClass(1, 0))
+    assert congruence._kernel_classes(report.transforms) == ()
+    assert report.cover.tolist() == [0]
+
+
+def test_cover_of_an_empty_transform_set():
+    # det 2M_f * det 2M_g is not a square: no transform at any d
+    f, g = named_form("S1a"), named_form("S1b")
+    report = precedes(f, g, ResidueClass(12, evaluate(g, (1, 0, 0)) % 12))
+    assert len(report.transforms) == 0 and len(report.cosets)
+    assert report.cover.dtype == np.int64 and report.cover.shape == (0,)
+
+
+def test_cover_of_a_class_without_good_cosets(s4):
+    f, g = s4
+    cls = ResidueClass(12, 2)
+    report = precedes(f, g, cls)
+    bad_only = GoodVectorReport(f, g, cls, report.transforms, report.bad_array,
+                                np.full(len(report.bad_array), -1))
+    assert len(bad_only.cosets) == 32
+    assert bad_only.cover.dtype == np.int64 and bad_only.cover.shape == (0,)
+
+
 def test_classify_good_independent_of_transform_order(s4):
     f, g = s4
     ts = find_transforms(f, g, 12)
@@ -307,7 +344,8 @@ def test_residue_scans_reduce_huge_coefficients():
     cls = ResidueClass(12, 3)
     assert residue_vectors(big, cls) == residue_vectors(small, cls)
     assert attainable_residues(big, 144) == attainable_residues(small, 144)
-    assert tuple(certificate._attained_residues(big, 144)) == attained_residues(small, 144)
+    grid = certificate._values_mod(big, 144)
+    assert tuple(certificate._attained_residues(grid, 144)) == attained_residues(small, 144)
 
 
 def test_cover_check_worked_examples(s4, s7):
