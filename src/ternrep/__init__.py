@@ -42,14 +42,16 @@ from .prover import (
     PairProof,
     ProofError,
     build_escape,
+    emit,
     kaplansky_family_pair,
+    proof_to_dict,
     prove_direction,
     prove_pair,
     search_cover,
     verify_pairwise,
     verify_table,
 )
-from .certificate import Verdict, check, emit, proof_to_dict
+from .certificate import Verdict, check
 from .fixtures import SET_IDS, TABLE, named_form, resolve_form, table_set
 
 __version__ = "0.1.0"

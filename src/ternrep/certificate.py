@@ -1,4 +1,8 @@
-"""Serialized pair proofs and an independent, search-free checker.
+"""The certificate format and an independent, search-free checker.
+
+It defines the format (CERT_VERSION, MAX_MODULUS, the bytes of encode)
+and imports nothing from ternrep but forms and _mat, so a verdict of
+check() trusts those three modules only; prover.emit writes the format.
 
 A certificate contains raw integers only: the two forms, one record per
 inclusion direction, and for cover proofs one record per residue class
@@ -25,68 +29,16 @@ from math import lcm
 import numpy as np
 
 from . import _mat
-from .congruence import ResidueClass
 from .forms import QuadForm, doubled_gram, evaluate, is_positive_definite
-from .prover import MAX_MODULUS, CoverDirection, PairProof, SubformDirection
 
 CERT_VERSION = 3
-
-
-def _matrix_json(T):
-    return [[int(x) for x in row] for row in T]
-
-
-def _vec_json(v):
-    return [int(x) for x in v]
-
-
-def _class_json(proof) -> dict:
-    used = proof.report.transforms.matrices[proof.report.cover]
-    escape = None
-    if proof.escape is not None:
-        escape = {"matrix": _matrix_json(proof.escape.matrix),
-                  "witness": _vec_json(proof.escape.witness)}
-    return {
-        "d": proof.cls.d,
-        "a": proof.cls.a,
-        "transforms": used.tolist(),
-        "escape": escape,
-    }
-
-
-def _direction_json(direction) -> dict:
-    if isinstance(direction, SubformDirection):
-        return {"kind": "subform", "matrix": _matrix_json(direction.witness)}
-    if isinstance(direction, CoverDirection):
-        return {
-            "kind": "cover",
-            "classes": [
-                _class_json(proof)
-                for proof in sorted(direction.classes, key=lambda p: (p.cls.d, p.cls.a))
-            ],
-        }
-    raise TypeError(f"unknown direction record {type(direction).__name__}")
-
-
-def proof_to_dict(proof: PairProof) -> dict:
-    return {
-        "version": CERT_VERSION,
-        "f": _vec_json(proof.f.coefficients),
-        "g": _vec_json(proof.g.coefficients),
-        "empirical_bound": int(proof.empirical_bound),
-        "f_in_g": _direction_json(proof.f_in_g),
-        "g_in_f": _direction_json(proof.g_in_f),
-    }
+# the largest lcm of cover moduli; it bounds every L^3 scan below to ~15 MB
+MAX_MODULUS = 144
 
 
 def encode(cert: dict) -> bytes:
     """Canonical serialization: sorted keys, compact separators, decimal ints."""
     return json.dumps(cert, sort_keys=True, separators=(",", ":")).encode()
-
-
-def emit(proof: PairProof) -> bytes:
-    """The canonical certificate bytes of a proof."""
-    return encode(proof_to_dict(proof))
 
 
 @dataclass(frozen=True)
@@ -181,24 +133,28 @@ def _check_cover(tag, sub, sup, record):
         return _fail(f"{tag}.schema", "cover record needs a nonempty class list")
     G_sub = doubled_gram(sub)
     G_sup = doubled_gram(sup)
+    class_ids = []
     try:
-        class_ids = [ResidueClass(_as_int(rec["d"]), _as_int(rec["a"])) for rec in classes]
+        for rec in classes:
+            d, a = _as_int(rec["d"]), _as_int(rec["a"])
+            if d < 1:
+                raise ValueError("modulus d must be a positive integer")
+            if not 0 <= a < d:
+                raise ValueError(f"residue must satisfy 0 <= a < d, got ({d}, {a})")
+            class_ids.append((d, a))
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"{tag}.schema", str(exc))
     # cover arithmetic: every attainable residue lies in some class
-    modulus = lcm(*(cls.d for cls in class_ids))
-    # MAX_MODULUS (144), the largest cover modulus the prover uses, bounds
-    # every L^3 scan below to ~15 MB whatever the certificate says
+    modulus = lcm(*(d for d, _ in class_ids))
     if modulus > MAX_MODULUS:
         return _fail(f"{tag}.limits", f"lcm of class moduli {modulus} exceeds {MAX_MODULUS}")
     # one direct scan per distinct modulus of the direction, all below 4 MB
     # together, since every modulus divides the lcm
     grids = {modulus: _values_mod(sub, modulus)}
     for rho in _attained_residues(grids[modulus], modulus):
-        if not any(rho % cls.d == cls.a for cls in class_ids):
+        if not any(rho % d == a for d, a in class_ids):
             return _fail(f"{tag}.cover", f"attainable residue {rho} mod {modulus} uncovered")
-    for rec, cls in zip(classes, class_ids):
-        d, a = cls.d, cls.a
+    for rec, (d, a) in zip(classes, class_ids):
         ctag = f"{tag}.class({d},{a})"
         try:
             transforms = [_as_matrix(T) for T in _as_list(rec["transforms"])]
@@ -217,17 +173,16 @@ def _check_cover(tag, sub, sup, record):
             bad = bad[~_integral_rows(bad, T, d)]
         escape = rec.get("escape")
         if len(bad) or escape is not None:
-            verdict = _check_escape(ctag, sub, sup, cls, escape, bad)
+            verdict = _check_escape(ctag, sub, sup, d, escape, bad)
             if not verdict.ok:
                 return verdict
     return Verdict(True)
 
 
-def _check_escape(ctag, sub, sup, cls, escape, bad):
+def _check_escape(ctag, sub, sup, d, escape, bad):
     etag = ctag.replace(".class", ".escape")
     if escape is None:
         return _fail(f"{etag}.missing", f"{len(bad)} cosets no listed transform makes integral")
-    d = cls.d
     try:
         if not isinstance(escape, dict):
             raise ValueError(f"escape record must be an object, got {escape!r}")

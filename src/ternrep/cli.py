@@ -20,9 +20,9 @@ from .congruence import ResidueClass, precedes
 from .enumeration import represented_set, theta
 from .isometry import find_transforms, is_isometric, subform_witness
 from .prover import (
-    MAX_MODULUS,
     MismatchAt,
     ProofError,
+    proof_to_dict,
     prove_pair,
     verify_table,
 )
@@ -129,8 +129,8 @@ def _cmd_subform(args):
 def _cmd_prec(args):
     # the value grid and the residue mask take d^3 cells each: refuse a
     # modulus no certificate may use before anything is allocated
-    if args.d > MAX_MODULUS:
-        raise ValueError(f"--d {args.d} exceeds {MAX_MODULUS}, the largest class modulus")
+    if args.d > certificate.MAX_MODULUS:
+        raise ValueError(f"--d {args.d} exceeds {certificate.MAX_MODULUS}, the largest class modulus")
     report = precedes(args.f, args.g, ResidueClass(args.d, args.a))
     total = len(report.cosets)
     payload = {
@@ -166,7 +166,7 @@ def _cmd_prove(args):
                    "kind": type(exc).__name__, "reason": str(exc)}
         _emit(failure, args.format, ())  # text mode: the stderr line alone
         return EXIT_MISMATCH if mismatch else EXIT_UNPROVABLE
-    cert = certificate.proof_to_dict(proof)
+    cert = proof_to_dict(proof)
     blob = certificate.encode(cert)
     if args.out:
         with open(args.out, "wb") as fh:

@@ -1,8 +1,8 @@
 """Residue-vector analysis modulo d.
 
 For a form g and a residue class a mod d, residue_vectors finds every
-coset v in (Z/dZ)^3 with g(v) = a (mod d); the congruence is evaluated on
-the doubled Gram matrix, v (2M_g) v^t = 2a (mod 2d), to stay in integers.
+coset v in (Z/dZ)^3 with g(v) = a (mod d), from one d^3 grid of the
+values of g mod d.
 
 A coset is *good* for a transform set R = {T : T^t M_f T = d^2 M_g} when
 some T in R maps it to an integral vector, (1/d) v T^t in Z^3; that vector
@@ -62,8 +62,8 @@ class ResidueClass:
 # attainable_residues and the kernel bitsets ask only for prime powers
 @lru_cache(maxsize=16)
 def _value_grid(g: QuadForm, d: int):
-    """d^3 grid of 2*g(v) mod 2d, index order (x, y, z)."""
-    # 2*g(v) mod 2d depends on the coefficients mod d only; every term is
+    """d^3 grid of g(v) mod d, index order (x, y, z)."""
+    # g(v) mod d depends on the coefficients mod d only; every term is
     # reduced mod d on a 1-D or 2-D range before the d^3 sum, so no product
     # leaves int64 however large the coefficients are
     a, b, c, r, s, t = (k % d for k in g.coefficients)
@@ -71,19 +71,18 @@ def _value_grid(g: QuadForm, d: int):
     xy = ((a * u * u)[:, None] + (b * u * u)[None, :] + t * np.outer(u, u)) % d
     xz = ((c * u * u)[None, :] + s * np.outer(u, u)) % d
     yz = (r * np.outer(u, u)) % d
-    # each 2-D term is below d, so the uint16 sum below 3d and the final
-    # 2 * (sum mod d) < 2d stay in range for any d whose grid fits in memory
+    # each 2-D term is below d, so the uint16 sum below 3d stays in range
+    # for any d whose grid fits in memory
     grid = xy.astype(np.uint16)[:, :, None] + xz.astype(np.uint16)[:, None, :]
     grid += yz.astype(np.uint16)[None, :, :]
     grid %= d
-    grid *= 2
     grid.setflags(write=False)
     return grid
 
 
 def _residue_array(g: QuadForm, cls: ResidueClass):
     grid = _value_grid(g, cls.d)
-    return np.argwhere(grid == (2 * cls.a) % (2 * cls.d)).astype(np.int64)
+    return np.argwhere(grid == cls.a).astype(np.int64)
 
 
 def residue_vectors(g: QuadForm, cls: ResidueClass) -> list:
@@ -119,7 +118,7 @@ def attainable_residues(g: QuadForm, modulus: int) -> tuple:
     m = 1
     for q in _prime_powers(int(modulus)):
         hit = np.zeros(q, dtype=bool)
-        hit[_value_grid(g, q).ravel() // 2] = True
+        hit[_value_grid(g, q).ravel()] = True
         rho = np.arange(m * q)
         attained = attained[rho % m] & hit[rho % q]
         m *= q

@@ -32,6 +32,9 @@ keep the descent from any v of the class in bad cosets forever, so v
 would lie on the axis of E; but v and v + d e_i (i = 1, 2, 3) are all in
 the class, and they do not lie on one line through 0.  search_cover
 therefore raises NoRationalTransform before it tries any class.
+
+emit writes a PairProof in the checker's format: CERT_VERSION, MAX_MODULUS
+and encode come from certificate.py, which imports nothing from here.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from operator import index
 import numpy as np
 
 from . import _mat, fixtures
+from .certificate import CERT_VERSION, MAX_MODULUS, encode
 from .congruence import (
     CoverReport,
     GoodVectorReport,
@@ -58,10 +62,8 @@ from .enumeration import representations, represented_mask
 from .forms import QuadForm, Vector3, doubled_gram, evaluate, require_positive_definite
 from .isometry import _det_ratio_is_square, is_isometric, scaled_automorphisms, subform_witness
 
+# the moduli search_cover tries; their lcm is within MAX_MODULUS
 AUTO_MODULI = (4, 8, 12, 24, 36, 48)
-# the largest cover modulus the search reaches; explicit class lists and
-# certificates are held to it
-MAX_MODULUS = lcm(*AUTO_MODULI)
 
 
 class ProofError(Exception):
@@ -152,6 +154,58 @@ class PairProof:
     f_in_g: object  # SubformDirection | CoverDirection
     g_in_f: object
     empirical_bound: int
+
+
+def _matrix_json(T):
+    return [[int(x) for x in row] for row in T]
+
+
+def _vec_json(v):
+    return [int(x) for x in v]
+
+
+def _class_json(proof) -> dict:
+    used = proof.report.transforms.matrices[proof.report.cover]
+    escape = None
+    if proof.escape is not None:
+        escape = {"matrix": _matrix_json(proof.escape.matrix),
+                  "witness": _vec_json(proof.escape.witness)}
+    return {
+        "d": proof.cls.d,
+        "a": proof.cls.a,
+        "transforms": used.tolist(),
+        "escape": escape,
+    }
+
+
+def _direction_json(direction) -> dict:
+    if isinstance(direction, SubformDirection):
+        return {"kind": "subform", "matrix": _matrix_json(direction.witness)}
+    if isinstance(direction, CoverDirection):
+        return {
+            "kind": "cover",
+            "classes": [
+                _class_json(proof)
+                for proof in sorted(direction.classes, key=lambda p: (p.cls.d, p.cls.a))
+            ],
+        }
+    raise TypeError(f"unknown direction record {type(direction).__name__}")
+
+
+def proof_to_dict(proof: PairProof) -> dict:
+    return {
+        "version": CERT_VERSION,
+        "f": _vec_json(proof.f.coefficients),
+        "g": _vec_json(proof.g.coefficients),
+        "empirical_bound": int(proof.empirical_bound),
+        "f_in_g": _direction_json(proof.f_in_g),
+        "g_in_f": _direction_json(proof.g_in_f),
+    }
+
+
+def emit(proof: PairProof) -> bytes:
+    """The canonical certificate bytes of a proof."""
+    return encode(proof_to_dict(proof))
 
 
 def _has_finite_order(E, d):

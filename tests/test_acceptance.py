@@ -142,7 +142,7 @@ def test_criterion_06_end_to_end_proofs_and_perturbations():
     for sid in ("S4", "S6", "S7", "S8"):
         f, g = named_form(f"{sid}f"), named_form(f"{sid}g")
         proof = prove_pair(f, g, empirical_bound=BOUND)
-        blob = certificate.emit(proof)
+        blob = prover.emit(proof)
         assert certificate.check(blob), f"{sid}: emitted certificate rejected"
         cert = json.loads(blob)
         paths = matrix_paths(cert)

@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import os
@@ -24,10 +25,12 @@ from ternrep import (
     certificate,
     change_of_basis,
     congruence,
+    emit,
     isometry,
     kaplansky_family_pair,
     named_form,
     prove_pair,
+    prover,
     search_cover,
 )
 
@@ -43,7 +46,7 @@ def s4_proof():
 
 @pytest.fixture(scope="module")
 def s4_cert(s4_proof):
-    return json.loads(certificate.emit(s4_proof))
+    return json.loads(emit(s4_proof))
 
 
 @pytest.mark.parametrize("sid", ["S4", "S6", "S7", "S8"])
@@ -53,7 +56,7 @@ def test_golden_certificate(sid):
     golden = (CERTS / f"{sid}.json").read_bytes()
     assert certificate.check(golden).ok
     proof = prove_pair(named_form(f"{sid}f"), named_form(f"{sid}g"), empirical_bound=10**6)
-    assert certificate.emit(proof) + b"\n" == golden
+    assert emit(proof) + b"\n" == golden
 
 
 def test_prove_emit_and_check_leave_numpy_ma_unimported():
@@ -63,10 +66,10 @@ def test_prove_emit_and_check_leave_numpy_ma_unimported():
     script = textwrap.dedent("""
         import sys
         from pathlib import Path
-        from ternrep import certificate, named_form, prove_pair
+        from ternrep import certificate, emit, named_form, prove_pair
         certs = Path(sys.argv[1])
         proof = prove_pair(named_form("S4f"), named_form("S4g"), empirical_bound=10**6)
-        assert certificate.emit(proof) + b"\\n" == (certs / "S4.json").read_bytes()
+        assert emit(proof) + b"\\n" == (certs / "S4.json").read_bytes()
         blobs = [path.read_bytes() for path in sorted(certs.glob("*.json"))]
         assert len(blobs) >= 4 and all(certificate.check(blob).ok for blob in blobs)
         print("numpy.ma" in sys.modules)
@@ -122,7 +125,7 @@ def _naive_greedy(table):
 def test_emitted_transform_lists_are_greedy_covers(source, U, V):
     f, g = _pair(source)
     proof = prove_pair(change_of_basis(f, U), change_of_basis(g, V), empirical_bound=100)
-    cert = json.loads(certificate.emit(proof))
+    cert = json.loads(emit(proof))
     for tag in ("f_in_g", "g_in_f"):
         if cert[tag]["kind"] != "cover":
             continue
@@ -159,7 +162,7 @@ def test_family_pair_certificates_from_explicit_class_lists(kind, a, b):
     classes_f_in_g = [c.cls for c in search_cover(q, p).classes]
     proof = prove_pair(p, q, classes_g_in_f=classes_g_in_f, classes_f_in_g=classes_f_in_g,
                        empirical_bound=1000)
-    cert = json.loads(certificate.emit(proof))
+    cert = json.loads(emit(proof))
     assert cert["f_in_g"]["kind"] == cert["g_in_f"]["kind"] == "cover"
     assert certificate.check(cert).ok
 
@@ -191,7 +194,7 @@ def get_at(cert, path):
 
 
 def test_round_trip_accepts(s4_proof):
-    blob = certificate.emit(s4_proof)
+    blob = emit(s4_proof)
     assert certificate.check(blob)
     assert certificate.check(blob.decode())
     assert certificate.check(json.loads(blob))
@@ -200,28 +203,28 @@ def test_round_trip_accepts(s4_proof):
 def test_round_trip_trivial_pair():
     f = named_form("S5a")
     proof = prove_pair(f, f, empirical_bound=500)
-    assert certificate.check(certificate.emit(proof))
+    assert certificate.check(emit(proof))
 
 
 def test_round_trip_double_cover(s8):
     f, g = s8
     proof = prove_pair(f, g, empirical_bound=20000)
-    blob = certificate.emit(proof)
+    blob = emit(proof)
     cert = json.loads(blob)
     assert cert["f_in_g"]["kind"] == "cover" and cert["g_in_f"]["kind"] == "cover"
     assert certificate.check(blob)
 
 
 def test_emission_is_deterministic(s4_proof):
-    assert certificate.emit(s4_proof) == certificate.emit(s4_proof)
+    assert emit(s4_proof) == emit(s4_proof)
     # a second proof built from cold caches emits the same bytes
     for cached in (isometry.find_transforms, congruence._value_grid,
                    congruence._kernel_bits, congruence._kernel_classes):
         cached.cache_clear()
     again = prove_pair(named_form("S4f"), named_form("S4g"), classes_g_in_f=S4_PAPER_CLASSES,
                        empirical_bound=20000)
-    assert certificate.emit(again) == certificate.emit(s4_proof)
-    blob = certificate.emit(s4_proof)
+    assert emit(again) == emit(s4_proof)
+    blob = emit(s4_proof)
     assert b"e-" not in blob and b"." not in blob.replace(b'"', b"")  # integers only
 
 
@@ -315,7 +318,7 @@ def test_single_integer_perturbations_rejected(s4_cert):
 @pytest.fixture(scope="module")
 def catalog_certs():
     return {
-        sid: certificate.emit(prove_pair(named_form(f"{sid}f"), named_form(f"{sid}g"),
+        sid: emit(prove_pair(named_form(f"{sid}f"), named_form(f"{sid}g"),
                                          empirical_bound=1000))
         for sid in ("S4", "S6", "S7", "S8")
     }
@@ -328,6 +331,8 @@ def test_catalog_certificates_within_limits(catalog_certs):
         for tag in ("f_in_g", "g_in_f"):
             moduli = [rec["d"] for rec in cert[tag].get("classes", [])]
             assert lcm(1, *moduli) <= certificate.MAX_MODULUS
+    # the checker's limit is a literal: the search's moduli must stay within it
+    assert lcm(*prover.AUTO_MODULI) <= certificate.MAX_MODULUS
 
 
 @pytest.mark.parametrize("moduli", [(16, 45), (10**30,)])
@@ -368,6 +373,18 @@ def test_non_integer_types_rejected(s4_cert, field, retype):
     assert not verdict.ok and verdict.clause.endswith("schema"), (field, verdict)
 
 
+@pytest.mark.parametrize("d, a, detail", [
+    (0, 0, "modulus d must be a positive integer"),
+    (-4, 0, "modulus d must be a positive integer"),
+    (12, 12, "residue must satisfy 0 <= a < d, got (12, 12)"),
+    (12, -1, "residue must satisfy 0 <= a < d, got (12, -1)"),
+])
+def test_out_of_range_class_rejected(s4_cert, d, a, detail):
+    cert = copy.deepcopy(s4_cert)
+    cert["g_in_f"]["classes"][0].update(d=d, a=a)
+    assert certificate.check(cert) == certificate.Verdict(False, "g_in_f.schema", detail)
+
+
 @pytest.mark.parametrize("path, junk", [
     (("g_in_f", "classes", 1, "escape"), 5),
     (("g_in_f", "classes", 0, "transforms", 0), {}),
@@ -384,7 +401,7 @@ def test_malformed_records_rejected(s4_cert, path, junk):
 
 
 def test_checker_runs_no_transform_search(s4_proof, monkeypatch):
-    blob = certificate.emit(s4_proof)
+    blob = emit(s4_proof)
 
     def boom(*args, **kwargs):
         raise AssertionError("checker must not search for transforms or reuse the prover's scans")
@@ -393,6 +410,37 @@ def test_checker_runs_no_transform_search(s4_proof, monkeypatch):
     monkeypatch.setattr(congruence, "_residue_array", boom)
     monkeypatch.setattr(congruence, "classify_good", boom)
     assert certificate.check(blob)
+
+
+# the checker's trusted code: every module it imports, and what they import
+TRUSTED_IMPORTS = {
+    "certificate": {"__future__", "json", "dataclasses", "math", "numpy", "ternrep._mat", "ternrep.forms"},
+    "forms": {"__future__", "dataclasses", "operator", "typing", "ternrep._mat"},
+    "_mat": {"math"},
+}
+
+
+def _imports(path):
+    """The modules a source file of ternrep imports, relative imports resolved."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level <= 1, ast.dump(node)
+            if not node.level:
+                found.add(node.module)
+            elif node.module:
+                found.add(f"ternrep.{node.module}")
+            else:  # from . import name: name is a module of the package
+                found.update(f"ternrep.{alias.name}" for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(TRUSTED_IMPORTS))
+def test_checker_imports_only_trusted_code(module):
+    path = Path(certificate.__file__).with_name(f"{module}.py")
+    assert _imports(path) == TRUSTED_IMPORTS[module]
 
 
 @settings(max_examples=30, deadline=None)
@@ -477,7 +525,7 @@ def test_v2_escape_records_rejected(s4_cert):
 
 @pytest.fixture(scope="module")
 def small_certs(s4_cert, s7):
-    return {"S4": s4_cert, "S7": json.loads(certificate.emit(prove_pair(*s7, empirical_bound=1000)))}
+    return {"S4": s4_cert, "S7": json.loads(emit(prove_pair(*s7, empirical_bound=1000)))}
 
 
 def node_paths(node, path=()):

@@ -312,11 +312,11 @@ def test_attainable_residues_scan_prime_powers_only(s6, monkeypatch):
 
 
 def _int64_grid(g, d):
-    """2*g(v) mod 2d on three int64 meshgrids, coefficients reduced mod d."""
+    """g(v) mod d on three int64 meshgrids, coefficients reduced mod d."""
     rng = np.arange(d, dtype=np.int64)
     X, Y, Z = np.meshgrid(rng, rng, rng, indexing="ij")
     a, b, c, r, s, t = (k % d for k in g.coefficients)
-    return 2 * (a * X * X + b * Y * Y + c * Z * Z + r * Y * Z + s * X * Z + t * X * Y) % (2 * d)
+    return (a * X * X + b * Y * Y + c * Z * Z + r * Y * Z + s * X * Z + t * X * Y) % d
 
 
 @pytest.mark.parametrize("d", [1, 2, 9, 16, 48, 97])
@@ -335,7 +335,7 @@ def test_value_grid_reduces_huge_coefficients():
     grid = congruence._value_grid.__wrapped__(big, d)
     assert np.array_equal(grid, _int64_grid(small, d))
     for v in ((0, 0, 0), (1, 2, 3), (47, 46, 45), (5, 0, 47)):
-        assert grid[v] == 2 * evaluate(big, v) % (2 * d)
+        assert grid[v] == evaluate(big, v) % d
 
 
 def test_residue_scans_reduce_huge_coefficients():
