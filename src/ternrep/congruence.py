@@ -221,7 +221,13 @@ _COSET_BLOCK = 4096
 _LOW_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.int64)
 
 
-@lru_cache(maxsize=16)
+# a pair proof works at no more than 16 moduli per direction (the divisors
+# of an lcm <= MAX_MODULUS = 144), each with one transform set and one of
+# scaled automorphisms, so it touches at most 4 x 16 = 64 sets: all of them
+# stay cached until emit reads them for GoodVectorReport.cover.  The tables
+# are small: the 18 sets of the S8 proof hold 0.02 MB, the 12 of the S5
+# search 0.5 MB
+@lru_cache(maxsize=64)
 def _kernel_bits(transforms: TransformSet) -> tuple:
     """((q, bits_q) for each prime power q of d), the kernels of the set mod q.
 

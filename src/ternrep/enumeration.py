@@ -37,8 +37,13 @@ with m = |c1|, C_m the row minima c0 <= N of the rows of class m and
 the values <= N are the union over m of the sumsets (C_m + O_m) cut at
 N.  For |j| >= K + 2, K = isqrt(N // a), m j + a j^2 >= a |j| (|j| - 1)
 >= a (K + 2)(K + 1) > a (K + 1)^2 > N, because m <= a and (K + 1)^2 > N / a;
-so |j| <= K + 2 holds all of O_m, with one to spare.  The coordinates are
-first permuted to make a the smallest diagonal coefficient (the values
+so |j| <= K + 2 holds all of O_m, with one to spare.  The form's
+content k, the gcd of its coefficients, is divided out first: f = k h,
+so the values of f up to N are k times the values of h up to N // k.
+The kernel runs on h and sets every k-th slot of the mask; it walks the
+same rows, but its bitsets, shifted ORs and final unpack are k times
+smaller (every catalog form is used at scale 2).  Then the coordinates
+are permuted to make a the smallest diagonal coefficient (the values
 do not change), which gives the fewest classes and the fewest rows.
 A class's sumset is ORed into a packed little-endian bitset: the bitset
 of the larger of C_m and O_m (the class's row count stands for |C_m|),
@@ -47,12 +52,18 @@ once per bit phase p = 0..7 in one buffer, so each element s = 8q + p
 costs one byte-aligned np.bitwise_or of a slice, of at most N/8 bytes:
 O(sqrt(a N)) ORs per form in all, where the row scan marks about
 N^(3/2) / sqrt(det) lattice points.  A class with few rows scatters its
-sums c0 + m j + a j^2 instead.
+sums c0 + m j + a j^2 instead.  The row minima of the classes with many
+rows, at most 8, are collected in one byte per value in [0, N], bit k
+for the k-th class, so a chunk's rows are stored by one unbuffered OR
+in row order, with no sort.  After the walk each class's bitset is
+packed from those bytes, which are freed before the ORs: the bytes, and
+the bitsets together, each take no more memory than the mask.
 
 theta cannot take this route: a count needs every lattice point, not
 just the union of the sumsets.  Nor can the primitive mask: whether
 (x0 + j, y, z) is primitive depends on gcd(y, z) and on x0, which the
-row minimum c0 forgets.  Both keep the row scan.
+row minimum c0 forgets.  Both keep the row scan, on f itself: dividing
+out the content would leave their lattice points the same.
 
 representations(f, n) solves each row for x instead: D is the
 discriminant of f(x, y, z) = n as a quadratic in x, so a row has a
@@ -66,7 +77,7 @@ raises OverflowError at once.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 from operator import index
 
 import numpy as np
@@ -122,12 +133,11 @@ def _rows(form: QuadForm, bound: int, size: int):
     |j| <= J <= sqrt(bound / a) + 1, c0 = (c1^2 + S) / 4a, |c1 j| and a j^2
     sum to at most 2.5 bound + 3.75 a + worst / 4a, which is below
     1.4 worst since 4a bound <= worst and 8a <= worst.  The sumset kernel
-    of represented_mask keeps only rows with c0 <= bound; its keys
+    of represented_mask walks the form divided by its content, at the
+    bound divided by it, and keeps only rows with c0 <= bound; its keys
     c0 (a + 1) + |c1| are at most a bound + bound + a < worst, and its
     sums c0 + m j + a j^2 with 0 <= m <= a and |j| <= sqrt(bound / a) + 2
-    at most 2 bound + 5 sqrt(a bound) + 6a < 1.3 worst + 3 sqrt(worst);
-    its keys of collected rows stay below 8 (bound + 8), which the mask's
-    own bound + 2 bytes keep far below 2^63.
+    at most 2 bound + 5 sqrt(a bound) + 6a < 1.3 worst + 3 sqrt(worst).
     So every intermediate stays below 2 worst < 2^63 when worst < 2^62;
     otherwise OverflowError is raised before any row is walked.
     """
@@ -316,68 +326,104 @@ def _scatter_rows(seen: np.ndarray, a: int, bound: int, c0: np.ndarray, m: np.nd
 def _sumset_mask(form: QuadForm, bound: int) -> np.ndarray:
     """The writable bool mask of the values <= bound of form, from sumsets.
 
-    See the module docstring: each row adds c0 + O_m, and rows are filed
-    by m = |c1|.  A class's rows are scattered until it has had
-    (bytes of the mask bitset + _BLOCK_CELLS) / 256 distinct rows; from
-    then on its row minima are collected in a bitset of its own, and
-    after the walk it ORs in C_m + O_m at once.  Scattering costs in
-    proportion to a class's rows, the ORs in proportion to the bitset's
-    bytes (plus a fixed cost per call); the divisor 256 ran the catalog
-    sweep at 10^6 faster than 64 or 128 and as fast as 512.  At most 8
-    classes are collected, so their bitsets together take no more memory
-    than the mask.
+    With k the content of form (the gcd of its coefficients), f = k h, so
+    the values of f are k times those of h: the kernel runs on h at
+    bound // k and writes into every k-th slot of one buffer.  When
+    bound < k only the slot of 0 is in range, and the step is cut to
+    bound + 1, so the buffer never grows with k.
     """
     require_positive_definite(form)
+    k = gcd(*form.coefficients)
+    step = min(k, bound + 1)
+    seen = np.zeros(step * (bound // k + 1) + 1, dtype=bool)  # the last slot absorbs clipped sums
+    _fill_sumsets(seen[::step], QuadForm(*(c // k for c in form.coefficients)), bound // k)
+    return seen[: bound + 1]
+
+
+def _fill_sumsets(seen: np.ndarray, form: QuadForm, bound: int) -> None:
+    """Set seen[n] for each value n <= bound of form; seen has bound + 2 slots.
+
+    See the module docstring: each row adds c0 + O_m, and rows are filed
+    by m = |c1|.  A class's rows are scattered until it has had
+    (bytes of the mask bitset + _BLOCK_CELLS) / 256 rows; from then on
+    its row minima are collected, and after the walk it ORs in C_m + O_m
+    at once.  Scattering costs in proportion to a class's rows, the ORs
+    in proportion to the bitset's bytes (plus a fixed cost per call); the
+    divisor 256 ran the catalog sweep at 10^6 faster than 64 or 128 and
+    as fast as 512.
+
+    At most 8 classes are collected, the k-th in bit k of one byte per
+    value, so a chunk's collected rows are stored by one unbuffered OR,
+    in row order: they need no sort and no removal of repeats.  After the
+    walk each class's bitset is packed from that byte array, in blocks,
+    and the array is freed before the ORs: the byte array, like the
+    bitsets together, takes no more memory than the mask.  The row counts
+    and bits of the classes are kept over the classes seen so far, never
+    over all a + 1.
+    """
     form = _smallest_diagonal_first(form)
     a, _, _, _, s, t = form.coefficients
-    seen = np.zeros(bound + 2, dtype=bool)  # slot bound+1 absorbs clipped sums
     nbytes = bound // 8 + 1
     dense_from = (nbytes + _BLOCK_CELLS) // 256
-    rows, slots = {}, {}  # class -> its distinct rows so far; class -> k, its bitset in collected[k]
-    collected = []
+    # over `known`, the classes seen so far, ascending: each class's rows so
+    # far and its bit in `minima`, 0 while the class is scattered
+    known = np.zeros(0, dtype=np.int64)
+    rows = np.zeros(0, dtype=np.int64)
+    flag = np.zeros(0, dtype=np.uint8)
+    collected = 0
+    minima = None  # bit k of minima[v]: v is a row minimum of the k-th collected class
     for y, z, D in _rows(form, bound, max(1, _BLOCK_CELLS // 8)):
         B = t * y + s * z
         c1 = 2 * a * ((a - B) // (2 * a)) + B  # in (-a, a]
         c0 = (c1 * c1 - D) // (4 * a) + bound  # f(x0, y, z), the row's minimum
         near = c0 <= bound
-        # distinct (c0, m) with m = |c1| in [0, a], ordered by c0
-        c0, m = np.divmod(_distinct(c0[near] * (a + 1) + np.abs(c1[near])), a + 1)
-        classes, counts = np.unique(m, return_counts=True)
-        for cls, n in zip(classes.tolist(), counts.tolist()):
-            rows[cls] = rows.get(cls, 0) + n
-            if cls not in slots and rows[cls] >= dense_from and len(slots) < 8:
-                slots[cls] = len(collected)
-                collected.append(np.zeros(nbytes, dtype=np.uint8))
-        if slots:
-            slot = np.array([slots.get(cls, -1) for cls in classes.tolist()], dtype=np.int64)
-            slot = slot[np.searchsorted(classes, m)]
-            take = slot >= 0
-            # the bitsets end to end are one: set its bits in one pass, then split
-            i, b = _packed(np.sort(slot[take] * (8 * nbytes) + c0[take]))
-            k, i = np.divmod(i, nbytes)
-            ends = np.searchsorted(k, np.arange(len(collected) + 1))
-            for C, lo, hi in zip(collected, ends[:-1].tolist(), ends[1:].tolist()):
-                C[i[lo:hi]] |= b[lo:hi]
-            c0, m = c0[~take], m[~take]
+        c0, m = c0[near], np.abs(c1[near])
+        at = np.searchsorted(known, m)
+        new = m[known[np.minimum(at, len(known) - 1)] != m] if len(known) else m
+        if len(new):
+            new = _distinct(new)
+            where = np.searchsorted(known, new)
+            rows, flag = np.insert(rows, where, 0), np.insert(flag, where, 0)
+            known = np.insert(known, where, new)
+            at = np.searchsorted(known, m)
+        rows += np.bincount(at, minlength=len(known))
+        fresh = np.flatnonzero((rows >= dense_from) & (flag == 0))[: 8 - collected]
+        if len(fresh):
+            flag[fresh] = np.left_shift(1, np.arange(collected, collected + len(fresh)))
+            collected += len(fresh)
+            if minima is None:
+                minima = np.zeros(bound + 1, dtype=np.uint8)
+        if collected:
+            ones = flag[at]
+            np.bitwise_or.at(minima, c0, ones)  # a scattered row ORs in 0
+            rest = ones == 0
+            c0, m = c0[rest], m[rest]
+        # distinct (c0, m), ordered by c0
+        c0, m = np.divmod(_distinct(c0 * (a + 1) + m), a + 1)
         _scatter_rows(seen, a, bound, c0, m)
-    if not slots:
-        return seen[: bound + 1]
+    if not collected:
+        return
+    chosen = np.flatnonzero(flag)
+    bitsets = [np.empty(nbytes, dtype=np.uint8) for _ in chosen]
+    for i in range(0, nbytes, _BLOCK_CELLS):
+        part = minima[8 * i : 8 * (i + _BLOCK_CELLS)]
+        for C, bit in zip(bitsets, flag[chosen].tolist()):
+            C[i : i + _BLOCK_CELLS] = np.packbits(part & bit, bitorder="little")
+    del minima  # the ORs below need only the bitsets
     bits = np.zeros(nbytes, dtype=np.uint8)  # bit v: v in some collected C_m + O_m
-    for cls, k in slots.items():
-        C, O = collected[k], _pattern(a, cls, bound)
-        if rows[cls] >= len(O):  # rows[cls] bounds |C_m|, without a count of its bits
+    for cls, n in zip(known[chosen].tolist(), rows[chosen].tolist()):
+        C, O = bitsets.pop(0), _pattern(a, cls, bound)
+        if n >= len(O):  # n, the class's rows, bounds |C_m| without a count of its bits
             _or_shifted(bits, C, O)
         else:
             big = np.zeros(int(O[-1]) // 8 + 1, dtype=np.uint8)
             i, b = _packed(O)
             big[i] = b
             _or_shifted(bits, big, _members(C))
-        collected[k] = None
     for i in range(0, nbytes, _BLOCK_CELLS):
         part = seen[8 * i : 8 * (i + _BLOCK_CELLS)]
         part |= np.unpackbits(bits[i : i + _BLOCK_CELLS], count=len(part),
                               bitorder="little").view(bool)
-    return seen[: bound + 1]
 
 
 def represented_mask(form: QuadForm, bound: int, primitive: bool = False) -> np.ndarray:

@@ -156,13 +156,22 @@ def test_criterion_06_end_to_end_proofs_and_perturbations():
     _report(6, "end-to-end proofs + 400 perturbations rejected", t0)
 
 
+# the number of values <= 10^6 of each set at scale 2
+TABLE_COUNTS = {
+    "S1": 270823, "S2": 312491, "S3": 437490, "S4": 162043, "S5": 252276,
+    "S6": 256936, "S7": 381942, "S8": 274552, "S9": 364573, "S10": 312487,
+    "S11": 437488, "S12": 256946, "S13": 166656, "S14": 416655, "S15": 458321,
+}
+
+
 def test_criterion_07_table_verification():
     t0 = time.perf_counter()
+    assert set(TABLE_COUNTS) == set(SET_IDS)
     for sid in SET_IDS:
         # two threads, so that the threaded path sees the whole catalog
         value_count, isometric = verify_pairwise(table_set(sid, 2), BOUND, jobs=2)
         assert not isometric, f"{sid}: some members are isometric"
-        assert value_count > 0
+        assert value_count == TABLE_COUNTS[sid], sid
     _report(7, f"all 15 sets equal and non-isometric up to {BOUND}", t0)
 
 

@@ -202,6 +202,7 @@ def test_row_blocks_of_any_size_match_oracle(form, bound):
     scale(named_form("S6b"), 2),
     SUM_OF_SQUARES,
     QuadForm(200, 210, 230, 17, 19, 23),
+    QuadForm(10**6, 10**6 + 1, 10**6 + 3, 1, 1, 1),  # no table over the a + 1 classes
 ], ids=str)
 def test_mask_memory_does_not_grow_with_slice_width(form):
     # at 10^6 the mask is 1 MB and its bitset 125 KB; a table of one bitset
@@ -234,7 +235,8 @@ def test_representation_counts_match_theta(form, bound):
     assert [len(representations(form, n)) for n in range(bound + 1)] == theta(form, bound).tolist()
 
 
-HUGE = QuadForm(10**9, 10**9, 10**9, 0, 0, 0)
+# primitive: the mask kernel divides a form's content out of it first
+HUGE = QuadForm(10**9, 10**9, 10**9 + 1, 0, 0, 0)
 
 
 # a mask or theta at the norm 2^61 would first need 2^61 bytes of output
@@ -250,6 +252,21 @@ def test_representations_refuse_int64_overflow_before_any_work(enumerate_, form,
             mock.patch.object(enumeration, "_quad_interval", side_effect=AssertionError):
         with pytest.raises(OverflowError, match="would not fit in int64"):
             enumerate_(form, n)
+
+
+def test_mask_divides_out_the_content():
+    # 10^9 (x^2 + y^2 + z^2) is the sum of three squares at bound 10 // 10^9 = 0:
+    # no int64 bound is reached, and the mask buffer does not grow with 10^9
+    form = scale(SUM_OF_SQUARES, 10**9)
+    assert np.flatnonzero(represented_mask(form, 10)).tolist() == [0]
+    tracemalloc.start()
+    try:
+        mask = represented_mask(form, 10**4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.flatnonzero(mask).tolist() == [0]
+    assert peak < 2**20
 
 
 def _swept(form, bound):
@@ -332,3 +349,19 @@ def test_sumset_mask_matches_oracle(form, k, offset):
     for cells in (enumeration._BLOCK_CELLS, 1, 7, 64):
         with mock.patch.object(enumeration, "_BLOCK_CELLS", cells):
             assert np.array_equal(represented_mask(form, bound), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sumset_forms(), st.sampled_from((2, 3, 4, 6, 12)), st.integers(0, 250),
+       st.sampled_from((-1, 0, 1)), st.integers(0, 11))
+@example(SUM_OF_SQUARES, 12, 0, 0, 11)  # a bound below the content: only 0 is in range
+@example(QuadForm(2, 3, 3, -1, -1, 0), 6, 0, 1, 5)
+def test_sumset_mask_of_a_multiple_matches_oracle(form, k, j, offset, rest):
+    # k f has content k (times that of f): the kernel runs on f at
+    # bound // k = 8j - 1, 8j or 8j + 1, and fills every k-th slot of the mask
+    multiple = scale(form, k)
+    bound = k * max(0, 8 * j + offset) + rest % k
+    expected = oracle.value_counts(multiple, bound) > 0
+    for cells in (enumeration._BLOCK_CELLS, 1, 7, 64):
+        with mock.patch.object(enumeration, "_BLOCK_CELLS", cells):
+            assert np.array_equal(represented_mask(multiple, bound), expected)

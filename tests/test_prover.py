@@ -588,3 +588,15 @@ def test_kaplansky_family_sets_agree_small():
     for kind, a, b in (("iii", 1, 1), ("iv", 3, 1)):
         p, q = kaplansky_family_pair(kind, a, b)
         assert np.array_equal(represented_set(p, 2000), represented_set(q, 2000))
+
+
+@pytest.mark.parametrize("sid", ["S4", "S6", "S7", "S8"])
+def test_emit_rebuilds_no_kernel_tables(sid):
+    # the S8 proof touches 18 transform sets; the transforms a certificate
+    # lists come from kernel tables its search built, still cached
+    congruence._kernel_bits.cache_clear()
+    congruence._kernel_classes.cache_clear()
+    proof = prove_pair(named_form(f"{sid}f"), named_form(f"{sid}g"), empirical_bound=100)
+    before = congruence._kernel_bits.cache_info().misses
+    prover.emit(proof)
+    assert congruence._kernel_bits.cache_info().misses == before
