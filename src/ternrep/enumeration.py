@@ -46,18 +46,24 @@ smaller (every catalog form is used at scale 2).  Then the coordinates
 are permuted to make a the smallest diagonal coefficient (the values
 do not change), which gives the fewest classes and the fewest rows.
 A class's sumset is ORed into a packed little-endian bitset: the bitset
-of the larger of C_m and O_m (the class's row count stands for |C_m|),
+of the larger of C_m and O_m (|C_m| counted as its bitset is packed),
 shifted by each element of the smaller one.  The shifted copy is made
 once per bit phase p = 0..7 in one buffer, so each element s = 8q + p
-costs one byte-aligned np.bitwise_or of a slice, of at most N/8 bytes:
-O(sqrt(a N)) ORs per form in all, where the row scan marks about
-N^(3/2) / sqrt(det) lattice points.  A class with few rows scatters its
-sums c0 + m j + a j^2 instead.  The row minima of the classes with many
-rows, at most 8, are collected in one byte per value in [0, N], bit k
-for the k-th class, so a chunk's rows are stored by one unbuffered OR
-in row order, with no sort.  After the walk each class's bitset is
-packed from those bytes, which are freed before the ORs: the bytes, and
-the bitsets together, each take no more memory than the mask.
+costs one byte-aligned np.bitwise_or into a view of the bitset, of at
+most N/8 bytes: O(sqrt(a N)) ORs per form in all, where the row scan
+marks about N^(3/2) / sqrt(det) lattice points.  A class with few rows
+scatters its sums c0 + m j + a j^2 instead.  The row minima of the
+classes with many rows, at most 8, are collected in one byte per value
+in [0, N], bit k for the k-th class, so a chunk's rows are stored by one
+unbuffered OR in row order, with no sort.  After the walk each class's
+bitset is packed from those bytes, which are freed before the ORs: the
+bytes, and the bitsets together, each take no more memory than the mask.
+The walk makes a fixed number of numpy calls per chunk of rows, so its
+chunks are sized in bytes (int32 rows give twice the rows per chunk),
+and it drops the calls that can no longer change anything: the slot
+lookup once every class that can occur has been seen, the row counts
+once no class can be collected any more, and the scatter of a chunk
+with no row left to scatter.
 
 theta cannot take this route: a count needs every lattice point, not
 just the union of the sumsets.  Nor can the primitive mask: whether
@@ -70,9 +76,10 @@ discriminant of f(x, y, z) = n as a quadratic in x, so a row has a
 solution only where D is a perfect square; a float square root rounded
 to an integer and squared back decides it exactly.
 
-The int64 magnitudes of all of them are bounded once, over the whole
-bounding box, before any row is walked: a form or bound beyond int64
-raises OverflowError at once.
+The magnitudes of all of them are bounded once, over the whole bounding
+box, before any row is walked (_rows): the rows are int32 when every
+intermediate fits in int32, int64 when it fits in int64, and a form or
+bound beyond int64 raises OverflowError at once.
 """
 
 from __future__ import annotations
@@ -86,6 +93,7 @@ from .forms import QuadForm, doubled_gram, require_positive_definite
 from . import _mat
 
 _INT64_SAFE = 2**62
+_INT32_SAFE = 2**30  # rows below it are int32 (see _rows)
 _BLOCK_CELLS = 1 << 15  # 256 KB of int64 per block
 
 
@@ -108,14 +116,15 @@ def _quad_interval(P, Q, R):
     return lo, hi
 
 
-def _rows(form: QuadForm, bound: int, size: int):
-    """Yield (y, z, D) for the rows of f(v) <= bound, z >= 0, size rows at a time.
+def _rows(form: QuadForm, bound: int, nbytes: int):
+    """Yield (y, z, D) for the rows of f(v) <= bound, z >= 0, in chunks of nbytes per array.
 
     form must be positive definite.
-    y and z are int64 arrays of the rows (y, z) of the slices z = 0, 1, ...
-    in order, each slice's y-range exact from _quad_interval; a chunk
-    holds `size` rows (the last fewer), so the rows of consecutive slices
-    share a chunk and a long slice is split over several.
+    y, z and D are arrays of one integer dtype over the rows (y, z) of the
+    slices z = 0, 1, ... in order, each slice's y-range exact from
+    _quad_interval; a chunk holds nbytes // itemsize rows (at least one;
+    the last chunk fewer), so the rows of consecutive slices share a chunk
+    and a long slice is split over several.
     D = 4 a bound - (beta y^2 + gy y z + dy z^2) is B^2 - 4a(C - bound) for
     B = t y + s z and C = f(0, y, z): f(x, y, z) <= bound iff
     (2 a x + B)^2 <= D.
@@ -138,8 +147,13 @@ def _rows(form: QuadForm, bound: int, size: int):
     c0 (a + 1) + |c1| are at most a bound + bound + a < worst, and its
     sums c0 + m j + a j^2 with 0 <= m <= a and |j| <= sqrt(bound / a) + 2
     at most 2 bound + 5 sqrt(a bound) + 6a < 1.3 worst + 3 sqrt(worst).
-    So every intermediate stays below 2 worst < 2^63 when worst < 2^62;
-    otherwise OverflowError is raised before any row is walked.
+    So every intermediate stays below 2 worst: the rows are int32 when
+    worst < _INT32_SAFE = 2^30, int64 when worst < _INT64_SAFE = 2^62,
+    and otherwise OverflowError is raised before any row is walked.  Every
+    coefficient and product of coefficients that meets a row array is at
+    most worst, so it fits the rows' dtype too.  The arrays that callers
+    derive from the rows and a wider array (the j of a block, a float
+    root) are int64.
     """
     a, b, c, r, s, t = form.coefficients
     beta = 4 * a * b - t * t
@@ -152,12 +166,14 @@ def _rows(form: QuadForm, bound: int, size: int):
     )
     if worst >= _INT64_SAFE:
         raise OverflowError("slice values would not fit in int64")
+    dtype = np.dtype(np.int32 if worst < _INT32_SAFE else np.int64)
+    size = max(1, nbytes // dtype.itemsize)
 
     def chunk(pieces):
-        zs, ylos, widths = np.array(pieces, dtype=np.int64).T
+        zs, ylos, widths = np.array(pieces, dtype=dtype).T
         z = np.repeat(zs, widths)
-        starts = np.cumsum(widths) - widths
-        y = np.arange(len(z), dtype=np.int64) + np.repeat(ylos - starts, widths)
+        starts = np.cumsum(widths, dtype=dtype) - widths
+        y = np.arange(len(z), dtype=dtype) + np.repeat(ylos - starts, widths)
         D = np.repeat(4 * a * bound - dy * zs * zs, widths) - y * (beta * y + gy * z)
         return y, z, D
 
@@ -195,8 +211,9 @@ def _capped_rows(form: QuadForm, bound: int, primitive: bool):
     a, _, _, _, s, t = form.coefficients
     cap = bound + 1
     buf = np.empty(0, dtype=np.int64)
-    # a dozen int64 arrays per row: 1024 rows keep them under half a block
-    for y, z, D in _rows(form, bound, max(1, _BLOCK_CELLS // 32)):
+    # 1024 int32 rows (512 int64 rows) per chunk keep its dozen arrays,
+    # int64 at most, under half a block
+    for y, z, D in _rows(form, bound, _BLOCK_CELLS // 8):
         # f(x0 + j) = c0 + c1 j + a j^2, c1 = 2a x0 + B in (-a, a]
         B = t * y + s * z
         x0 = (a - B) // (2 * a)
@@ -284,22 +301,27 @@ def _or_shifted(bits: np.ndarray, big: np.ndarray, small: np.ndarray) -> None:
 
     small is ascending.  One phase buffer holds big shifted up by p bits,
     p = 0..7 in turn, so each s = 8q + p of that phase is one byte-aligned
-    OR of the buffer into bits at byte q.
+    OR of the first n = min(len(big) + 1, len(bits) - q) bytes of the
+    buffer into bits at byte q.  The offsets q and lengths n of all shifts
+    are computed at once; a shift with n <= 0 starts at or past the end of
+    bits and is dropped, and each OR runs in place on a view of bits.
     """
     phase = np.empty(len(big) + 1, dtype=np.uint8)
-    for p in range(8):
-        shifts = small[small & 7 == p]
-        if not len(shifts):
+    q = small >> 3
+    n = np.minimum(len(phase), len(bits) - q)
+    live = n > 0
+    q, n, p = q[live], n[live], small[live] & 7
+    for k in range(8):
+        ours = p == k
+        if not ours.any():
             continue
-        np.left_shift(big, p, out=phase[:-1])
+        np.left_shift(big, k, out=phase[:-1])
         phase[-1] = 0
-        if p:
-            phase[1:] |= big >> (8 - p)
-        for q in (shifts >> 3).tolist():
-            n = min(len(phase), len(bits) - q)
-            if n <= 0:
-                break
-            bits[q : q + n] |= phase[:n]
+        if k:
+            phase[1:] |= big >> (8 - k)
+        for i, w in zip(q[ours].tolist(), n[ours].tolist()):
+            v = bits[i : i + w]
+            np.bitwise_or(v, phase[:w], out=v)
 
 
 def _scatter_rows(seen: np.ndarray, a: int, bound: int, c0: np.ndarray, m: np.ndarray) -> None:
@@ -344,76 +366,33 @@ def _fill_sumsets(seen: np.ndarray, form: QuadForm, bound: int) -> None:
     """Set seen[n] for each value n <= bound of form; seen has bound + 2 slots.
 
     See the module docstring: each row adds c0 + O_m, and rows are filed
-    by m = |c1|.  A class's rows are scattered until it has had
-    (bytes of the mask bitset + _BLOCK_CELLS) / 256 rows; from then on
-    its row minima are collected, and after the walk it ORs in C_m + O_m
-    at once.  Scattering costs in proportion to a class's rows, the ORs
-    in proportion to the bitset's bytes (plus a fixed cost per call); the
-    divisor 256 ran the catalog sweep at 10^6 faster than 64 or 128 and
-    as fast as 512.
-
-    At most 8 classes are collected, the k-th in bit k of one byte per
-    value, so a chunk's collected rows are stored by one unbuffered OR,
-    in row order: they need no sort and no removal of repeats.  After the
-    walk each class's bitset is packed from that byte array, in blocks,
-    and the array is freed before the ORs: the byte array, like the
-    bitsets together, takes no more memory than the mask.  The row counts
-    and bits of the classes are kept over the classes seen so far, never
-    over all a + 1.
+    by m = |c1|.  _walk_rows scatters the rows of the classes with few
+    rows and collects the row minima of up to 8 others.  Each collected
+    class's bitset is then packed from the byte array of minima, in
+    blocks, counting |C_m| as it goes, and the array is freed before the
+    ORs: the byte array, like the bitsets together, takes no more memory
+    than the mask.  A class ORs in C_m + O_m at once, shifting the bitset
+    of the larger of C_m and O_m by each element of the smaller one, so
+    it makes at most min(|C_m|, |O_m|) ORs.
     """
     form = _smallest_diagonal_first(form)
-    a, _, _, _, s, t = form.coefficients
+    a = form.coefficients[0]
     nbytes = bound // 8 + 1
-    dense_from = (nbytes + _BLOCK_CELLS) // 256
-    # over `known`, the classes seen so far, ascending: each class's rows so
-    # far and its bit in `minima`, 0 while the class is scattered
-    known = np.zeros(0, dtype=np.int64)
-    rows = np.zeros(0, dtype=np.int64)
-    flag = np.zeros(0, dtype=np.uint8)
-    collected = 0
-    minima = None  # bit k of minima[v]: v is a row minimum of the k-th collected class
-    for y, z, D in _rows(form, bound, max(1, _BLOCK_CELLS // 8)):
-        B = t * y + s * z
-        c1 = 2 * a * ((a - B) // (2 * a)) + B  # in (-a, a]
-        c0 = (c1 * c1 - D) // (4 * a) + bound  # f(x0, y, z), the row's minimum
-        near = c0 <= bound
-        c0, m = c0[near], np.abs(c1[near])
-        at = np.searchsorted(known, m)
-        new = m[known[np.minimum(at, len(known) - 1)] != m] if len(known) else m
-        if len(new):
-            new = _distinct(new)
-            where = np.searchsorted(known, new)
-            rows, flag = np.insert(rows, where, 0), np.insert(flag, where, 0)
-            known = np.insert(known, where, new)
-            at = np.searchsorted(known, m)
-        rows += np.bincount(at, minlength=len(known))
-        fresh = np.flatnonzero((rows >= dense_from) & (flag == 0))[: 8 - collected]
-        if len(fresh):
-            flag[fresh] = np.left_shift(1, np.arange(collected, collected + len(fresh)))
-            collected += len(fresh)
-            if minima is None:
-                minima = np.zeros(bound + 1, dtype=np.uint8)
-        if collected:
-            ones = flag[at]
-            np.bitwise_or.at(minima, c0, ones)  # a scattered row ORs in 0
-            rest = ones == 0
-            c0, m = c0[rest], m[rest]
-        # distinct (c0, m), ordered by c0
-        c0, m = np.divmod(_distinct(c0 * (a + 1) + m), a + 1)
-        _scatter_rows(seen, a, bound, c0, m)
-    if not collected:
+    minima, classes = _walk_rows(seen, form, bound)
+    if not classes:
         return
-    chosen = np.flatnonzero(flag)
-    bitsets = [np.empty(nbytes, dtype=np.uint8) for _ in chosen]
+    bitsets = [np.empty(nbytes, dtype=np.uint8) for _ in classes]
+    sizes = [0] * len(classes)  # |C_m| of each class
     for i in range(0, nbytes, _BLOCK_CELLS):
         part = minima[8 * i : 8 * (i + _BLOCK_CELLS)]
-        for C, bit in zip(bitsets, flag[chosen].tolist()):
+        for k, (C, (_, bit)) in enumerate(zip(bitsets, classes)):
             C[i : i + _BLOCK_CELLS] = np.packbits(part & bit, bitorder="little")
-    del minima  # the ORs below need only the bitsets
+            sizes[k] += int(np.bitwise_count(C[i : i + _BLOCK_CELLS]).sum())
+    del minima, part  # part, a view, would keep minima alive through the ORs
     bits = np.zeros(nbytes, dtype=np.uint8)  # bit v: v in some collected C_m + O_m
-    for cls, n in zip(known[chosen].tolist(), rows[chosen].tolist()):
+    for (cls, _), size in zip(classes, sizes):
         C, O = bitsets.pop(0), _pattern(a, cls, bound)
-        if n >= len(O):  # n, the class's rows, bounds |C_m| without a count of its bits
+        if size >= len(O):
             _or_shifted(bits, C, O)
         else:
             big = np.zeros(int(O[-1]) // 8 + 1, dtype=np.uint8)
@@ -424,6 +403,88 @@ def _fill_sumsets(seen: np.ndarray, form: QuadForm, bound: int) -> None:
         part = seen[8 * i : 8 * (i + _BLOCK_CELLS)]
         part |= np.unpackbits(bits[i : i + _BLOCK_CELLS], count=len(part),
                               bitorder="little").view(bool)
+
+
+def _walk_rows(seen: np.ndarray, form: QuadForm, bound: int):
+    """Walk the rows of form: scatter some classes into seen, collect the others.
+
+    Returns (minima, classes): bit k of the uint8 minima[v], v <= bound,
+    says that v is a row minimum of the k-th collected class, and classes
+    lists (m, 1 << k) for the collected classes, ascending in m (minima
+    is None when classes is empty).  Returning drops the last chunk's
+    arrays before the bitsets are packed.
+
+    A class's rows are scattered until it has had
+    (bytes of the mask bitset + _BLOCK_CELLS) / 256 rows; from then on
+    its row minima are collected.  Scattering costs in proportion to a
+    class's rows, the ORs in proportion to the bitset's bytes (plus a
+    fixed cost per call); the divisor 256 ran the catalog sweep at 10^6
+    faster than 64 or 128 and as fast as 512.  At most 8 classes are
+    collected, the k-th in bit k of one byte per value, so a chunk's
+    collected rows are stored by one unbuffered OR, in row order: they
+    need no sort and no removal of repeats.  The row counts and bits of
+    the classes are kept over the classes seen so far, never over all
+    a + 1.  A chunk's dozen row arrays fill about one block of
+    _BLOCK_CELLS int64 cells: 5,461 int32 rows.
+
+    The walk costs a fixed number of numpy calls per chunk, so three
+    states of the classes cut calls that can no longer change anything.
+    The classes that can occur are the multiples of g = gcd(s, t, 2a) in
+    [0, a] (all a + 1 of them when g = 1): once all are known, a row's
+    slot is m / g, with no lookup and no scan for new classes.  Once
+    collection is closed (8 classes, or all that can occur, collected)
+    the rows are no longer counted.  A chunk with no row left to scatter
+    scatters nothing.
+    """
+    a, _, _, _, s, t = form.coefficients
+    dense_from = (bound // 8 + 1 + _BLOCK_CELLS) // 256
+    # c1 = B mod 2a, and g divides B = t y + s z and 2a, so g divides c1:
+    # the classes that can occur are the multiples of g in [0, a]
+    g = gcd(s, t, 2 * a)
+    most = min(8, a // g + 1)  # the classes that can be collected
+    # over `known`, the classes seen so far, ascending: each class's rows so
+    # far and its bit in `minima`, 0 while the class is scattered
+    known = np.zeros(0, dtype=np.int64)
+    rows = np.zeros(0, dtype=np.int64)
+    flag = np.zeros(0, dtype=np.uint8)
+    collected = 0
+    minima = None
+    for y, z, D in _rows(form, bound, 2 * _BLOCK_CELLS // 3):
+        B = t * y + s * z
+        c1 = 2 * a * ((a - B) // (2 * a)) + B  # in (-a, a]
+        c0 = (c1 * c1 - D) // (4 * a) + bound  # f(x0, y, z), the row's minimum
+        near = c0 <= bound
+        c0, m = c0[near], np.abs(c1[near])
+        if len(known) > a // g:  # known is 0, g, 2g, ...: a row's slot is m / g
+            at = m // g if g > 1 else m
+        else:
+            at = np.searchsorted(known, m)
+            new = m[known[np.minimum(at, len(known) - 1)] != m] if len(known) else m
+            if len(new):
+                new = _distinct(new)
+                where = np.searchsorted(known, new)
+                rows, flag = np.insert(rows, where, 0), np.insert(flag, where, 0)
+                known = np.insert(known, where, new)
+                at = np.searchsorted(known, m)
+        if collected < most:
+            rows += np.bincount(at, minlength=len(known))
+            fresh = np.flatnonzero((rows >= dense_from) & (flag == 0))[: most - collected]
+            if len(fresh):
+                flag[fresh] = np.left_shift(1, np.arange(collected, collected + len(fresh)))
+                collected += len(fresh)
+                if minima is None:
+                    minima = np.zeros(bound + 1, dtype=np.uint8)
+        if collected:
+            ones = flag[at]
+            np.bitwise_or.at(minima, c0, ones)  # a scattered row ORs in 0
+            rest = ones == 0
+            c0, m = c0[rest], m[rest]
+        if len(c0):
+            # distinct (c0, m), ordered by c0
+            c0, m = np.divmod(_distinct(c0 * (a + 1) + m), a + 1)
+            _scatter_rows(seen, a, bound, c0, m)
+    chosen = np.flatnonzero(flag)
+    return minima, list(zip(known[chosen].tolist(), flag[chosen].tolist()))
 
 
 def represented_mask(form: QuadForm, bound: int, primitive: bool = False) -> np.ndarray:
@@ -470,11 +531,12 @@ def representations(form: QuadForm, n: int) -> np.ndarray:
     B = t y + s z and C = b y^2 + c z^2 + r y z - n, a x^2 + B x + C = 0
     has an integer root iff D = B^2 - 4aC is a perfect square k^2 and
     2a divides -B + k or -B - k.  The rows are those of _rows, solved by
-    numpy in chunks of _BLOCK_CELLS rows, so the working arrays do not
-    grow with n; -v gives the slices z < 0.  k is the float64 square root
-    of D rounded to an integer and is kept only if k^2 == D exactly: for
-    D < 2^62 the float root of a perfect square k^2 lies within 2^-20 of
-    k, so no square is missed, and the exact test rejects every other D.
+    numpy in chunks of _BLOCK_CELLS int32 rows (half as many int64 rows),
+    so the working arrays do not grow with n; -v gives the slices z < 0.
+    k is the float64 square root of D rounded to an integer and is kept
+    only if k^2 == D exactly: for D < 2^62 the float root of a perfect
+    square k^2 lies within 2^-20 of k, so no square is missed, and the
+    exact test rejects every other D.
     For n < 0 the array is empty, of shape (0, 3).
 
     Raises OverflowError before any row is solved when some value of the
@@ -484,7 +546,7 @@ def representations(form: QuadForm, n: int) -> np.ndarray:
     n = index(n)
     if n < 0:
         return np.empty((0, 3), dtype=np.int64)
-    hits = [_solve_rows(form, *rows) for rows in _rows(form, n, _BLOCK_CELLS)]
+    hits = [_solve_rows(form, *rows) for rows in _rows(form, n, 4 * _BLOCK_CELLS)]
     v = np.concatenate(hits, axis=1)  # the slice z = 0 is never empty
     v = np.concatenate((v, -v[:, v[2] > 0]), axis=1)  # -v solves the slice at -z
     x, y, z = v

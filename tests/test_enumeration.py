@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -339,6 +339,19 @@ def sumset_forms(draw):
 @given(sumset_forms(), st.integers(0, 250), st.sampled_from((-1, 0, 1)))
 @example(SUM_OF_SQUARES, 0, 0)  # later row chunks hold no row with c0 <= bound
 @example(QuadForm(2, 3, 3, -1, -1, 0), 4, -1)  # a value <= 31 needs |j| = isqrt(31 // 2) + 1
+# the next four reach their branch of the kernel at 1, 7 and 64 cells per block:
+# all a + 1 = 3 classes seen, so a row's slot is m; all 3 collected closes collection
+@example(QuadForm(2, 3, 3, -1, -1, 0), 31, 1)
+# g = gcd(s, t, 2a) = 2: only m = 0, 2, 4 occur, so once all three are seen
+# a row's slot is m / 2
+@example(QuadForm(4, 5, 6, 0, 2, 2), 31, 0)
+# a = 9: collection closes at 8 classes, and rows of the other classes, which
+# add values of their own, are scattered after that; at 1 and 7 cells two
+# classes are first seen after it closed
+@example(QuadForm(9, 11, 16, -10, 7, 13), 5, 0)
+# one class has |C_m| >= |O_m| (C_m's bitset is shifted) and the other
+# |C_m| < |O_m| (O_m's bitset is shifted by each member of C_m)
+@example(QuadForm(19, 29, 21, 26, 13, 0), 5, -1)
 def test_sumset_mask_matches_oracle(form, k, offset):
     # bounds 8k - 1, 8k and 8k + 1 end the mask's bitset inside, at and just
     # past a byte; one cell per block collects every class's row minima in
@@ -365,3 +378,100 @@ def test_sumset_mask_of_a_multiple_matches_oracle(form, k, j, offset, rest):
     for cells in (enumeration._BLOCK_CELLS, 1, 7, 64):
         with mock.patch.object(enumeration, "_BLOCK_CELLS", cells):
             assert np.array_equal(represented_mask(multiple, bound), expected)
+
+
+def _bit_set(bits):
+    return {8 * i + p for i, byte in enumerate(bits.tolist()) for p in range(8) if byte >> p & 1}
+
+
+@st.composite
+def or_shifted_inputs(draw):
+    """(bits, big, small): big may be longer than bits, small reaches past its end."""
+    def bytes_(n):
+        return np.array(draw(st.lists(st.integers(0, 255), min_size=n, max_size=n)), dtype=np.uint8)
+
+    bits = bytes_(draw(st.integers(1, 12)))
+    big = bytes_(draw(st.integers(1, 16)))
+    small = draw(st.sets(st.integers(0, 8 * len(bits) + 16), max_size=24))
+    return bits, big, np.array(sorted(small), dtype=np.int64)
+
+
+def _ors(bits, big, small):
+    return np.array(bits, dtype=np.uint8), np.array(big, dtype=np.uint8), np.array(small, dtype=np.int64)
+
+
+@seed(20)
+@settings(max_examples=300, deadline=None)
+@given(or_shifted_inputs())
+@example(_ors([0], [0b1001_0001], [0, 3, 7, 8]))  # a one-byte bits
+@example(_ors([0, 0], [255] * 5, [1, 9]))  # big longer than bits
+@example(_ors([0, 0, 0], [0b1100_0001, 1], [16, 23, 24, 25, 40]))  # shifts at and past the end
+@example(_ors([0] * 4, [0b1010_1010, 7], [3, 11, 19]))  # one phase: the other seven have no shift
+@example(_ors([0] * 4, [255], []))
+def test_or_shifted_matches_set_reference(args):
+    bits, big, small = args
+    bits, end = bits.copy(), 8 * len(bits)  # an explicit example may run again
+    expected = _bit_set(bits) | {v + s for v in _bit_set(big) for s in small.tolist() if v + s < end}
+    enumeration._or_shifted(bits, big, small)
+    assert _bit_set(bits) == expected
+
+
+def _with_row_dtypes(enumerate_, *args, **kwargs):
+    """(result, the dtypes of the rows that _rows yielded) of one call."""
+    dtypes, rows = set(), enumeration._rows
+
+    def spy(*a):
+        for chunk in rows(*a):
+            dtypes.add(chunk[0].dtype)
+            yield chunk
+
+    with mock.patch.object(enumeration, "_rows", spy):
+        return enumerate_(*args, **kwargs), dtypes
+
+
+def _outputs(form, bound):
+    """The four enumerations of form that walk rows, and the dtypes of those rows."""
+    mask, dtypes = _with_row_dtypes(represented_mask, form, bound)
+    counts, more = _with_row_dtypes(theta, form, bound)
+    primitive, most = _with_row_dtypes(represented_mask, form, bound, primitive=True)
+    n = int(np.flatnonzero(mask)[-1])  # the largest value up to bound
+    reps, last = _with_row_dtypes(representations, form, n)
+    assert reps.dtype == np.int64 and reps.shape[1] == 3 and len(reps)
+    return (mask, counts, primitive, reps), dtypes | more | most | last
+
+
+NEAR_LIMIT = QuadForm(1000, 1001, 1003, 1, 1, 1)
+SKEWED = change_of_basis(NEAR_LIMIT, ((1, 3, 0), (0, 1, -2), (0, 0, 1)))  # t = 6001
+
+
+# _rows's bound `worst` on the row magnitudes crosses _INT32_SAFE = 2^30 at
+# bound 81,243 for NEAR_LIMIT and 1,806 for SKEWED: each form is taken just
+# below (int32 rows, whose values come within a factor 2 of 2^31) and just above
+@pytest.mark.parametrize("form, bound, dtype", [
+    (NEAR_LIMIT, 80_000, np.int32),
+    (NEAR_LIMIT, 84_000, np.int64),
+    (SKEWED, 1_750, np.int32),
+    (SKEWED, 2_005, np.int64),
+    (named_form("S7a"), 5_000, np.int32),
+], ids=str)
+def test_int32_rows_match_int64_rows(form, bound, dtype):
+    outputs, dtypes = _outputs(form, bound)
+    assert dtypes == {np.dtype(dtype)}
+    with mock.patch.object(enumeration, "_INT32_SAFE", 0):
+        wide, dtypes = _outputs(form, bound)
+    assert dtypes == {np.dtype(np.int64)}
+    for got, want in zip(outputs, wide):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sheared_forms(), st.integers(0, 300))
+def test_int32_rows_match_int64_rows_on_random_forms(form, bound):
+    # the oracle tests walk these forms in int32 rows only
+    outputs, dtypes = _outputs(form, bound)
+    assert dtypes == {np.dtype(np.int32)}
+    with mock.patch.object(enumeration, "_INT32_SAFE", 0):
+        wide, _ = _outputs(form, bound)
+    for got, want in zip(outputs, wide):
+        assert np.array_equal(got, want)
