@@ -58,8 +58,8 @@ in [0, N], bit k for the k-th class, so a chunk's rows are stored by one
 unbuffered OR in row order, with no sort.  After the walk each class's
 bitset is packed from those bytes, which are freed before the ORs: the
 bytes, and the bitsets together, each take no more memory than the mask.
-The walk makes a fixed number of numpy calls per chunk of rows, so its
-chunks are sized in bytes (int32 rows give twice the rows per chunk),
+The walk makes a fixed number of numpy calls per chunk of rows, so an
+int32 chunk holds 4/3 the rows of an int64 one in two thirds the bytes,
 and it drops the calls that can no longer change anything: the slot
 lookup once every class that can occur has been seen, the row counts
 once no class can be collected any more, and the scatter of a chunk
@@ -116,15 +116,16 @@ def _quad_interval(P, Q, R):
     return lo, hi
 
 
-def _rows(form: QuadForm, bound: int, nbytes: int):
-    """Yield (y, z, D) for the rows of f(v) <= bound, z >= 0, in chunks of nbytes per array.
+def _rows(form: QuadForm, bound: int, size: int, size32: int | None = None):
+    """Yield (y, z, D) for the rows of f(v) <= bound, z >= 0, size rows at a time.
 
     form must be positive definite.
     y, z and D are arrays of one integer dtype over the rows (y, z) of the
     slices z = 0, 1, ... in order, each slice's y-range exact from
-    _quad_interval; a chunk holds nbytes // itemsize rows (at least one;
-    the last chunk fewer), so the rows of consecutive slices share a chunk
-    and a long slice is split over several.
+    _quad_interval; a chunk holds size rows, or size32 when the rows are
+    int32 (size if not given; at least one, the last chunk fewer), so the
+    rows of consecutive slices share a chunk and a long slice is split
+    over several.
     D = 4 a bound - (beta y^2 + gy y z + dy z^2) is B^2 - 4a(C - bound) for
     B = t y + s z and C = f(0, y, z): f(x, y, z) <= bound iff
     (2 a x + B)^2 <= D.
@@ -166,8 +167,9 @@ def _rows(form: QuadForm, bound: int, nbytes: int):
     )
     if worst >= _INT64_SAFE:
         raise OverflowError("slice values would not fit in int64")
-    dtype = np.dtype(np.int32 if worst < _INT32_SAFE else np.int64)
-    size = max(1, nbytes // dtype.itemsize)
+    narrow = worst < _INT32_SAFE
+    dtype = np.int32 if narrow else np.int64
+    size = max(1, size32 if narrow and size32 is not None else size)
 
     def chunk(pieces):
         zs, ylos, widths = np.array(pieces, dtype=dtype).T
@@ -211,9 +213,8 @@ def _capped_rows(form: QuadForm, bound: int, primitive: bool):
     a, _, _, _, s, t = form.coefficients
     cap = bound + 1
     buf = np.empty(0, dtype=np.int64)
-    # 1024 int32 rows (512 int64 rows) per chunk keep its dozen arrays,
-    # int64 at most, under half a block
-    for y, z, D in _rows(form, bound, _BLOCK_CELLS // 8):
+    # a dozen int64 arrays per row: 1024 rows keep them under half a block
+    for y, z, D in _rows(form, bound, max(1, _BLOCK_CELLS // 32)):
         # f(x0 + j) = c0 + c1 j + a j^2, c1 = 2a x0 + B in (-a, a]
         B = t * y + s * z
         x0 = (a - B) // (2 * a)
@@ -369,11 +370,12 @@ def _fill_sumsets(seen: np.ndarray, form: QuadForm, bound: int) -> None:
     by m = |c1|.  _walk_rows scatters the rows of the classes with few
     rows and collects the row minima of up to 8 others.  Each collected
     class's bitset is then packed from the byte array of minima, in
-    blocks, counting |C_m| as it goes, and the array is freed before the
-    ORs: the byte array, like the bitsets together, takes no more memory
-    than the mask.  A class ORs in C_m + O_m at once, shifting the bitset
-    of the larger of C_m and O_m by each element of the smaller one, so
-    it makes at most min(|C_m|, |O_m|) ORs.
+    blocks, counting |C_m| as it goes (the walk stops counting rows once
+    collection is closed), and the array is freed before the ORs: the
+    byte array, like the bitsets together, takes no more memory than the
+    mask.  A class ORs in C_m + O_m at once, shifting the bitset of the
+    larger of C_m and O_m by each element of the smaller one, so it makes
+    at most min(|C_m|, |O_m|) ORs.
     """
     form = _smallest_diagonal_first(form)
     a = form.coefficients[0]
@@ -386,8 +388,10 @@ def _fill_sumsets(seen: np.ndarray, form: QuadForm, bound: int) -> None:
     for i in range(0, nbytes, _BLOCK_CELLS):
         part = minima[8 * i : 8 * (i + _BLOCK_CELLS)]
         for k, (C, (_, bit)) in enumerate(zip(bitsets, classes)):
-            C[i : i + _BLOCK_CELLS] = np.packbits(part & bit, bitorder="little")
-            sizes[k] += int(np.bitwise_count(C[i : i + _BLOCK_CELLS]).sum())
+            ours = part & bit
+            sizes[k] += int(np.count_nonzero(ours))
+            C[i : i + _BLOCK_CELLS] = np.packbits(ours, bitorder="little")
+            del ours  # before the next class's block is made
     del minima, part  # part, a view, would keep minima alive through the ORs
     bits = np.zeros(nbytes, dtype=np.uint8)  # bit v: v in some collected C_m + O_m
     for (cls, _), size in zip(classes, sizes):
@@ -424,8 +428,9 @@ def _walk_rows(seen: np.ndarray, form: QuadForm, bound: int):
     collected rows are stored by one unbuffered OR, in row order: they
     need no sort and no removal of repeats.  The row counts and bits of
     the classes are kept over the classes seen so far, never over all
-    a + 1.  A chunk's dozen row arrays fill about one block of
-    _BLOCK_CELLS int64 cells: 5,461 int32 rows.
+    a + 1.  A chunk is _BLOCK_CELLS / 8 = 4,096 int64 rows or
+    _BLOCK_CELLS / 6 = 5,461 int32 rows: its dozen int32 row arrays then
+    fill about one block of _BLOCK_CELLS int64 cells.
 
     The walk costs a fixed number of numpy calls per chunk, so three
     states of the classes cut calls that can no longer change anything.
@@ -449,7 +454,7 @@ def _walk_rows(seen: np.ndarray, form: QuadForm, bound: int):
     flag = np.zeros(0, dtype=np.uint8)
     collected = 0
     minima = None
-    for y, z, D in _rows(form, bound, 2 * _BLOCK_CELLS // 3):
+    for y, z, D in _rows(form, bound, _BLOCK_CELLS // 8, _BLOCK_CELLS // 6):
         B = t * y + s * z
         c1 = 2 * a * ((a - B) // (2 * a)) + B  # in (-a, a]
         c0 = (c1 * c1 - D) // (4 * a) + bound  # f(x0, y, z), the row's minimum
@@ -531,12 +536,11 @@ def representations(form: QuadForm, n: int) -> np.ndarray:
     B = t y + s z and C = b y^2 + c z^2 + r y z - n, a x^2 + B x + C = 0
     has an integer root iff D = B^2 - 4aC is a perfect square k^2 and
     2a divides -B + k or -B - k.  The rows are those of _rows, solved by
-    numpy in chunks of _BLOCK_CELLS int32 rows (half as many int64 rows),
-    so the working arrays do not grow with n; -v gives the slices z < 0.
-    k is the float64 square root of D rounded to an integer and is kept
-    only if k^2 == D exactly: for D < 2^62 the float root of a perfect
-    square k^2 lies within 2^-20 of k, so no square is missed, and the
-    exact test rejects every other D.
+    numpy in chunks of _BLOCK_CELLS rows, so the working arrays do not
+    grow with n; -v gives the slices z < 0.  k is the float64 square root
+    of D rounded to an integer and is kept only if k^2 == D exactly: for
+    D < 2^62 the float root of a perfect square k^2 lies within 2^-20 of
+    k, so no square is missed, and the exact test rejects every other D.
     For n < 0 the array is empty, of shape (0, 3).
 
     Raises OverflowError before any row is solved when some value of the
@@ -546,7 +550,7 @@ def representations(form: QuadForm, n: int) -> np.ndarray:
     n = index(n)
     if n < 0:
         return np.empty((0, 3), dtype=np.int64)
-    hits = [_solve_rows(form, *rows) for rows in _rows(form, n, 4 * _BLOCK_CELLS)]
+    hits = [_solve_rows(form, *rows) for rows in _rows(form, n, _BLOCK_CELLS)]
     v = np.concatenate(hits, axis=1)  # the slice z = 0 is never empty
     v = np.concatenate((v, -v[:, v[2] > 0]), axis=1)  # -v solves the slice at -z
     x, y, z = v
