@@ -72,14 +72,14 @@ def _matrix_lines(T):
 def _cmd_enum(args):
     form = args.form
     if args.theta:
-        coeffs = theta(form, args.max, primitive=args.primitive).tolist()
+        coeffs = theta(form, args.max).tolist()
         _emit(
             {"form": str(form), "max": args.max, "coeffs": coeffs},
             args.format,
             (f"{n}:{c}" for n, c in enumerate(coeffs)),
         )
     else:
-        values = represented_set(form, args.max, primitive=args.primitive).tolist()
+        values = represented_set(form, args.max).tolist()
         _emit(
             {"form": str(form), "max": args.max, "represented": values},
             args.format,
@@ -251,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", type=_form, required=True)
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--theta", action="store_true", help="print n:count lines instead")
-    p.add_argument("--primitive", action="store_true")
     p.set_defaults(func=_cmd_enum)
 
     p = sub.add_parser("transforms", parents=[common],

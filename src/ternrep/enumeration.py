@@ -16,17 +16,7 @@ sqrt(D) / 2a of it.
 Only z >= 0 is walked: v and -v take the same value, and negation maps
 the slice at z to the slice at -z.
 
-theta and the primitive mask scan each row from the integer x0 nearest
-its vertex, x = x0 + j for |j| <= J, with J = floor(sqrt(D) / 2a) + 1.
-Consecutive rows are filled together in a block of at most _BLOCK_CELLS
-int64 cells (256 KB; a row wider than that is a block of its own), in
-one buffer reused for every block: the block stays in cache between the
-steps that fill it, and the memory used does not grow with the widest
-row.  The cells a sweep fills therefore follow the lattice points, not
-a rectangle around them: a shear x -> x + k y + m z leaves every row's D
-unchanged and only moves its vertex, so it changes no cell count.
-
-represented_mask (all vectors) visits no lattice point.  With
+represented_mask visits no lattice point.  With
 c1 = 2a x0 + B in (-a, a] and c0 = f(x0, y, z), the row's minimum, the
 row's values are c0 + c1 j + a j^2, j in Z: a translate of one of a + 1
 parabolas, since c1 = -m gives the values of c1 = m with j -> -j.  So
@@ -65,11 +55,9 @@ lookup once every class that can occur has been seen, the row counts
 once no class can be collected any more, and the scatter of a chunk
 with no row left to scatter.
 
-theta cannot take this route: a count needs every lattice point, not
-just the union of the sumsets.  Nor can the primitive mask: whether
-(x0 + j, y, z) is primitive depends on gcd(y, z) and on x0, which the
-row minimum c0 forgets.  Both keep the row scan, on f itself: dividing
-out the content would leave their lattice points the same.
+theta adds the same sums, of every row with c0 <= N of f itself, into
+its counts; an x-shear x -> x + k y + l z moves each row's vertex by a
+whole step, so it changes no (c0, m) and no cell that theta fills.
 
 representations(f, n) solves each row for x instead: D is the
 discriminant of f(x, y, z) = n as a quadratic in x, so a row has a
@@ -137,17 +125,16 @@ def _rows(form: QuadForm, bound: int, size: int, size32: int | None = None):
         worst = (|t| yb + |s| zb)^2 + 4a (b yb^2 + c zb^2 + |r| yb zb + bound)
 
     bounds B^2 + 4a C, 4a bound + 4a C, every term and partial sum of D
-    and so |D|.  representations adds only B and k <= sqrt(D).  The sweep
-    adds c1 = 2a x0 + B, which is B reduced into (-a, a], so c1^2 <= B^2,
-    and the terms of its cells: with S = 4aC - B^2 >= 0 and
-    |j| <= J <= sqrt(bound / a) + 1, c0 = (c1^2 + S) / 4a, |c1 j| and a j^2
-    sum to at most 2.5 bound + 3.75 a + worst / 4a, which is below
-    1.4 worst since 4a bound <= worst and 8a <= worst.  The sumset kernel
-    of represented_mask walks the form divided by its content, at the
-    bound divided by it, and keeps only rows with c0 <= bound; its keys
-    c0 (a + 1) + |c1| are at most a bound + bound + a < worst, and its
-    sums c0 + m j + a j^2 with 0 <= m <= a and |j| <= sqrt(bound / a) + 2
-    at most 2 bound + 5 sqrt(a bound) + 6a < 1.3 worst + 3 sqrt(worst).
+    and so |D|.  representations adds only B and k <= sqrt(D).
+    _row_minima adds c1 = 2a x0 + B, which is B reduced into (-a, a], so
+    c1^2 <= B^2, and c0 = (c1^2 - D) / 4a + bound, where
+    |c1^2 - D| <= B^2 + 4a C + 4a bound <= worst.  theta and the sumset
+    kernel keep only rows with c0 <= bound (the kernel walks the form
+    divided by its content, at the bound divided by it); their keys
+    c0 (a + 1) + |c1| are at most a bound + bound + a < worst, and the
+    sums c0 + m j + a j^2 of _row_sums, with 0 <= m <= a and
+    |j| <= sqrt(bound / a) + 2, at most
+    2 bound + 5 sqrt(a bound) + 6a < 1.3 worst + 3 sqrt(worst).
     So every intermediate stays below 2 worst: the rows are int32 when
     worst < _INT32_SAFE = 2^30, int64 when worst < _INT64_SAFE = 2^62,
     and otherwise OverflowError is raised before any row is walked.  Every
@@ -194,58 +181,23 @@ def _rows(form: QuadForm, bound: int, size: int, size32: int | None = None):
         yield chunk(pieces)
 
 
-def _capped_rows(form: QuadForm, bound: int, primitive: bool):
-    """Yield (on_plane, values) for each row block of f(v) <= bound, z >= 0.
+def _row_minima(form: QuadForm, bound: int):
+    """Yield (z, c0, m) for the rows (y, z) of _rows with c0 <= bound, a chunk at a time.
 
-    values holds f at x = x0 + j, |j| <= J_b, for each row of a block of
-    consecutive rows, flattened, where x0 is the integer nearest the
-    row's vertex and J_b the largest J of the block's rows; every value
-    above bound - and with primitive=True every value of a vector whose
-    coordinates share a factor - is replaced by bound + 1.  A block has
-    at most _BLOCK_CELLS cells, or is one row when a row is wider than
-    that.  on_plane is True for the blocks of rows with z = 0, which
-    hold no other rows.
-
-    values is a view of one buffer that the next step of the generator
-    overwrites: use it before asking for the next block.
+    c1 = 2a x0 + B in (-a, a], x0 the integer nearest the row's vertex,
+    and c0 = f(x0, y, z), the row's minimum: the row's values are
+    c0 + c1 j + a j^2, j in Z, and m = |c1|.  A chunk is
+    _BLOCK_CELLS / 8 = 4,096 int64 rows or _BLOCK_CELLS / 6 = 5,461 int32
+    rows: its dozen int32 row arrays then fill about one block of
+    _BLOCK_CELLS int64 cells.
     """
-    require_positive_definite(form)
     a, _, _, _, s, t = form.coefficients
-    cap = bound + 1
-    buf = np.empty(0, dtype=np.int64)
-    # a dozen int64 arrays per row: 1024 rows keep them under half a block
-    for y, z, D in _rows(form, bound, max(1, _BLOCK_CELLS // 32)):
-        # f(x0 + j) = c0 + c1 j + a j^2, c1 = 2a x0 + B in (-a, a]
+    for y, z, D in _rows(form, bound, _BLOCK_CELLS // 8, _BLOCK_CELLS // 6):
         B = t * y + s * z
-        x0 = (a - B) // (2 * a)
-        c1 = 2 * a * x0 + B
+        c1 = 2 * a * ((a - B) // (2 * a)) + B
         c0 = (c1 * c1 - D) // (4 * a) + bound
-        widths = 2 * (np.sqrt(np.maximum(D, 0)) / (2 * a)).astype(np.int64) + 3
-        if primitive:
-            gyz = np.gcd(y, z)
-        plane = int(np.searchsorted(z, 1))  # rows with z = 0 come first
-        i = 0
-        while i < len(y):
-            # the longest run from row i whose rows times its widest row fit
-            end = plane if i < plane else len(y)
-            stop = min(end, i + _BLOCK_CELLS // widths[i] + 1)
-            ahead = np.maximum.accumulate(widths[i:stop])
-            fits = ahead * np.arange(1, len(ahead) + 1) <= _BLOCK_CELLS
-            n = max(1, int(np.count_nonzero(fits)))
-            J = int(ahead[n - 1]) // 2
-            j = np.arange(-J, J + 1, dtype=np.int64)
-            if len(buf) < n * len(j):
-                buf = np.empty(n * len(j), dtype=np.int64)
-            block = buf[: n * len(j)].reshape(n, len(j))
-            np.multiply.outer(c1[i : i + n], j, out=block)
-            block += a * j * j
-            block += c0[i : i + n, None]
-            np.minimum(block, cap, out=block)
-            if primitive:
-                common = np.gcd(gyz[i : i + n, None], x0[i : i + n, None] + j)
-                block[common != 1] = cap
-            yield i < plane, block.ravel()
-            i += n
+        near = c0 <= bound
+        yield z[near], c0[near], np.abs(c1[near])
 
 
 def _smallest_diagonal_first(form: QuadForm) -> QuadForm:
@@ -325,36 +277,49 @@ def _or_shifted(bits: np.ndarray, big: np.ndarray, small: np.ndarray) -> None:
             np.bitwise_or(v, phase[:w], out=v)
 
 
-def _scatter_rows(seen: np.ndarray, a: int, bound: int, c0: np.ndarray, m: np.ndarray) -> None:
-    """seen[c0 + m j + a j^2] = True for each row (c0, m), sums above bound into slot bound + 1.
+def _row_sums(a: int, bound: int, c0: np.ndarray, m: np.ndarray):
+    """Yield the sums c0 + m j + a j^2 of the rows (c0, m), sums above bound capped at bound + 1.
 
-    c0 is ascending, so the row widths 2 J + 1, J = floor(sqrt((bound - c0) / a)) + 2,
-    do not grow along a block: a block takes the next rows, as many as
-    fit in _BLOCK_CELLS cells at the width of its first row (at least one).
+    A row spans |j| <= J, J = floor(sqrt((bound - c0) / a)) + 2, which
+    holds every sum <= bound (see the module docstring).  c0 is
+    ascending, so the row widths 2 J + 1 do not grow along a block: a
+    block takes the next rows, as many as fit in _BLOCK_CELLS int64 cells
+    (256 KB) at the width of its first row (at least one).  Every block is
+    a view of one buffer, which the next step of the generator
+    overwrites: the memory used does not grow with the number of rows.
     """
+    if not len(c0):
+        return
     widths = 2 * np.sqrt((bound - c0) / a).astype(np.int64) + 5
+    widest = int(widths[0])  # no block is larger than buf
+    buf = np.empty(min(len(c0) * widest, max(_BLOCK_CELLS, widest)), dtype=np.int64)
     i = 0
     while i < len(c0):
         J = int(widths[i]) // 2
-        n = max(1, _BLOCK_CELLS // int(widths[i]))
+        n = min(len(c0) - i, max(1, _BLOCK_CELLS // int(widths[i])))
         j = np.arange(-J, J + 1, dtype=np.int64)
-        block = np.multiply.outer(m[i : i + n], j)
+        block = buf[: n * len(j)].reshape(n, len(j))
+        np.multiply.outer(m[i : i + n], j, out=block)
         block += a * j * j
         block += c0[i : i + n, None]
         np.minimum(block, bound + 1, out=block)
-        seen[block] = True
+        yield block
         i += n
 
 
-def _sumset_mask(form: QuadForm, bound: int) -> np.ndarray:
-    """The writable bool mask of the values <= bound of form, from sumsets.
+def represented_mask(form: QuadForm, bound: int) -> np.ndarray:
+    """Boolean mask m of length bound + 1 with m[n] = True iff n is represented.
 
-    With k the content of form (the gcd of its coefficients), f = k h, so
-    the values of f are k times those of h: the kernel runs on h at
-    bound // k and writes into every k-th slot of one buffer.  When
-    bound < k only the slot of 0 is in range, and the step is cut to
-    bound + 1, so the buffer never grows with k.
+    Each call builds a fresh, writable mask, from sumsets (see the module
+    docstring).  With k the content of form (the gcd of its
+    coefficients), f = k h, so the values of f are k times those of h:
+    the kernel runs on h at bound // k and writes into every k-th slot of
+    one buffer.  When bound < k only the slot of 0 is in range, and the
+    step is cut to bound + 1, so the buffer never grows with k.
     """
+    bound = index(bound)
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     require_positive_definite(form)
     k = gcd(*form.coefficients)
     step = min(k, bound + 1)
@@ -428,9 +393,7 @@ def _walk_rows(seen: np.ndarray, form: QuadForm, bound: int):
     collected rows are stored by one unbuffered OR, in row order: they
     need no sort and no removal of repeats.  The row counts and bits of
     the classes are kept over the classes seen so far, never over all
-    a + 1.  A chunk is _BLOCK_CELLS / 8 = 4,096 int64 rows or
-    _BLOCK_CELLS / 6 = 5,461 int32 rows: its dozen int32 row arrays then
-    fill about one block of _BLOCK_CELLS int64 cells.
+    a + 1.
 
     The walk costs a fixed number of numpy calls per chunk, so three
     states of the classes cut calls that can no longer change anything.
@@ -454,12 +417,7 @@ def _walk_rows(seen: np.ndarray, form: QuadForm, bound: int):
     flag = np.zeros(0, dtype=np.uint8)
     collected = 0
     minima = None
-    for y, z, D in _rows(form, bound, _BLOCK_CELLS // 8, _BLOCK_CELLS // 6):
-        B = t * y + s * z
-        c1 = 2 * a * ((a - B) // (2 * a)) + B  # in (-a, a]
-        c0 = (c1 * c1 - D) // (4 * a) + bound  # f(x0, y, z), the row's minimum
-        near = c0 <= bound
-        c0, m = c0[near], np.abs(c1[near])
+    for _, c0, m in _row_minima(form, bound):
         if len(known) > a // g:  # known is 0, g, 2g, ...: a row's slot is m / g
             at = m // g if g > 1 else m
         else:
@@ -487,31 +445,15 @@ def _walk_rows(seen: np.ndarray, form: QuadForm, bound: int):
         if len(c0):
             # distinct (c0, m), ordered by c0
             c0, m = np.divmod(_distinct(c0 * (a + 1) + m), a + 1)
-            _scatter_rows(seen, a, bound, c0, m)
+            for block in _row_sums(a, bound, c0, m):
+                seen[block] = True
     chosen = np.flatnonzero(flag)
     return minima, list(zip(known[chosen].tolist(), flag[chosen].tolist()))
 
 
-def represented_mask(form: QuadForm, bound: int, primitive: bool = False) -> np.ndarray:
-    """Boolean mask m of length bound + 1 with m[n] = True iff n is represented.
-
-    With primitive=True only vectors with coprime coordinates count.
-    Each call builds a fresh, writable mask.
-    """
-    bound = index(bound)
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    if not primitive:
-        return _sumset_mask(form, bound)
-    seen = np.zeros(bound + 2, dtype=bool)  # slot bound+1 absorbs clipped values
-    for _, values in _capped_rows(form, bound, primitive):
-        seen[values] = True
-    return seen[: bound + 1]
-
-
-def represented_set(form: QuadForm, bound: int, primitive: bool = False) -> np.ndarray:
+def represented_set(form: QuadForm, bound: int) -> np.ndarray:
     """All represented integers in [0, bound], ascending, as an int64 array."""
-    return np.flatnonzero(represented_mask(form, bound, primitive=primitive))
+    return np.flatnonzero(represented_mask(form, bound))
 
 
 def _solve_rows(form: QuadForm, y, z, D) -> np.ndarray:
@@ -557,16 +499,25 @@ def representations(form: QuadForm, n: int) -> np.ndarray:
     return v.T[np.lexsort((z, y, x))]
 
 
-def theta(form: QuadForm, bound: int, primitive: bool = False) -> np.ndarray:
+def theta(form: QuadForm, bound: int) -> np.ndarray:
     """The int64 counts r(n, f), 0 <= n <= bound (length bound + 1), in one row sweep.
 
-    The rows with z > 0 are counted twice (negation symmetry); z = 0 once.
-    With primitive=True only coprime-coordinate vectors are counted.
+    Each row with c0 <= bound adds its sums c0 + m j + a j^2 (_row_sums),
+    once for z = 0 and twice for z > 0 (negation symmetry), with one
+    scalar weight per np.add.at call: a broadcast weight array took 5x as
+    long.  m = |c1| in place of c1 counts the same values, as j runs over
+    a symmetric range.
     """
     bound = index(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    counts = np.zeros(bound + 2, dtype=np.int64)
-    for on_plane, values in _capped_rows(form, bound, primitive):
-        np.add.at(counts, values, 1 if on_plane else 2)
+    require_positive_definite(form)
+    a = form.coefficients[0]
+    counts = np.zeros(bound + 2, dtype=np.int64)  # slot bound + 1 absorbs capped sums
+    for z, c0, m in _row_minima(form, bound):
+        for weight, rows in ((1, z == 0), (2, z > 0)):
+            # the rows ordered by c0, as _row_sums takes them
+            c0s, ms = np.divmod(np.sort(c0[rows] * (a + 1) + m[rows]), a + 1)
+            for block in _row_sums(a, bound, c0s, ms):
+                np.add.at(counts, block, weight)
     return counts[: bound + 1]

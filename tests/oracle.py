@@ -139,3 +139,19 @@ def eigen_lines(A):
             k = gcd(*w) * (1 if next(x for x in w if x) > 0 else -1)
             out.append((tuple(x // k for x in w), int(lam)))
     return sorted(out, key=lambda p: (p[1], p[0]))
+
+
+def primitive_counts(counts):
+    """r*(n) = sum over d^2 | n of mu(d) r(n / d^2) for n >= 1, and r*(0) = 0.
+
+    counts holds r(n) for 0 <= n <= bound, such as theta's.  Each v != 0
+    is d w with w primitive and f(w) = f(v) / d^2, so r(n) is the sum of
+    r*(n / d^2) over d^2 | n, and Moebius inversion gives r*.
+    """
+    counts = np.asarray(counts)
+    bound = len(counts) - 1
+    out = np.zeros_like(counts)
+    for d in range(1, isqrt(bound) + 1):
+        out[:: d * d] += int(sympy.mobius(d)) * counts[: bound // (d * d) + 1]
+    out[0] = 0
+    return out

@@ -39,12 +39,9 @@ def test_enum_json_matches_text(capsys):
     assert payload["represented"] == text_values
 
 
-def test_enum_primitive_flag(capsys):
-    rc = run(["enum", "--form", "S4f", "--max", "40", "--primitive"])
-    assert rc == EXIT_OK
-    values = [int(line) for line in lines_of(capsys)]
-    assert 32 not in values  # only representation is 2*(1,0,0)
-    assert 8 in values
+def test_enum_has_no_primitive_flag():
+    # primitive counts follow from `enum --theta` by Moebius inversion
+    assert run(["enum", "--form", "S4f", "--max", "40", "--primitive"]) == EXIT_USAGE
 
 
 def test_prec_exact_output(capsys):

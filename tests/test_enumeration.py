@@ -90,11 +90,12 @@ def test_theta_consistency(s4):
 
 def test_theta_primitive_counts(s4):
     f, _ = s4
-    series = theta(f, 40, primitive=True)
+    series = oracle.primitive_counts(theta(f, 40))
     assert series[0] == 0
     assert series[8] == 2
     assert series[32] == 0  # imprimitive value
     assert np.all(series <= theta(f, 40))
+    assert np.array_equal(series, oracle.value_counts(f, 40, primitive=True))
 
 
 def test_mask_matches_oracle_midsize():
@@ -114,7 +115,7 @@ def test_primitive_mask_matches_filtered_oracle():
 
     form = named_form("S8f")
     bound = 800
-    mask = represented_mask(form, bound, primitive=True)
+    mask = oracle.primitive_counts(theta(form, bound)) > 0
     expected = np.zeros(bound + 1, dtype=bool)
     rx, ry, rz = oracle.box(form, bound)
     from ternrep import evaluate
@@ -179,10 +180,11 @@ small_forms = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(small_forms, st.integers(0, 300))
 def test_mask_and_theta_match_oracle_on_random_forms(form, bound):
-    for primitive in (False, True):
-        counts = oracle.value_counts(form, bound, primitive=primitive)
-        assert np.array_equal(theta(form, bound, primitive=primitive), counts)
-        assert np.array_equal(represented_mask(form, bound, primitive=primitive), counts > 0)
+    counts = oracle.value_counts(form, bound)
+    got = theta(form, bound)
+    assert np.array_equal(got, counts)
+    assert np.array_equal(oracle.primitive_counts(got), oracle.value_counts(form, bound, primitive=True))
+    assert np.array_equal(represented_mask(form, bound), counts > 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,12 +192,14 @@ def test_mask_and_theta_match_oracle_on_random_forms(form, bound):
 def test_row_blocks_of_any_size_match_oracle(form, bound):
     # one cell per block makes every row a block of its own; 7 and 64 cells
     # group the rows of narrow slices and leave wide rows whole
-    expected = {p: oracle.value_counts(form, bound, primitive=p) for p in (False, True)}
+    counts = oracle.value_counts(form, bound)
+    primitive = oracle.value_counts(form, bound, primitive=True)
     for cells in (1, 7, 64):
         with mock.patch.object(enumeration, "_BLOCK_CELLS", cells):
-            for primitive, counts in expected.items():
-                assert np.array_equal(theta(form, bound, primitive=primitive), counts)
-                assert np.array_equal(represented_mask(form, bound, primitive=primitive), counts > 0)
+            got = theta(form, bound)
+            assert np.array_equal(got, counts)
+            assert np.array_equal(oracle.primitive_counts(got), primitive)
+            assert np.array_equal(represented_mask(form, bound), counts > 0)
 
 
 @pytest.mark.parametrize("form", [
@@ -270,11 +274,19 @@ def test_mask_divides_out_the_content():
 
 
 def _swept(form, bound):
-    """(cells filled, lattice points) of the mask sweep of f(v) <= bound, z >= 0."""
+    """(cells filled, lattice points) of the theta sweep of f(v) <= bound, z >= 0."""
     cells = points = 0
-    for _, values in enumeration._capped_rows(form, bound, False):
-        cells += len(values)
-        points += int(np.count_nonzero(values <= bound))
+    row_sums = enumeration._row_sums
+
+    def counted(*args):
+        nonlocal cells, points
+        for block in row_sums(*args):
+            cells += block.size
+            points += int(np.count_nonzero(block <= bound))
+            yield block
+
+    with mock.patch.object(enumeration, "_row_sums", counted):
+        theta(form, bound)
     return cells, points
 
 
@@ -308,12 +320,14 @@ def sheared_forms(draw):
 @given(sheared_forms(), st.integers(0, 300))
 def test_sheared_forms_match_oracle(form, bound):
     # reaches B < 0, the floor rounding of the vertex and rows far from x = 0
-    expected = {p: oracle.value_counts(form, bound, primitive=p) for p in (False, True)}
+    counts = oracle.value_counts(form, bound)
+    primitive = oracle.value_counts(form, bound, primitive=True)
     for cells in (enumeration._BLOCK_CELLS, 1, 7, 64):
         with mock.patch.object(enumeration, "_BLOCK_CELLS", cells):
-            for primitive, counts in expected.items():
-                assert np.array_equal(theta(form, bound, primitive=primitive), counts)
-                assert np.array_equal(represented_mask(form, bound, primitive=primitive), counts > 0)
+            got = theta(form, bound)
+            assert np.array_equal(got, counts)
+            assert np.array_equal(oracle.primitive_counts(got), primitive)
+            assert np.array_equal(represented_mask(form, bound), counts > 0)
 
 
 @st.composite
@@ -416,7 +430,7 @@ def test_or_shifted_matches_set_reference(args):
     assert _bit_set(bits) == expected
 
 
-def _with_row_dtypes(enumerate_, *args, **kwargs):
+def _with_row_dtypes(enumerate_, *args):
     """(result, the dtypes of the rows that _rows yielded) of one call."""
     dtypes, rows = set(), enumeration._rows
 
@@ -426,18 +440,17 @@ def _with_row_dtypes(enumerate_, *args, **kwargs):
             yield chunk
 
     with mock.patch.object(enumeration, "_rows", spy):
-        return enumerate_(*args, **kwargs), dtypes
+        return enumerate_(*args), dtypes
 
 
 def _outputs(form, bound):
-    """The four enumerations of form that walk rows, and the dtypes of those rows."""
+    """The three enumerations of form that walk rows, and the dtypes of those rows."""
     mask, dtypes = _with_row_dtypes(represented_mask, form, bound)
     counts, more = _with_row_dtypes(theta, form, bound)
-    primitive, most = _with_row_dtypes(represented_mask, form, bound, primitive=True)
     n = int(np.flatnonzero(mask)[-1])  # the largest value up to bound
     reps, last = _with_row_dtypes(representations, form, n)
     assert reps.dtype == np.int64 and reps.shape[1] == 3 and len(reps)
-    return (mask, counts, primitive, reps), dtypes | more | most | last
+    return (mask, counts, reps), dtypes | more | last
 
 
 NEAR_LIMIT = QuadForm(1000, 1001, 1003, 1, 1, 1)
