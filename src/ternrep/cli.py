@@ -200,6 +200,7 @@ def _cmd_table(args):
             report = verify_table(sid, args.max)
         except MismatchAt as exc:
             print(f"{sid}: MISMATCH at {exc.n}", file=sys.stderr)
+            _emit({"bound": args.max, "set": sid, "mismatch_at": exc.n}, args.format, ())
             return EXIT_MISMATCH
         results.append(report)
     payload = {

@@ -36,18 +36,18 @@ smaller (every catalog form is used at scale 2).  Then the coordinates
 are permuted to make a the smallest diagonal coefficient (the values
 do not change), which gives the fewest classes and the fewest rows.
 A class's sumset is ORed into a packed little-endian bitset: the bitset
-of the larger of C_m and O_m (|C_m| counted as its bitset is packed),
-shifted by each element of the smaller one.  The shifted copy is made
-once per bit phase p = 0..7 in one buffer, so each element s = 8q + p
-costs one byte-aligned np.bitwise_or into a view of the bitset, of at
-most N/8 bytes: O(sqrt(a N)) ORs per form in all, where the row scan
-marks about N^(3/2) / sqrt(det) lattice points.  A class with few rows
-scatters its sums c0 + m j + a j^2 instead.  The row minima of the
-classes with many rows, at most 8, are collected in one byte per value
-in [0, N], bit k for the k-th class, so a chunk's rows are stored by one
-unbuffered OR in row order, with no sort.  After the walk each class's
-bitset is packed from those bytes, which are freed before the ORs: the
-bytes, and the bitsets together, each take no more memory than the mask.
+of C_m, shifted by each element of O_m.  The shifted copy is made once
+per bit phase p = 0..7 in one buffer, so each element s = 8q + p costs
+one byte-aligned np.bitwise_or into a view of the bitset, of at most N/8
+bytes: O(sqrt(a N)) ORs per form in all, where the row scan marks about
+N^(3/2) / sqrt(det) lattice points.  A class with few rows scatters its
+sums c0 + m j + a j^2 instead.  The row minima of the classes with many
+rows, at most 8, are collected in one byte per value in [0, N], bit k
+for the k-th class, so a chunk's rows are stored by one unbuffered OR in
+row order, with no sort.  After the walk the classes are packed from
+those bytes one at a time, each into the same bitset buffer, and ORed
+in: besides the bytes, the kernel holds three bitsets (C_m, its shifted
+copy and the union), however many classes it collects.
 The walk makes a fixed number of numpy calls per chunk of rows, so an
 int32 chunk holds 4/3 the rows of an int64 one in two thirds the bytes,
 and it drops the calls that can no longer change anything: the slot
@@ -210,17 +210,12 @@ def _smallest_diagonal_first(form: QuadForm) -> QuadForm:
     return form
 
 
-def _run_starts(x: np.ndarray) -> np.ndarray:
-    """True where a run of equal values of x starts."""
-    starts = np.ones(len(x), dtype=bool)
-    np.not_equal(x[1:], x[:-1], out=starts[1:])
-    return starts
-
-
 def _distinct(x: np.ndarray) -> np.ndarray:
     """The distinct values of x, ascending (np.unique's hash path is slower on small arrays)."""
     x = np.sort(x)
-    return x[_run_starts(x)]
+    starts = np.ones(len(x), dtype=bool)  # True where a run of equal values starts
+    np.not_equal(x[1:], x[:-1], out=starts[1:])
+    return x[starts]
 
 
 def _pattern(a: int, m: int, bound: int) -> np.ndarray:
@@ -231,50 +226,28 @@ def _pattern(a: int, m: int, bound: int) -> np.ndarray:
     return _distinct(o[o <= bound])
 
 
-def _packed(values: np.ndarray):
-    """(i, b): the nonzero bytes b, at indices i, of the little-endian bitset of values.
-
-    values are ascending and distinct; so is i.
-    """
-    byte = values >> 3
-    first = np.flatnonzero(_run_starts(byte))
-    ones = np.left_shift(1, values & 7).astype(np.uint8)
-    return byte[first], np.bitwise_or.reduceat(ones, first)
-
-
-def _members(bits: np.ndarray) -> np.ndarray:
-    """The values whose bits are set in the little-endian bitset bits, ascending."""
-    byte = np.flatnonzero(bits)
-    row, phase = np.nonzero(np.unpackbits(bits[byte, None], axis=1, bitorder="little"))
-    return byte[row] * 8 + phase
-
-
 def _or_shifted(bits: np.ndarray, big: np.ndarray, small: np.ndarray) -> None:
     """bits |= {v + s : v in the bitset big, s in small}, cut at the end of bits.
 
-    small is ascending.  One phase buffer holds big shifted up by p bits,
-    p = 0..7 in turn, so each s = 8q + p of that phase is one byte-aligned
-    OR of the first n = min(len(big) + 1, len(bits) - q) bytes of the
-    buffer into bits at byte q.  The offsets q and lengths n of all shifts
-    are computed at once; a shift with n <= 0 starts at or past the end of
-    bits and is dropped, and each OR runs in place on a view of bits.
+    big is as long as bits, and small is nonnegative.  One phase buffer
+    holds big shifted up by p bits, p = 0..7 in turn, cut at the end of
+    bits, so each s = 8q + p of that phase is one byte-aligned OR of the
+    first len(bits) - q bytes of the buffer into the view bits[q:], in
+    place; a shift that starts at or past the end of bits meets an empty
+    view and ORs nothing.
     """
-    phase = np.empty(len(big) + 1, dtype=np.uint8)
-    q = small >> 3
-    n = np.minimum(len(phase), len(bits) - q)
-    live = n > 0
-    q, n, p = q[live], n[live], small[live] & 7
+    phase = np.empty_like(big)
+    q, p = small >> 3, small & 7
     for k in range(8):
         ours = p == k
         if not ours.any():
             continue
-        np.left_shift(big, k, out=phase[:-1])
-        phase[-1] = 0
+        np.left_shift(big, k, out=phase)
         if k:
-            phase[1:] |= big >> (8 - k)
-        for i, w in zip(q[ours].tolist(), n[ours].tolist()):
-            v = bits[i : i + w]
-            np.bitwise_or(v, phase[:w], out=v)
+            phase[1:] |= big[:-1] >> (8 - k)
+        for i in q[ours].tolist():
+            v = bits[i:]
+            np.bitwise_or(v, phase[: len(v)], out=v)
 
 
 def _row_sums(a: int, bound: int, c0: np.ndarray, m: np.ndarray):
@@ -333,14 +306,11 @@ def _fill_sumsets(seen: np.ndarray, form: QuadForm, bound: int) -> None:
 
     See the module docstring: each row adds c0 + O_m, and rows are filed
     by m = |c1|.  _walk_rows scatters the rows of the classes with few
-    rows and collects the row minima of up to 8 others.  Each collected
-    class's bitset is then packed from the byte array of minima, in
-    blocks, counting |C_m| as it goes (the walk stops counting rows once
-    collection is closed), and the array is freed before the ORs: the
-    byte array, like the bitsets together, takes no more memory than the
-    mask.  A class ORs in C_m + O_m at once, shifting the bitset of the
-    larger of C_m and O_m by each element of the smaller one, so it makes
-    at most min(|C_m|, |O_m|) ORs.
+    rows and collects the row minima of up to 8 others.  Then one class
+    at a time packs its bitset C_m from the byte array of minima, in
+    blocks, into one reused buffer, and ORs in C_m + O_m by shifting that
+    bitset by each element of O_m: the memory used does not grow with the
+    number of collected classes.
     """
     form = _smallest_diagonal_first(form)
     a = form.coefficients[0]
@@ -348,26 +318,13 @@ def _fill_sumsets(seen: np.ndarray, form: QuadForm, bound: int) -> None:
     minima, classes = _walk_rows(seen, form, bound)
     if not classes:
         return
-    bitsets = [np.empty(nbytes, dtype=np.uint8) for _ in classes]
-    sizes = [0] * len(classes)  # |C_m| of each class
-    for i in range(0, nbytes, _BLOCK_CELLS):
-        part = minima[8 * i : 8 * (i + _BLOCK_CELLS)]
-        for k, (C, (_, bit)) in enumerate(zip(bitsets, classes)):
-            ours = part & bit
-            sizes[k] += int(np.count_nonzero(ours))
-            C[i : i + _BLOCK_CELLS] = np.packbits(ours, bitorder="little")
-            del ours  # before the next class's block is made
-    del minima, part  # part, a view, would keep minima alive through the ORs
     bits = np.zeros(nbytes, dtype=np.uint8)  # bit v: v in some collected C_m + O_m
-    for (cls, _), size in zip(classes, sizes):
-        C, O = bitsets.pop(0), _pattern(a, cls, bound)
-        if size >= len(O):
-            _or_shifted(bits, C, O)
-        else:
-            big = np.zeros(int(O[-1]) // 8 + 1, dtype=np.uint8)
-            i, b = _packed(O)
-            big[i] = b
-            _or_shifted(bits, big, _members(C))
+    C = np.empty(nbytes, dtype=np.uint8)
+    for m, bit in classes:
+        for i in range(0, nbytes, _BLOCK_CELLS):
+            part = minima[8 * i : 8 * (i + _BLOCK_CELLS)]
+            C[i : i + _BLOCK_CELLS] = np.packbits(part & bit, bitorder="little")
+        _or_shifted(bits, C, _pattern(a, m, bound))
     for i in range(0, nbytes, _BLOCK_CELLS):
         part = seen[8 * i : 8 * (i + _BLOCK_CELLS)]
         part |= np.unpackbits(bits[i : i + _BLOCK_CELLS], count=len(part),
@@ -381,7 +338,7 @@ def _walk_rows(seen: np.ndarray, form: QuadForm, bound: int):
     says that v is a row minimum of the k-th collected class, and classes
     lists (m, 1 << k) for the collected classes, ascending in m (minima
     is None when classes is empty).  Returning drops the last chunk's
-    arrays before the bitsets are packed.
+    arrays before the classes are packed.
 
     A class's rows are scattered until it has had
     (bytes of the mask bitset + _BLOCK_CELLS) / 256 rows; from then on

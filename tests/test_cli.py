@@ -313,6 +313,24 @@ def test_table_json(capsys):
     assert payload["sets"][0]["non_isometric"] is True
 
 
+def test_table_mismatch_json(monkeypatch, capsys):
+    real, g = prover.represented_mask, named_form("S4g")
+
+    def flipped_for_g(form, bound):
+        mask = real(form, bound).copy()
+        mask[7] ^= form == g
+        return mask
+
+    monkeypatch.setattr(prover, "represented_mask", flipped_for_g)
+    rc = run(["table", "--set", "S4", "--max", "100", "--format", "json"])
+    assert rc == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"bound": 100, "set": "S4", "mismatch_at": 7}
+    assert captured.err == "S4: MISMATCH at 7\n"
+    assert run(["table", "--set", "S4", "--max", "100"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out == ""  # text mode: the stderr line alone
+
+
 def test_usage_errors(capsys):
     assert run(["bogus"]) == EXIT_USAGE
     assert run(["enum", "--form", "1,2", "--max", "3"]) == EXIT_USAGE

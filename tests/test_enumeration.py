@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from math import gcd
@@ -20,6 +21,7 @@ from ternrep import (
     represented_set,
     theta,
 )
+from ternrep.fixtures import CATALOG_SCALE, SET_IDS, table_set
 from ternrep.forms import scale
 from ternrep import enumeration
 
@@ -222,6 +224,51 @@ def test_mask_memory_does_not_grow_with_slice_width(form):
     assert peak < 4 * 2**20
 
 
+def _kernel_peak_and_classes(form, bound):
+    """(tracemalloc peak of represented_mask, number of classes whose row minima it collects)."""
+    collected, walk = [], enumeration._walk_rows
+
+    def spy(*args):
+        minima, classes = walk(*args)
+        collected.append(len(classes))
+        return minima, classes
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(enumeration, "_walk_rows", spy):
+            represented_mask(form, bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, collected[0]
+
+
+def test_mask_memory_does_not_grow_with_collected_classes():
+    # every collected class is packed into the same reused bitset, of
+    # 500,001 bits = 62,501 bytes at 5 * 10^5, before its ORs
+    many, six = _kernel_peak_and_classes(named_form("S1a"), 5 * 10**5)
+    one, single = _kernel_peak_and_classes(named_form("S3a"), 5 * 10**5)
+    assert (six, single) == (6, 1)
+    assert many - one < 62_501
+
+
+# one SHA-256 over the masks of the 36 catalog forms (at the catalog scale,
+# as `ternrep table` sweeps them), each with its dtype and shape: any change
+# to the mask kernel must leave every byte of them as it is
+GOLDEN_MASKS = "bae7f4cccdfa1be8317a9df5f38000398bc12aab2e2438755cae8fc9ae6fa9f6"
+
+
+def test_golden_masks():
+    digest = hashlib.sha256()
+    for sid in SET_IDS:
+        for form in table_set(sid, CATALOG_SCALE):
+            for bound in (0, 1, 7, 5_000, 10**6):
+                mask = represented_mask(form, bound)
+                digest.update(f"{mask.dtype.str} {mask.shape}".encode())
+                digest.update(mask.tobytes())
+    assert digest.hexdigest() == GOLDEN_MASKS
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_forms, st.integers(0, 2000))
 def test_representations_match_box_scan(form, n):
@@ -363,8 +410,8 @@ def sumset_forms(draw):
 # add values of their own, are scattered after that; at 1 and 7 cells two
 # classes are first seen after it closed
 @example(QuadForm(9, 11, 16, -10, 7, 13), 5, 0)
-# one class has |C_m| >= |O_m| (C_m's bitset is shifted) and the other
-# |C_m| < |O_m| (O_m's bitset is shifted by each member of C_m)
+# two classes collected: the second is packed into the bitset buffer that
+# the first's shifts read, after those ORs
 @example(QuadForm(19, 29, 21, 26, 13, 0), 5, -1)
 def test_sumset_mask_matches_oracle(form, k, offset):
     # bounds 8k - 1, 8k and 8k + 1 end the mask's bitset inside, at and just
@@ -400,12 +447,12 @@ def _bit_set(bits):
 
 @st.composite
 def or_shifted_inputs(draw):
-    """(bits, big, small): big may be longer than bits, small reaches past its end."""
+    """(bits, big, small): big is as long as bits, small reaches past its end."""
     def bytes_(n):
         return np.array(draw(st.lists(st.integers(0, 255), min_size=n, max_size=n)), dtype=np.uint8)
 
     bits = bytes_(draw(st.integers(1, 12)))
-    big = bytes_(draw(st.integers(1, 16)))
+    big = bytes_(len(bits))
     small = draw(st.sets(st.integers(0, 8 * len(bits) + 16), max_size=24))
     return bits, big, np.array(sorted(small), dtype=np.int64)
 
@@ -417,11 +464,10 @@ def _ors(bits, big, small):
 @seed(20)
 @settings(max_examples=300, deadline=None)
 @given(or_shifted_inputs())
-@example(_ors([0], [0b1001_0001], [0, 3, 7, 8]))  # a one-byte bits
-@example(_ors([0, 0], [255] * 5, [1, 9]))  # big longer than bits
-@example(_ors([0, 0, 0], [0b1100_0001, 1], [16, 23, 24, 25, 40]))  # shifts at and past the end
-@example(_ors([0] * 4, [0b1010_1010, 7], [3, 11, 19]))  # one phase: the other seven have no shift
-@example(_ors([0] * 4, [255], []))
+@example(_ors([0b0010_0000], [0b1001_0001], [0, 3, 7, 8]))  # a one-byte bits
+@example(_ors([0, 0, 0], [0b1100_0001, 1, 0x80], [16, 23, 24, 25, 40]))  # shifts at and past the end
+@example(_ors([0] * 4, [0b1010_1010, 7, 0, 0x81], [3, 11, 19]))  # one phase: the other seven have no shift
+@example(_ors([0, 0x0F, 0, 0], [255] * 4, []))  # no shift leaves bits as they were
 def test_or_shifted_matches_set_reference(args):
     bits, big, small = args
     bits, end = bits.copy(), 8 * len(bits)  # an explicit example may run again
