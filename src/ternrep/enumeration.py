@@ -200,14 +200,18 @@ def _row_minima(form: QuadForm, bound: int):
         yield z[near], c0[near], np.abs(c1[near])
 
 
-def _smallest_diagonal_first(form: QuadForm) -> QuadForm:
-    """The form with its coordinates permuted so that a <= b and a <= c."""
+def _smallest_diagonal_first(form: QuadForm):
+    """(g, p): g(v) = form(v[p]), p the swap of x with a coordinate that makes a <= b, a <= c.
+
+    The rows then run along the smallest diagonal coefficient, which keeps
+    _rows's bound `worst` small.  p is its own inverse.
+    """
     a, b, c, r, s, t = form.coefficients
     if b < a and b <= c:
-        return QuadForm(b, a, c, s, r, t)  # swap x and y
+        return QuadForm(b, a, c, s, r, t), [1, 0, 2]  # swap x and y
     if c < a and c < b:
-        return QuadForm(c, b, a, t, s, r)  # swap x and z
-    return form
+        return QuadForm(c, b, a, t, s, r), [2, 1, 0]  # swap x and z
+    return form, [0, 1, 2]
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -312,7 +316,7 @@ def _fill_sumsets(seen: np.ndarray, form: QuadForm, bound: int) -> None:
     bitset by each element of O_m: the memory used does not grow with the
     number of collected classes.
     """
-    form = _smallest_diagonal_first(form)
+    form, _ = _smallest_diagonal_first(form)
     a = form.coefficients[0]
     nbytes = bound // 8 + 1
     minima, classes = _walk_rows(seen, form, bound)
@@ -431,7 +435,9 @@ def _solve_rows(form: QuadForm, y, z, D) -> np.ndarray:
 def representations(form: QuadForm, n: int) -> np.ndarray:
     """The complete set {v : f(v) = n} as an (N, 3) int64 array, rows in lexicographic order.
 
-    Each row (y, z) of the region f(v) <= n is solved for x: with
+    The coordinates are first permuted so that x has the smallest
+    diagonal coefficient (_smallest_diagonal_first), and permuted back at
+    the end.  Each row (y, z) of the region f(v) <= n is solved for x: with
     B = t y + s z and C = b y^2 + c z^2 + r y z - n, a x^2 + B x + C = 0
     has an integer root iff D = B^2 - 4aC is a perfect square k^2 and
     2a divides -B + k or -B - k.  The rows are those of _rows, solved by
@@ -449,9 +455,11 @@ def representations(form: QuadForm, n: int) -> np.ndarray:
     n = index(n)
     if n < 0:
         return np.empty((0, 3), dtype=np.int64)
-    hits = [_solve_rows(form, *rows) for rows in _rows(form, n, _BLOCK_CELLS)]
+    g, p = _smallest_diagonal_first(form)
+    hits = [_solve_rows(g, *rows) for rows in _rows(g, n, _BLOCK_CELLS)]
     v = np.concatenate(hits, axis=1)  # the slice z = 0 is never empty
     v = np.concatenate((v, -v[:, v[2] > 0]), axis=1)  # -v solves the slice at -z
+    v = v[p]  # f(v[p]) = g(v)
     x, y, z = v
     return v.T[np.lexsort((z, y, x))]
 
@@ -463,12 +471,14 @@ def theta(form: QuadForm, bound: int) -> np.ndarray:
     once for z = 0 and twice for z > 0 (negation symmetry), with one
     scalar weight per np.add.at call: a broadcast weight array took 5x as
     long.  m = |c1| in place of c1 counts the same values, as j runs over
-    a symmetric range.
+    a symmetric range.  The rows run along the smallest diagonal
+    coefficient (_smallest_diagonal_first), as in represented_mask.
     """
     bound = index(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     require_positive_definite(form)
+    form, _ = _smallest_diagonal_first(form)  # r(n, f) is unchanged
     a = form.coefficients[0]
     counts = np.zeros(bound + 2, dtype=np.int64)  # slot bound + 1 absorbs capped sums
     for z, c0, m in _row_minima(form, bound):
