@@ -213,16 +213,22 @@ def _check_escape(ctag, sub, sup, d, escape, bad):
 def check(cert) -> Verdict:
     """Re-verify every claim of a certificate from raw integers.
 
-    Accepts the bytes/str emitted by emit(), or an already-parsed dict.
+    Accepts the bytes/str emitted by emit(), with or without the one
+    trailing newline `prove --out` writes, or an already-parsed dict.
     Runs no transform search; cost is matrix arithmetic plus d^3 coset
     scans and one array product per listed matrix, with every modulus at
     most MAX_MODULUS.
     """
     if isinstance(cert, (bytes, str)):
         try:
-            cert = json.loads(cert)
+            raw = cert.encode() if isinstance(cert, str) else cert
+            cert = json.loads(raw)
+            canonical = encode(cert)
         except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8
             return _fail("schema", f"not valid JSON: {exc}")
+        # one byte form per proof: no BOM, repeated key or extra whitespace
+        if raw.removesuffix(b"\n") != canonical:
+            return _fail("canonical", "not the bytes encode() writes for this certificate")
     if not isinstance(cert, dict):
         return _fail("schema", "certificate must be a JSON object")
     version = cert.get("version")

@@ -53,7 +53,10 @@ def _classes_arg(text):
     out = []
     for chunk in text.split(","):
         d, _, a = chunk.partition(":")
-        out.append(ResidueClass(int(d), int(a)))
+        try:
+            out.append(ResidueClass(int(d), int(a)))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
     return out
 
 

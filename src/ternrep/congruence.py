@@ -9,20 +9,21 @@ some T in R maps it to an integral vector, (1/d) v T^t in Z^3; that vector
 then represents the same value under f.  When every coset of a class is
 good, each value of g in the progression { d n + a } is a value of f.
 
-classify_good decides this for all cosets at once from kernel bitsets.
+precedes decides this for all cosets at once from kernel bitsets.
 (1/d) v T^t is integral iff T v^t = 0 (mod d), that is iff v lies in the
 kernel of T mod d.  By the Chinese remainder theorem (Z/dZ)^3 is the
 product of the (Z/qZ)^3 over the prime powers q of d, and T v^t = 0
-(mod d) iff T v^t = 0 (mod q) for every q.  So each q gets one table,
-built once per transform set and shared by every class of modulus d: for
-each of the q^3 cosets u mod q, a bitset whose bit t says T_t u^t = 0
-(mod q).  A coset's bitset mod d is the AND of its rows mod each q.  Bit
-t of a bitset is bit t % 8 of byte t // 8, so the lowest set bit is the
-first integral transform in the set's order, the witness the certificate
-records.  prover.build_escape ANDs the same bitsets over the bad cosets of
-a class to find the escape candidates that make every one integral.  The
-transforms a certificate lists are not the witnesses but a greedy cover
-of the good cosets (GoodVectorReport.cover), usually far fewer.
+(mod d) iff T v^t = 0 (mod q) for every q.  So each q gets one table per
+transform set, shared by every class of modulus d: for each coset u mod
+q, a bitset whose bit t says T_t u^t = 0 (mod q), kept as its few
+distinct rows and a label per u (_kernel_classes).  Cosets with equal
+labels mod every q have the same integral transforms, so
+_integral_classes, the one path from cosets to transforms, groups them
+and ANDs the rows once per group.  Bit t is bit t % 8 of byte t // 8, so
+a group's lowest set bit is the first integral transform in the set's
+order, the witness of its cosets.  A certificate lists a greedy cover
+over the groups of the good cosets instead (GoodVectorReport.cover);
+prover.build_escape ANDs the bad cosets' groups for its escape candidates.
 """
 
 from __future__ import annotations
@@ -170,29 +171,18 @@ class GoodVectorReport:
         integral, the lowest index on ties, so each covers some good coset
         that no earlier pick covers.
 
-        A coset's integral transforms are fixed by its kernel row class mod
-        each prime power of d (_kernel_classes), so the greedy runs over the
-        distinct classes, weighted by their coset counts, not over cosets.
+        The greedy runs over the groups of the good cosets (_integral_classes),
+        weighted by their coset counts, not over cosets.
         """
         good = self.cosets[self.witness >= 0]
         if not len(good):
             return np.zeros(0, dtype=np.int64)
-        parts = _kernel_classes(self.transforms)
-        key = np.zeros(len(good), dtype=np.int64)
-        for q, label, rows in parts:
-            key = key * len(rows) + label[((good[:, 0] % q) * q + good[:, 1] % q) * q + good[:, 2] % q]
-        key.sort()
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        weight = np.diff(first, append=len(key))
-        key = key[first]
-        acc = np.full((len(key), -(-len(self.transforms) // 8)), 0xFF, dtype=np.uint8)
-        for q, label, rows in reversed(parts):
-            key, row = np.divmod(key, len(rows))
-            acc &= rows[row]
+        inverse, acc = _integral_classes(self.transforms, good)
+        weight = np.bincount(inverse)
         table = np.unpackbits(acc, axis=1, count=len(self.transforms), bitorder="little").astype(bool)
         picks = []
         # every good coset has an integral transform, so each pick covers some
-        # open class and the loop ends
+        # open group and the loop ends
         uncovered = table.any(axis=1)
         while uncovered.any():
             t = int((weight[uncovered] @ table[uncovered]).argmax())
@@ -213,21 +203,10 @@ class GoodVectorReport:
 # size of the set
 _KERNEL_CHUNK = 64
 
-# cosets per step of classify_good: a step holds a few (block, |T| / 8)
-# byte arrays, 0.4 MB each for the 720 transforms of S6 at 48
-_COSET_BLOCK = 4096
-
 # _LOW_BIT[b] is the index of the lowest set bit of the byte b > 0
 _LOW_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.int64)
 
 
-# a pair proof works at no more than 16 moduli per direction (the divisors
-# of an lcm <= MAX_MODULUS = 144), each with one transform set and one of
-# scaled automorphisms, so it touches at most 4 x 16 = 64 sets: all of them
-# stay cached until emit reads them for GoodVectorReport.cover.  The tables
-# are small: the 18 sets of the S8 proof hold 0.02 MB, the 12 of the S5
-# search 0.5 MB
-@lru_cache(maxsize=64)
 def _kernel_bits(transforms: TransformSet) -> tuple:
     """((q, bits_q) for each prime power q of d), the kernels of the set mod q.
 
@@ -255,12 +234,30 @@ def _kernel_bits(transforms: TransformSet) -> tuple:
             np.equal(pair[:, :, None, :], single[None, None, :, :], out=hits[..., lead:])
             packed = np.packbits(hits.reshape(q**3, -1), axis=1, bitorder="little")
             bits[:, start // 8:start // 8 + packed.shape[1]] |= packed
-        bits.setflags(write=False)
         out.append((q, bits))
     return tuple(out)
 
 
-@lru_cache(maxsize=16)
+def _groups(keys):
+    """(inverse, first): keys[first] are the distinct keys, ascending, and
+    inverse[i] is the index of keys[i] among them.  Equal keys meet side by
+    side in a sort; np.unique would import numpy.ma on its first call."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return inverse, order[new]
+
+
+# a pair proof works at no more than 16 moduli per direction (the divisors
+# of an lcm <= MAX_MODULUS = 144), each with one transform set and one of
+# scaled automorphisms, so it touches at most 4 x 16 = 64 sets: all of them
+# stay cached until emit reads them for GoodVectorReport.cover.  With labels
+# in the narrowest integer type that holds them, the 18 sets of the S8 proof
+# hold 0.02 MB, the 12 of the failed S5 search 0.03 MB
+@lru_cache(maxsize=64)
 def _kernel_classes(transforms: TransformSet) -> tuple:
     """((q, label_q, rows_q) for each prime power q of d): the distinct rows
     of each bits_q of _kernel_bits, rows_q, and label_q[i], the index in
@@ -268,59 +265,51 @@ def _kernel_classes(transforms: TransformSet) -> tuple:
     ones."""
     out = []
     for q, bits in _kernel_bits(transforms):
-        # sorting the rows as raw bytes puts equal rows side by side
-        order = np.argsort(bits.view(np.dtype((np.void, bits.shape[1]))).ravel())
-        ranked = bits[order]
-        new = np.ones(len(ranked), dtype=bool)
-        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        label = np.empty(len(ranked), dtype=np.int64)
-        label[order] = np.cumsum(new) - 1
-        out.append((q, label, ranked[new]))
+        # the rows as raw bytes, so that equal rows are equal keys
+        label, first = _groups(bits.view(np.dtype((np.void, bits.shape[1]))).ravel())
+        label, rows = label.astype(np.min_scalar_type(len(first))), bits[first]
+        label.setflags(write=False)
+        rows.setflags(write=False)
+        out.append((q, label, rows))
     return tuple(out)
 
 
-def _integral_bits(transforms: TransformSet, V):
-    """Yield (lo, bits) per block of the cosets V: bit t of bits[i], packed as
-    in _kernel_bits, says T_t V[lo + i]^t = 0 (mod d), the AND of the rows
-    of V[lo + i] mod every prime power of d (every bit at d = 1)."""
-    kernels = _kernel_bits(transforms)
-    for lo in range(0, len(V), _COSET_BLOCK):
-        part = V[lo:lo + _COSET_BLOCK]
-        acc = np.full((len(part), -(-len(transforms) // 8)), 0xFF, dtype=np.uint8)
-        for q, bits in kernels:
-            acc &= bits[((part[:, 0] % q) * q + part[:, 1] % q) * q + part[:, 2] % q]
-        yield lo, acc
-
-
-def classify_good(f: QuadForm, g: QuadForm, cls: ResidueClass,
-                  transforms: TransformSet) -> GoodVectorReport:
-    """Split the cosets of the class by existence of an integral transport.
-
-    `transforms` must be the set for (f, g, cls.d).  The witness of a
-    coset is the lowest set bit of its _integral_bits.
-    """
-    if (transforms.f, transforms.g, transforms.d) != (f, g, cls.d):
-        raise ValueError("transform set does not match (f, g, d)")
-    V = _residue_array(g, cls)
-    witness = np.full(len(V), -1, dtype=np.int64)
-    if len(transforms) and len(V):
-        for lo, acc in _integral_bits(transforms, V):
-            nonzero = acc != 0
-            first = nonzero.argmax(axis=1)
-            low = _LOW_BIT[acc[np.arange(len(acc)), first]]
-            witness[lo:lo + len(acc)] = np.where(nonzero.any(axis=1), 8 * first + low, -1)
-    V.setflags(write=False)
-    witness.setflags(write=False)
-    return GoodVectorReport(f, g, cls, transforms, V, witness)
+def _integral_classes(transforms: TransformSet, V):
+    """(inverse, acc): the cosets V of a class in groups with equal labels
+    mod every prime power q of d (_kernel_classes), so equal integral
+    transforms.  inverse[i] is the group of V[i]; bit t of acc[k], packed
+    as in _kernel_bits, says T_t makes group k integral, the AND of its
+    rows mod every q.  At d = 1 there is no q: one group, every bit set."""
+    parts = _kernel_classes(transforms)
+    labels = [label[((V[:, 0] % q) * q + V[:, 1] % q) * q + V[:, 2] % q] for q, label, _ in parts]
+    key = np.zeros(len(V), dtype=np.int64)
+    for lab, (_, _, rows) in zip(labels, parts):
+        key = key * len(rows) + lab
+    inverse, first = _groups(key)
+    acc = np.full((len(first), -(-len(transforms) // 8)), 0xFF, dtype=np.uint8)
+    for lab, (_, _, rows) in zip(labels, parts):
+        acc &= rows[lab[first]]
+    return inverse, acc
 
 
 def precedes(f: QuadForm, g: QuadForm, cls: ResidueClass) -> GoodVectorReport:
-    """Decide whether every coset of the class is good (report.all_good).
+    """Split the cosets of the class by existence of an integral transport.
 
-    When it is, every value of g congruent to a mod d is also a value of
-    f; the transform set is computed internally.
+    report.all_good says whether every coset is good; then every value of
+    g congruent to a mod d is also a value of f.  The witness of a coset
+    is the lowest set bit of its group's bitset (_integral_classes).
     """
-    return classify_good(f, g, cls, find_transforms(f, g, cls.d))
+    transforms = find_transforms(f, g, cls.d)
+    V = _residue_array(g, cls)
+    witness = np.full(len(V), -1, dtype=np.int64)
+    if len(transforms):
+        inverse, acc = _integral_classes(transforms, V)
+        first = (acc != 0).argmax(axis=1)  # a group's first nonzero byte, or 0
+        byte = acc[np.arange(len(acc)), first]
+        witness = np.where(byte > 0, 8 * first + _LOW_BIT[byte], -1)[inverse]
+    V.setflags(write=False)
+    witness.setflags(write=False)
+    return GoodVectorReport(f, g, cls, transforms, V, witness)
 
 
 def transport(v, T, d: int):

@@ -33,7 +33,6 @@ from ternrep import (
     verify_pairwise,
 )
 from ternrep import _mat, prover
-from ternrep.congruence import classify_good
 from ternrep.prover import EscapeArgument
 
 BOUND = 10**6
@@ -89,7 +88,7 @@ def test_criterion_03_residue_sets():
     }
     mod12 = residue_vectors(g, ResidueClass(12, 2))
     assert len(mod12) == 864
-    report = classify_good(f, g, ResidueClass(12, 2), find_transforms(f, g, 12))
+    report = precedes(f, g, ResidueClass(12, 2))
     expected_bad = {
         (x, y, z)
         for x in range(12)

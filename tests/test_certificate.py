@@ -59,6 +59,30 @@ def test_golden_certificate(sid):
     assert emit(proof) + b"\n" == golden
 
 
+@pytest.mark.parametrize("sid", ["S4", "S6", "S7", "S8"])
+def test_golden_bytes_are_canonical(sid):
+    golden = (CERTS / f"{sid}.json").read_bytes()
+    for blob in (golden, golden.removesuffix(b"\n"), golden.decode()):
+        assert certificate.check(blob).ok
+    assert certificate.check(golden + b"\n").clause == "canonical"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda blob: b"\xef\xbb\xbf" + blob,
+    lambda blob: blob.replace(b"{", b'{"version":3,', 1),
+    lambda blob: blob.replace(b",", b", ", 1),
+], ids=["utf8_bom", "duplicated_version", "one_space"])
+def test_second_byte_forms_rejected(edit):
+    # each parses to the same certificate as certs/S4.json
+    golden = (CERTS / "S4.json").read_bytes()
+    blob = edit(golden)
+    assert json.loads(blob) == json.loads(golden)
+    assert certificate.check(blob) == certificate.Verdict(
+        False, "canonical", "not the bytes encode() writes for this certificate")
+    if not blob.startswith(b"\xef"):
+        assert certificate.check(blob.decode()).clause == "canonical"
+
+
 def test_prove_emit_and_check_leave_numpy_ma_unimported():
     # np.unique without return_index/inverse/counts imports numpy.ma on its
     # first call, 13-17 ms inside the first emit() or check() of a process;
@@ -218,8 +242,7 @@ def test_round_trip_double_cover(s8):
 def test_emission_is_deterministic(s4_proof):
     assert emit(s4_proof) == emit(s4_proof)
     # a second proof built from cold caches emits the same bytes
-    for cached in (isometry.find_transforms, congruence._value_grid,
-                   congruence._kernel_bits, congruence._kernel_classes):
+    for cached in (isometry.find_transforms, congruence._value_grid, congruence._kernel_classes):
         cached.cache_clear()
     again = prove_pair(named_form("S4f"), named_form("S4g"), classes_g_in_f=S4_PAPER_CLASSES,
                        empirical_bound=20000)
@@ -408,7 +431,7 @@ def test_checker_runs_no_transform_search(s4_proof, monkeypatch):
 
     monkeypatch.setattr(isometry, "find_transforms", boom)
     monkeypatch.setattr(congruence, "_residue_array", boom)
-    monkeypatch.setattr(congruence, "classify_good", boom)
+    monkeypatch.setattr(congruence, "precedes", boom)
     assert certificate.check(blob)
 
 

@@ -166,10 +166,22 @@ def test_cert_check_rejects_tampered_file(tmp_path, capsys):
     assert rc == EXIT_OK
     cert = json.loads(out.read_text())
     cert["f_in_g"]["matrix"][0][0] += 1
-    out.write_text(json.dumps(cert))
+    # canonical bytes, so that the matrix identity is what rejects the file
+    out.write_bytes(certificate.encode(cert))
     rc = run(["cert", "check", str(out)])
     assert rc == EXIT_MISMATCH
-    assert lines_of(capsys)[-1].startswith("REJECT")
+    assert lines_of(capsys)[-1].startswith("REJECT at f_in_g.subform_identity")
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("0:0", "modulus d must be a positive integer"),
+    ("abc", "invalid literal for int() with base 10: 'abc'"),
+    ("", "invalid literal for int() with base 10: ''"),
+])
+def test_prove_classes_parse_errors_give_the_reason(capsys, text, reason):
+    for option in ("--classes", "--classes-rev"):
+        assert run(["prove", "--f", "S4f", "--g", "S4g", option, text]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == f"ternrep prove: error: argument {option}: {reason}"
 
 
 def test_prove_unprovable_pair_exit_code(capsys):

@@ -21,9 +21,8 @@ from ternrep import (
     search_cover,
     transport,
 )
-from ternrep.congruence import GoodVectorReport, attainable_residues, classify_good
+from ternrep.congruence import GoodVectorReport, attainable_residues
 from ternrep.forms import Vector3
-from ternrep.isometry import TransformSet
 from ternrep import certificate, congruence, prover
 
 T1 = ((4, 2, 2), (0, 4, 2), (0, 0, 2))
@@ -66,7 +65,7 @@ def test_residue_vectors_match_definition(s4):
 
 def test_classify_good_mod4(s4):
     f, g = s4
-    report = classify_good(f, g, ResidueClass(4, 0), find_transforms(f, g, 4))
+    report = precedes(f, g, ResidueClass(4, 0))
     assert report.all_good and len(report.good) == 16
     # T1 alone transports every coset
     for v, _ in report.good:
@@ -75,7 +74,7 @@ def test_classify_good_mod4(s4):
 
 def test_classify_good_bad_set_characterization(s4):
     f, g = s4
-    report = classify_good(f, g, ResidueClass(12, 2), find_transforms(f, g, 12))
+    report = precedes(f, g, ResidueClass(12, 2))
     assert len(report.bad) == 32
     assert len(report.good) == 864 - 32
     for v in report.bad:
@@ -87,25 +86,18 @@ def test_classify_good_bad_set_characterization(s4):
 def test_classify_good_self_pair_all_good():
     f = named_form("S11a")
     for cls in (ResidueClass(4, 0), ResidueClass(4, 3), ResidueClass(6, 1)):
-        ts = find_transforms(f, f, cls.d)
-        report = classify_good(f, f, cls, ts)
+        report = precedes(f, f, cls)
         assert report.all_good  # d*I makes every coset good
-
-
-def test_classify_good_checks_matching_arguments(s4):
-    f, g = s4
-    with pytest.raises(ValueError):
-        classify_good(f, g, ResidueClass(12, 2), find_transforms(f, g, 4))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, congruence._KERNEL_CHUNK])
 def test_witness_is_the_first_integral_transform(s4, monkeypatch, chunk):
     f, g = s4
     monkeypatch.setattr(congruence, "_KERNEL_CHUNK", chunk)
-    congruence._kernel_bits.cache_clear()  # build the bitsets with this chunk
+    congruence._kernel_classes.cache_clear()  # build the bitsets with this chunk
     cls = ResidueClass(12, 2)
     ts = find_transforms(f, g, 12)
-    report = classify_good(f, g, cls, ts)
+    report = precedes(f, g, cls)
     expected = [
         next((i for i, T in enumerate(ts.matrices) if transport(v, T, 12) is not None), -1)
         for v in residue_vectors(g, cls)
@@ -135,9 +127,8 @@ sublattice_bases = st.builds(
     d=st.sampled_from((1, 2, 3, 4, 5, 8, 9, 16, 6, 12, 24, 36, 48, 60)),
     v=st.tuples(*[st.integers(0, 59)] * 3),
     chunk=st.sampled_from((1, 7, 8, 64)),
-    block=st.sampled_from((5, congruence._COSET_BLOCK)),
 )
-def test_witness_matches_first_transport(f, other, basis, swap, d, v, chunk, block):
+def test_witness_matches_first_transport(f, other, basis, swap, d, v, chunk):
     # with g on a sublattice of f, T = d U makes every coset good; with f on
     # a sublattice of g, classes at d divisible by det U have some bad cosets
     g = other if basis is None else change_of_basis(f, basis)
@@ -145,10 +136,9 @@ def test_witness_matches_first_transport(f, other, basis, swap, d, v, chunk, blo
         f, g = g, f
     cls = ResidueClass(d, evaluate(g, v) % d)  # a class with at least one coset
     ts = find_transforms(f, g, d)
-    with patch.object(congruence, "_KERNEL_CHUNK", chunk), \
-            patch.object(congruence, "_COSET_BLOCK", block):
-        congruence._kernel_bits.cache_clear()
-        report = classify_good(f, g, cls, ts)
+    with patch.object(congruence, "_KERNEL_CHUNK", chunk):
+        congruence._kernel_classes.cache_clear()
+        report = precedes(f, g, cls)
     expected = [
         next((i for i, T in enumerate(ts.matrices) if transport(w, T, d) is not None), -1)
         for w in residue_vectors(g, cls)
@@ -157,21 +147,21 @@ def test_witness_matches_first_transport(f, other, basis, swap, d, v, chunk, blo
 
 
 def test_kernel_bits_built_once_per_transform_set(s6, monkeypatch):
-    # classify_good and the escape scan of build_escape both read the
-    # bitsets through _integral_bits
+    # precedes and the escape scan of build_escape both read the kernel
+    # tables through _integral_classes
     f, g = s6
     scanned = []
-    integral_bits = congruence._integral_bits
+    integral_classes = congruence._integral_classes
 
     def recording(ts, V):
         scanned.append((ts.f, ts.g, ts.d))
-        return integral_bits(ts, V)
+        return integral_classes(ts, V)
 
-    monkeypatch.setattr(congruence, "_integral_bits", recording)
-    monkeypatch.setattr(prover, "_integral_bits", recording)
-    congruence._kernel_bits.cache_clear()
+    monkeypatch.setattr(congruence, "_integral_classes", recording)
+    monkeypatch.setattr(prover, "_integral_classes", recording)
+    congruence._kernel_classes.cache_clear()
     search_cover(f, g)
-    info = congruence._kernel_bits.cache_info()
+    info = congruence._kernel_classes.cache_info()
     assert len(set(scanned)) < len(scanned)  # several classes share a modulus
     assert any(ts_f == ts_g for ts_f, ts_g, _ in scanned)  # an escape scan ran
     assert info.misses == len(set(scanned))
@@ -189,11 +179,28 @@ def test_kernel_classes_rebuild_the_kernel_rows(s6):
     assert len(classes[0][2]) == 79
 
 
+def test_integral_classes_and_the_kernel_rows_of_each_coset(s6):
+    # the largest class of S6 at d = 48: 16,128 cosets in 99 groups
+    f, g = s6
+    ts = find_transforms(f, g, 48)
+    V = congruence._residue_array(g, ResidueClass(48, 16))
+    inverse, acc = congruence._integral_classes(ts, V)
+    expected = np.full((len(V), -(-len(ts) // 8)), 0xFF, dtype=np.uint8)
+    for q, bits in congruence._kernel_bits(ts):
+        expected &= bits[((V[:, 0] % q) * q + V[:, 1] % q) * q + V[:, 2] % q]
+    assert acc.shape == (99, 90) and len(V) == 16128
+    assert np.array_equal(acc[inverse], expected)
+    counts = np.bincount(inverse)
+    assert len(counts) == 99 and counts.min() > 0  # every group holds a coset
+
+
 def test_cover_at_modulus_one():
     # no prime powers: every automorphism is integral, so the first covers all
     f = named_form("S11a")
     report = precedes(f, f, ResidueClass(1, 0))
     assert congruence._kernel_classes(report.transforms) == ()
+    inverse, acc = congruence._integral_classes(report.transforms, report.cosets)
+    assert inverse.tolist() == [0] and (acc == 0xFF).all()  # one group, every bit set
     assert report.cover.tolist() == [0]
 
 
@@ -215,22 +222,6 @@ def test_cover_of_a_class_without_good_cosets(s4):
     assert bad_only.cover.dtype == np.int64 and bad_only.cover.shape == (0,)
 
 
-def test_classify_good_independent_of_transform_order(s4):
-    f, g = s4
-    ts = find_transforms(f, g, 12)
-    reversed_ts = TransformSet(f, g, 12, ts.matrices[::-1])
-    a = classify_good(f, g, ResidueClass(12, 2), ts)
-    # the bitsets are cached by (f, g, d), which does not see the order
-    congruence._kernel_bits.cache_clear()
-    try:
-        b = classify_good(f, g, ResidueClass(12, 2), reversed_ts)
-    finally:
-        congruence._kernel_bits.cache_clear()
-    assert {v for v, _ in a.good} == {v for v, _ in b.good}
-    assert set(a.bad) == set(b.bad)
-    assert all(transport(v, reversed_ts.matrices[i], 12) is not None for v, i in b.good)
-
-
 def test_precedes_results(s4):
     f, g = s4
     assert precedes(f, g, ResidueClass(12, 6)).all_good
@@ -241,7 +232,7 @@ def test_precedes_results(s4):
 
 def test_goodness_is_a_coset_property(s4):
     f, g = s4
-    report = classify_good(f, g, ResidueClass(12, 2), find_transforms(f, g, 12))
+    report = precedes(f, g, ResidueClass(12, 2))
     good = {v for v, _ in report.good}
     bad = set(report.bad)
     ts = report.transforms.matrices

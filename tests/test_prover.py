@@ -276,25 +276,32 @@ def test_escape_search_result_is_the_plain_scaled_automorphisms(s4):
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
-def test_integrality_checks_cosets_past_the_first_chunk(s4, monkeypatch):
+def test_integrality_checks_every_bad_coset_group(s4):
     f, g = s4
-    monkeypatch.setattr(congruence, "_COSET_BLOCK", 64)  # the stray coset is in the second block
     cls = ResidueClass(12, 2)
     report = precedes(f, g, cls)
+    autos = scaled_automorphisms(g, 12)
     good = report.cosets[report.witness >= 0]
     stray = next(v for v, _ in report.good if transport(v, TTILDE, 12) is None)
     padded = np.tile(report.bad_array, (3, 1))  # 96 cosets that TTILDE makes integral
+    groups = []
     for bad in (padded, np.vstack([padded, [stray]])):
         # the good cosets stay, so the reference's descent pool is the whole class
         variant = GoodVectorReport(
             f, g, cls, report.transforms, np.vstack([good, bad]),
             np.concatenate([report.witness[report.witness >= 0], np.full(len(bad), -1)]),
         )
-        assert len(variant.bad_array) > 64 and variant.bad_array.tolist()[:96] == padded.tolist()
+        assert variant.bad_array.tolist()[:96] == padded.tolist()
+        inverse, acc = congruence._integral_classes(autos, variant.bad_array)
+        # the three copies of a bad coset fall in one group
+        assert (inverse[:96].reshape(3, 32) == inverse[:32]).all()
+        groups.append(len(acc))
         matrices, survives = _batched_filter(g, cls, variant)
         outcome = _reference_escape_outcome(f, g, cls, variant, TTILDE)
         assert survives[matrices.index(TTILDE)] == (outcome != "integrality")
         assert (outcome == "integrality") == (len(bad) > 96)
+    # TTILDE leaves the stray coset stuck, so it has a group of its own
+    assert groups[0] <= 32 and groups[1] == groups[0] + 1
 
 
 def test_prover_builds_no_coset_tuples(s4, s6):
@@ -594,9 +601,8 @@ def test_kaplansky_family_sets_agree_small():
 def test_emit_rebuilds_no_kernel_tables(sid):
     # the S8 proof touches 18 transform sets; the transforms a certificate
     # lists come from kernel tables its search built, still cached
-    congruence._kernel_bits.cache_clear()
     congruence._kernel_classes.cache_clear()
     proof = prove_pair(named_form(f"{sid}f"), named_form(f"{sid}g"), empirical_bound=100)
-    before = congruence._kernel_bits.cache_info().misses
+    before = congruence._kernel_classes.cache_info().misses
     prover.emit(proof)
-    assert congruence._kernel_bits.cache_info().misses == before
+    assert congruence._kernel_classes.cache_info().misses == before
