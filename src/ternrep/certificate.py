@@ -34,6 +34,14 @@ from .forms import QuadForm, doubled_gram, evaluate, is_positive_definite
 CERT_VERSION = 3
 # the largest lcm of cover moduli; it bounds every L^3 scan below to ~15 MB
 MAX_MODULUS = 144
+# the keys each record may hold; any other key fails the record's schema clause
+_KEYS = {
+    "root": {"version", "f", "g", "empirical_bound", "f_in_g", "g_in_f"},
+    "subform": {"kind", "matrix"},
+    "cover": {"kind", "classes"},
+    "class": {"d", "a", "transforms", "escape"},
+    "escape": {"matrix", "witness"},
+}
 
 
 def encode(cert: dict) -> bytes:
@@ -77,6 +85,12 @@ def _as_matrix(obj):
     if not isinstance(obj, list) or len(obj) != 3:
         raise ValueError("matrix must be 3x3 integer rows")
     return tuple(_as_ints(row, 3) for row in obj)
+
+
+def _unknown_keys(record, kind):
+    """A failure detail naming the keys of a record outside its kind's set, or ''."""
+    extra = [key for key in record if key not in _KEYS[kind]]
+    return f"unknown keys in {kind} record: {extra!r}" if extra else ""
 
 
 def _as_list(obj):
@@ -131,19 +145,23 @@ def _check_cover(tag, sub, sup, record):
     classes = record.get("classes")
     if not isinstance(classes, list) or not classes:
         return _fail(f"{tag}.schema", "cover record needs a nonempty class list")
+    if unknown := _unknown_keys(record, "cover"):
+        return _fail(f"{tag}.schema", unknown)
     G_sub = doubled_gram(sub)
     G_sup = doubled_gram(sup)
     class_ids = []
-    try:
-        for rec in classes:
+    for rec in classes:
+        try:
             d, a = _as_int(rec["d"]), _as_int(rec["a"])
             if d < 1:
                 raise ValueError("modulus d must be a positive integer")
             if not 0 <= a < d:
                 raise ValueError(f"residue must satisfy 0 <= a < d, got ({d}, {a})")
-            class_ids.append((d, a))
-    except (KeyError, TypeError, ValueError) as exc:
-        return _fail(f"{tag}.schema", str(exc))
+        except (KeyError, TypeError, ValueError) as exc:
+            return _fail(f"{tag}.schema", str(exc))
+        if unknown := _unknown_keys(rec, "class"):
+            return _fail(f"{tag}.class({d},{a}).schema", unknown)
+        class_ids.append((d, a))
     # cover arithmetic: every attainable residue lies in some class
     modulus = lcm(*(d for d, _ in class_ids))
     if modulus > MAX_MODULUS:
@@ -186,6 +204,8 @@ def _check_escape(ctag, sub, sup, d, escape, bad):
     try:
         if not isinstance(escape, dict):
             raise ValueError(f"escape record must be an object, got {escape!r}")
+        if unknown := _unknown_keys(escape, "escape"):
+            raise ValueError(unknown)
         E = _as_matrix(escape["matrix"])
         witness = _as_ints(escape["witness"], 3)
     except (KeyError, TypeError, ValueError) as exc:
@@ -231,6 +251,8 @@ def check(cert) -> Verdict:
             return _fail("canonical", "not the bytes encode() writes for this certificate")
     if not isinstance(cert, dict):
         return _fail("schema", "certificate must be a JSON object")
+    if unknown := _unknown_keys(cert, "root"):
+        return _fail("schema", unknown)
     version = cert.get("version")
     if type(version) is not int or version != CERT_VERSION:
         return _fail("version", f"expected {CERT_VERSION}, got {version!r}")
@@ -252,6 +274,8 @@ def check(cert) -> Verdict:
         kind = record.get("kind")
         if kind == "subform":
             try:
+                if unknown := _unknown_keys(record, "subform"):
+                    raise ValueError(unknown)
                 T = _as_matrix(record["matrix"])
             except (KeyError, ValueError) as exc:
                 return _fail(f"{tag}.schema", str(exc))

@@ -16,8 +16,14 @@ product of the (Z/qZ)^3 over the prime powers q of d, and T v^t = 0
 (mod d) iff T v^t = 0 (mod q) for every q.  So each q gets one table per
 transform set, shared by every class of modulus d: for each coset u mod
 q, a bitset whose bit t says T_t u^t = 0 (mod q), kept as its few
-distinct rows and a label per u (_kernel_classes).  Cosets with equal
-labels mod every q have the same integral transforms, so
+distinct rows and a label per u (_kernel_classes).  Two exact symmetries
+cut the work of building it to about a quarter.  For a unit c mod q,
+T (c u) = c T u, so u and c u have the same row: only the normal forms
+(0 or a power of p, y, z) are scanned (_normal_forms), 1,280 of the 4,096
+cosets mod 16.  The set is closed under T -> -T in reverse order
+(TransformSet), and ker(-T) = ker T: only its first half is scanned, and
+each distinct row takes the mirror of its half (_kernel_bits).  Cosets
+with equal labels mod every q have the same integral transforms, so
 _integral_classes, the one path from cosets to transforms, groups them
 and ANDs the rows once per group.  Bit t is bit t % 8 of byte t // 8, so
 a group's lowest set bit is the first integral transform in the set's
@@ -198,41 +204,81 @@ class GoodVectorReport:
         )
 
 
-# transforms per step of _kernel_bits: a step holds (q^2, chunk, 3) int64
-# codes and a (q^3, chunk) bool array, under 1 MB at q = 16, whatever the
-# size of the set
+# transforms per step of _kernel_bits: a step's bool array has (k + 1) q^2
+# rows of chunk cells, 80 KB at q = 16 (k = 4), whatever the size of the set
 _KERNEL_CHUNK = 64
 
 # _LOW_BIT[b] is the index of the lowest set bit of the byte b > 0
 _LOW_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.int64)
 
 
-def _kernel_bits(transforms: TransformSet) -> tuple:
-    """((q, bits_q) for each prime power q of d), the kernels of the set mod q.
+# q^3 indices per table in the narrowest unsigned type, 8 KB at q = 16 but
+# 8 MB at q = 128, which precedes accepts: cached as tightly as _value_grid
+@lru_cache(maxsize=16)
+def _normal_forms(q: int) -> tuple:
+    """(xs, nf) for a prime power q = p^k: the normal forms of the cosets mod q
+    under the units, and nf[x q^2 + y q + z], the index of the normal form of
+    (x, y, z).
 
-    bits_q is a (q^3, ceil(|T| / 8)) uint8 array: bit t (little-endian
-    within each byte) of row x q^2 + y q + z is set iff T_t (x, y, z)^t = 0
-    (mod q).  It is found meet-in-the-middle: x T_0 + y T_1 = -z T_2 (mod q)
-    for the columns T_j of T, comparing q^2 codes with q codes.
+    A coset with x = p^j w, w a unit, is w (p^j, c y, c z) with c = 1/w mod q;
+    so the normal forms are the (k + 1) q^2 cosets (X, y, z), X in xs = (0, 1,
+    p, ..., p^(k-1)), with index i q^2 + y q + z for X = xs[i].  For any T, T u
+    = 0 (mod q) iff T (c u) = 0: a coset and its normal form have one kernel
+    row.
     """
-    mats = transforms.matrices
-    n = len(mats)
+    p = next(m for m in range(2, q + 1) if q % m == 0)
+    xs = [0, 1]
+    while xs[-1] * p < q:
+        xs.append(xs[-1] * p)
+    # x = xs[xi[x]] w with w = 1 / c[x] a unit (w = c = 1 at x = 0)
+    xi, c = np.zeros(q, dtype=np.int64), np.ones(q, dtype=np.int64)
+    for x in range(1, q):
+        xi[x] = max(i for i in range(1, len(xs)) if x % xs[i] == 0)
+        c[x] = pow(x // xs[xi[x]], -1, q)
+    cy = np.outer(c, np.arange(q)) % q  # cy[x, y] = c y mod q, q^2 entries
+    dtype = np.min_scalar_type(len(xs) * q * q - 1)
+    nf = ((xi[:, None] * q + cy) * q).astype(dtype)[:, :, None] + cy.astype(dtype)[:, None, :]
+    nf = nf.ravel()
+    nf.setflags(write=False)
+    return tuple(xs), nf
+
+
+def _kernel_bits(transforms: TransformSet) -> tuple:
+    """((q, bits_q) for each prime power q of d), the kernels of the first half
+    of the set on the normal forms mod q (_normal_forms).
+
+    bits_q is a ((k + 1) q^2, max(1, ceil(|T| / 16))) uint8 array: bit t
+    (little-endian within each byte) of row i q^2 + y q + z is set iff
+    T_t (xs[i], y, z)^t = 0 (mod q), for t < |T| / 2; the set is closed
+    under negation and sorted, so T_(|T|-1-t) = -T_t has the same kernel
+    (TransformSet).  It is found meet-in-the-middle: X T_0 + y T_1 = -z T_2
+    (mod q) for the columns T_j of T, comparing (k + 1) q codes with q codes
+    per transform, in the narrowest unsigned type that holds q^3: 16 bits up
+    to q = 40.
+    """
+    half = transforms.matrices[:len(transforms) // 2]
     out = []
     for q in _prime_powers(transforms.d):
-        u = np.arange(q, dtype=np.int64)
-        place = np.array([q * q, q, 1], dtype=np.int64)
-        bits = np.zeros((q**3, -(-n // 8)), dtype=np.uint8)
-        for start in range(0, n, _KERNEL_CHUNK):
-            cols = mats[start:start + _KERNEL_CHUNK].transpose(2, 0, 1) % q  # cols[j, t] = T_t e_j
-            # codes of x T_0 + y T_1, shape (q, q, chunk), and of -z T_2, shape (q, chunk)
-            pair = ((u[:, None, None, None] * cols[0] + u[None, :, None, None] * cols[1]) % q) @ place
-            single = ((-u[:, None, None] * cols[2]) % q) @ place
+        xs, _ = _normal_forms(q)
+        dtype = np.min_scalar_type(q**3 - 1)  # also holds the digits' 2 (q - 1)^2
+        u = np.arange(q, dtype=dtype)[:, None, None]
+        X = np.array(xs, dtype=dtype)[:, None, None, None]
+        cols = (half % q).astype(dtype).transpose(2, 1, 0)  # cols[j, i, t] = (T_t)_ij mod q
+        # codes of X T_0 + y T_1, shape (k + 1, q, |T| / 2), and of -z T_2, shape (q, |T| / 2)
+        digits = (X * cols[0] + u * cols[1]) % q
+        pair = (digits[:, :, 0] * q + digits[:, :, 1]) * q + digits[:, :, 2]
+        digits = (q - u) * cols[2] % q
+        single = (digits[:, 0] * q + digits[:, 1]) * q + digits[:, 2]
+        # at least one byte per row, so that an empty set gets one empty row
+        bits = np.zeros((len(xs) * q * q, max(1, -(-len(half) // 8))), dtype=np.uint8)
+        for start in range(0, len(half), _KERNEL_CHUNK):
+            stop = min(start + _KERNEL_CHUNK, len(half))
             # the chunk's bits start `lead` bits into a byte: pack behind `lead`
             # zero columns and OR the bytes in, so any chunk size lines up
             lead = start % 8
-            hits = np.zeros((q, q, q, lead + len(cols[0])), dtype=bool)
-            np.equal(pair[:, :, None, :], single[None, None, :, :], out=hits[..., lead:])
-            packed = np.packbits(hits.reshape(q**3, -1), axis=1, bitorder="little")
+            hits = np.zeros((len(xs), q, q, lead + stop - start), dtype=bool)
+            np.equal(pair[:, :, None, start:stop], single[None, None, :, start:stop], out=hits[..., lead:])
+            packed = np.packbits(hits.reshape(len(bits), -1), axis=1, bitorder="little")
             bits[:, start // 8:start // 8 + packed.shape[1]] |= packed
         out.append((q, bits))
     return tuple(out)
@@ -259,15 +305,21 @@ def _groups(keys):
 # hold 0.02 MB, the 12 of the failed S5 search 0.03 MB
 @lru_cache(maxsize=64)
 def _kernel_classes(transforms: TransformSet) -> tuple:
-    """((q, label_q, rows_q) for each prime power q of d): the distinct rows
-    of each bits_q of _kernel_bits, rows_q, and label_q[i], the index in
-    rows_q of row i.  At S6, d = 48, the 4,096 rows mod 16 hold 79 distinct
-    ones."""
+    """((q, label_q, rows_q) for each prime power q of d): rows_q holds the
+    distinct kernel rows of the set mod q, bit t set iff T_t u = 0 (mod q),
+    packed as in _kernel_bits, and label_q[x q^2 + y q + z] is the index in
+    rows_q of the row of (x, y, z).  Rows are grouped on the half-set bits of
+    the normal forms (_kernel_bits), then each distinct row takes the mirror
+    of its half for T_(|T|-1-t) = -T_t, and each coset the label of its
+    normal form.  At S6, d = 48, the 4,096 cosets mod 16 have 79 distinct
+    rows."""
     out = []
     for q, bits in _kernel_bits(transforms):
         # the rows as raw bytes, so that equal rows are equal keys
         label, first = _groups(bits.view(np.dtype((np.void, bits.shape[1]))).ravel())
-        label, rows = label.astype(np.min_scalar_type(len(first))), bits[first]
+        half = np.unpackbits(bits[first], axis=1, count=len(transforms) // 2, bitorder="little")
+        rows = np.packbits(np.concatenate((half, half[:, ::-1]), axis=1), axis=1, bitorder="little")
+        label = label.astype(np.min_scalar_type(len(first)))[_normal_forms(q)[1]]
         label.setflags(write=False)
         rows.setflags(write=False)
         out.append((q, label, rows))

@@ -39,7 +39,10 @@ from .forms import QuadForm, doubled_gram, require_positive_definite
 class TransformSet:
     """All integer T with T^t (2M_f) T = d^2 (2M_g), lexicographically sorted.
 
-    matrices is a read-only (N, 3, 3) int64 array.  It is left out of
+    matrices is a read-only (N, 3, 3) int64 array.  The set is closed under
+    T -> -T, which reverses lexicographic order, and holds no zero matrix:
+    N is even and matrices[N - 1 - i] == -matrices[i], so the kernel tables
+    of congruence compute the first half only.  It is left out of
     equality and hashing: find_transforms builds the one set of each
     (f, g, d), so the triple names it.
     """

@@ -423,6 +423,21 @@ def test_malformed_records_rejected(s4_cert, path, junk):
     assert not verdict.ok and verdict.clause.endswith("schema")
 
 
+@pytest.mark.parametrize("path, clause, kind", [
+    ((), "schema", "root"),
+    (("f_in_g",), "f_in_g.schema", "subform"),
+    (("g_in_f",), "g_in_f.schema", "cover"),
+    (("g_in_f", "classes", 0), "g_in_f.class(4,0).schema", "class"),
+    (("g_in_f", "classes", 1, "escape"), "g_in_f.escape(12,2).schema", "escape"),
+], ids=["root", "subform_direction", "cover_direction", "class", "escape"])
+def test_unknown_keys_rejected(path, clause, kind):
+    # the golden certificate with one extra key, in canonical bytes
+    cert = json.loads((CERTS / "S4.json").read_bytes())
+    get_at(cert, path)["zzz"] = 0
+    verdict = certificate.check(certificate.encode(cert))
+    assert verdict == certificate.Verdict(False, clause, f"unknown keys in {kind} record: ['zzz']")
+
+
 def test_checker_runs_no_transform_search(s4_proof, monkeypatch):
     blob = emit(s4_proof)
 

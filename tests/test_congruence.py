@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -168,13 +169,23 @@ def test_kernel_bits_built_once_per_transform_set(s6, monkeypatch):
     assert info.hits == len(scanned) - len(set(scanned))
 
 
+def _scanned_kernel_rows(ts, q):
+    """Reference kernel table mod q by a direct scan: bit t (packed as in
+    _kernel_bits) of row x q^2 + y q + z says T_t (x, y, z)^t = 0 (mod q)."""
+    U = np.indices((q, q, q)).reshape(3, -1)
+    hits = np.zeros((len(ts), q**3), dtype=bool)
+    for t, T in enumerate(ts.matrices):
+        hits[t] = ~((T @ U) % q).any(axis=0)
+    return np.packbits(hits.T, axis=1, bitorder="little")
+
+
 def test_kernel_classes_rebuild_the_kernel_rows(s6):
     f, g = s6
     ts = find_transforms(f, g, 48)
     classes = congruence._kernel_classes(ts)
     assert [q for q, _, _ in classes] == [16, 3]
-    for (q, bits), (_, label, rows) in zip(congruence._kernel_bits(ts), classes, strict=True):
-        assert np.array_equal(rows[label], bits)
+    for q, label, rows in classes:
+        assert np.array_equal(rows[label], _scanned_kernel_rows(ts, q))
         assert len({row.tobytes() for row in rows}) == len(rows) < q**3
     assert len(classes[0][2]) == 79
 
@@ -186,12 +197,81 @@ def test_integral_classes_and_the_kernel_rows_of_each_coset(s6):
     V = congruence._residue_array(g, ResidueClass(48, 16))
     inverse, acc = congruence._integral_classes(ts, V)
     expected = np.full((len(V), -(-len(ts) // 8)), 0xFF, dtype=np.uint8)
-    for q, bits in congruence._kernel_bits(ts):
-        expected &= bits[((V[:, 0] % q) * q + V[:, 1] % q) * q + V[:, 2] % q]
+    for q in (16, 3):
+        expected &= _scanned_kernel_rows(ts, q)[((V[:, 0] % q) * q + V[:, 1] % q) * q + V[:, 2] % q]
     assert acc.shape == (99, 90) and len(V) == 16128
     assert np.array_equal(acc[inverse], expected)
     counts = np.bincount(inverse)
     assert len(counts) == 99 and counts.min() > 0  # every group holds a coset
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    f=small_forms,
+    basis=sublattice_bases,
+    swap=st.booleans(),
+    d=st.sampled_from((2, 5, 9, 16, 25, 27, 48, 60)),
+    chunk=st.sampled_from((1, 7, 8, 64)),
+)
+def test_kernel_classes_match_a_direct_scan(f, basis, swap, d, chunk):
+    # q = 5 and 25 reach p = 5, q = 27 reaches k = 3.  With g on a sublattice
+    # of f the set is never empty; swapped, it is empty at some d, and each
+    # coset then has the one empty row
+    g = change_of_basis(f, basis)
+    if swap:
+        f, g = g, f
+    ts = find_transforms(f, g, d)
+    with patch.object(congruence, "_KERNEL_CHUNK", chunk):
+        congruence._kernel_classes.cache_clear()
+        classes = congruence._kernel_classes(ts)
+    congruence._kernel_classes.cache_clear()
+    assert [q for q, _, _ in classes] == congruence._prime_powers(d)
+    for q, label, rows in classes:
+        assert np.array_equal(rows[label], _scanned_kernel_rows(ts, q))
+
+
+def test_kernel_classes_past_16_bit_codes():
+    # mod 41 the codes X T_0 + y T_1 run up to 41^3 - 1 > 2^16 - 1
+    f = QuadForm(2, 2, 3, 1, 1, 1)
+    ts = find_transforms(f, f, 41)
+    (q, label, rows), = congruence._kernel_classes(ts)
+    assert len(ts) == 124 and len(rows) == 467
+    assert np.array_equal(rows[label], _scanned_kernel_rows(ts, 41))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 8, 9, 16, 25, 27, 49])
+def test_normal_forms_are_unit_multiples(q):
+    # every coset is a unit multiple of its normal form (xs[i], y, z), and
+    # each normal form is its own
+    p = min(m for m in range(2, q + 1) if q % m == 0)
+    xs, nf = congruence._normal_forms(q)
+    assert xs == (0, *(p**j for j in range(len(xs) - 1))) and xs[-1] * p == q
+    assert nf.dtype == np.min_scalar_type(len(xs) * q * q - 1) and nf.shape == (q**3,)
+    forms = np.column_stack((np.array(xs)[nf // (q * q)], nf // q % q, nf % q))
+    U = np.indices((q, q, q)).reshape(3, -1).T
+    multiple = np.zeros(q**3, dtype=bool)
+    for c in range(1, q):
+        if c % p:
+            multiple |= ((c * forms - U) % q == 0).all(axis=1)
+    assert multiple.all()
+    index = np.arange(len(xs) * q * q)
+    assert np.array_equal(nf[np.array(xs)[index // (q * q)] * q * q + index % (q * q)], index)
+
+
+def test_kernel_classes_memory_stays_bounded(s6):
+    # the largest table the search builds: 720 transforms of S6 at d = 48
+    f, g = s6
+    ts = find_transforms(f, g, 48)
+    congruence._kernel_classes.cache_clear()
+    congruence._normal_forms.cache_clear()
+    tracemalloc.start()
+    try:
+        congruence._kernel_classes(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ts) == 720
+    assert peak < 10**6  # 1.0 MB
 
 
 def test_cover_at_modulus_one():

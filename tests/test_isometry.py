@@ -275,6 +275,16 @@ def test_search_matches_brute_force_reference(pair, d):
     assert find_transforms(f, g, d).matrices.tolist() == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(form_pairs(), st.sampled_from((1, 2, 3, 4, 5, 6, 8, 9, 12)))
+def test_sets_are_closed_under_negation_in_reverse_order(pair, d):
+    # lexicographic order reverses under T -> -T, and no T is 0: the kernel
+    # tables compute the first half of each set and mirror the rest
+    ts = find_transforms(*pair, d)
+    assert len(ts) % 2 == 0
+    assert np.array_equal(ts.matrices[::-1], -ts.matrices)
+
+
 @pytest.mark.parametrize("sid, d, sizes", [("S5", 144, (720, 976)), ("S12", 48, (280, 912))])
 def test_largest_automorphism_sets(sid, d, sizes):
     # the largest sets the prover builds: the scaled automorphisms of the
