@@ -1,8 +1,8 @@
 """Residue-vector analysis modulo d.
 
-For a form g and a residue class a mod d, residue_vectors finds every
+For a form g and a residue class a mod d, residue_vectors lists every
 coset v in (Z/dZ)^3 with g(v) = a (mod d), from one d^3 grid of the
-values of g mod d.
+values of g mod d.  The proofs read q^3 grids only, q | d (see below).
 
 A coset is *good* for a transform set R = {T : T^t M_f T = d^2 M_g} when
 some T in R maps it to an integral vector, (1/d) v T^t in Z^3; that vector
@@ -12,8 +12,10 @@ good, each value of g in the progression { d n + a } is a value of f.
 precedes decides this for all cosets at once from kernel bitsets.
 (1/d) v T^t is integral iff T v^t = 0 (mod d), that is iff v lies in the
 kernel of T mod d.  By the Chinese remainder theorem (Z/dZ)^3 is the
-product of the (Z/qZ)^3 over the prime powers q of d, and T v^t = 0
-(mod d) iff T v^t = 0 (mod q) for every q.  So each q gets one table per
+product of the (Z/qZ)^3 over the prime powers q of d: a coset v is the
+tuple of its parts v mod q, it lies in the class iff each part lies in
+(q, a mod q), and T v^t = 0 (mod d) iff T v^t = 0 (mod q) for every q.
+So the class is the product of its parts, and each q gets one table per
 transform set, shared by every class of modulus d: for each coset u mod
 q, a bitset whose bit t says T_t u^t = 0 (mod q), kept as its few
 distinct rows and a label per u (_kernel_classes).  Two exact symmetries
@@ -24,12 +26,13 @@ cosets mod 16.  The set is closed under T -> -T in reverse order
 (TransformSet), and ker(-T) = ker T: only its first half is scanned, and
 each distinct row takes the mirror of its half (_kernel_bits).  Cosets
 with equal labels mod every q have the same integral transforms, so
-_integral_classes, the one path from cosets to transforms, groups them
-and ANDs the rows once per group.  Bit t is bit t % 8 of byte t // 8, so
-a group's lowest set bit is the first integral transform in the set's
-order, the witness of its cosets.  A certificate lists a greedy cover
-over the groups of the good cosets instead (GoodVectorReport.cover);
-prover.build_escape ANDs the bad cosets' groups for its escape candidates.
+_class_groups, the one path from a class to transforms, takes one group
+per tuple of labels of its parts and ANDs one row per q.  Bit t is bit
+t % 8 of byte t // 8, so a group's lowest set bit is the first integral
+transform in the set's order, the witness of its cosets.  A certificate
+lists a greedy cover over the good groups (GoodVectorReport.cover), and
+prover.build_escape keeps the scaled automorphisms that make integral
+each part of a bad group (_integral_on_bad).
 """
 
 from __future__ import annotations
@@ -64,9 +67,9 @@ class ResidueClass:
         return f"{self.d}n+{self.a}"
 
 
-# grids are d^3 uint16 entries: 6 MB at the largest class modulus a
-# certificate may use (144), 0.2 MB at the largest the search scans (48);
-# attainable_residues and the kernel bitsets ask only for prime powers
+# grids are d^3 uint16 entries, 8 KB at q = 16: the proofs ask only for
+# prime powers, and only the coset lists (residue_vectors, a report's
+# cosets) for a composite d, 6 MB at the largest certificate modulus, 144
 @lru_cache(maxsize=16)
 def _value_grid(g: QuadForm, d: int):
     """d^3 grid of g(v) mod d, index order (x, y, z)."""
@@ -88,8 +91,9 @@ def _value_grid(g: QuadForm, d: int):
 
 
 def _residue_array(g: QuadForm, cls: ResidueClass):
-    grid = _value_grid(g, cls.d)
-    return np.argwhere(grid == cls.a).astype(np.int64)
+    V = np.argwhere(_value_grid(g, cls.d) == cls.a).astype(np.int64)
+    V.setflags(write=False)
+    return V
 
 
 def residue_vectors(g: QuadForm, cls: ResidueClass) -> list:
@@ -134,27 +138,39 @@ def attainable_residues(g: QuadForm, modulus: int) -> tuple:
 
 @dataclass(frozen=True)
 class GoodVectorReport:
-    """Partition of the cosets of a residue class into good and bad.
-
-    cosets holds every coset of the class as an (n, 3) int64 array in
-    lexicographic order; witness[i] is the index of the first transform
-    in `transforms` whose image of cosets[i] is divisible by d, or -1
-    when there is none (a bad coset).  The Python views are built from
-    the arrays only when read: bad_array holds the bad rows, good the
-    (Vector3, index) pairs and bad the bad cosets as Vector3, all in
-    coset order.
-    """
+    """Partition of the cosets of a residue class into good and bad, kept as
+    the class's groups (_class_groups): a group with no bit set in acc is
+    bad.  The coset views are built when read: cosets, the (n, 3) int64
+    cosets in lexicographic order; witness[i], the first transform that makes
+    cosets[i] integral, or -1; good, the (Vector3, index) pairs; bad."""
 
     f: QuadForm
     g: QuadForm
     cls: ResidueClass
     transforms: TransformSet
-    cosets: np.ndarray = field(compare=False, hash=False, repr=False)
-    witness: np.ndarray = field(compare=False, hash=False, repr=False)
+    parts: tuple = field(compare=False, hash=False, repr=False)
+    weight: np.ndarray = field(compare=False, hash=False, repr=False)
+    acc: np.ndarray = field(compare=False, hash=False, repr=False)
+
+    def _table(self) -> np.ndarray:
+        return np.unpackbits(self.acc, axis=1, count=len(self.transforms), bitorder="little").astype(bool)
 
     @cached_property
-    def bad_array(self) -> np.ndarray:
-        return self.cosets[self.witness < 0]
+    def cosets(self) -> np.ndarray:
+        return _residue_array(self.g, self.cls)
+
+    @cached_property
+    def witness(self) -> np.ndarray:
+        V = self.cosets
+        group = np.zeros(len(V), dtype=np.int64)
+        for (q, _, present), (_, label, _) in zip(self.parts, _kernel_classes(self.transforms)):
+            lab = label[((V[:, 0] % q) * q + V[:, 1] % q) * q + V[:, 2] % q]
+            group = group * len(present) + np.searchsorted(present, lab)
+        # the number of leading zeros of each group's bits: len(transforms) if none is set
+        first = (~np.logical_or.accumulate(self._table(), axis=1)).sum(axis=1)
+        witness = np.where(first < len(self.transforms), first, -1)[group]
+        witness.setflags(write=False)
+        return witness
 
     @cached_property
     def good(self) -> tuple:
@@ -164,52 +180,36 @@ class GoodVectorReport:
 
     @cached_property
     def bad(self) -> tuple:
-        return tuple(map(Vector3._make, self.bad_array.tolist()))
+        return tuple(map(Vector3._make, self.cosets[self.witness < 0].tolist()))
 
     @property
     def all_good(self) -> bool:
-        return bool((self.witness >= 0).all())
+        return bool(self.acc.any(axis=1).all())
 
     @cached_property
     def cover(self) -> np.ndarray:
         """Indices into `transforms`, in pick order, of a greedy cover of the
         good cosets: each pick makes the most still-uncovered good cosets
         integral, the lowest index on ties, so each covers some good coset
-        that no earlier pick covers.
-
-        The greedy runs over the groups of the good cosets (_integral_classes),
-        weighted by their coset counts, not over cosets.
-        """
-        good = self.cosets[self.witness >= 0]
-        if not len(good):
-            return np.zeros(0, dtype=np.int64)
-        inverse, acc = _integral_classes(self.transforms, good)
-        weight = np.bincount(inverse)
-        table = np.unpackbits(acc, axis=1, count=len(self.transforms), bitorder="little").astype(bool)
-        picks = []
-        # every good coset has an integral transform, so each pick covers some
-        # open group and the loop ends
-        uncovered = table.any(axis=1)
+        that no earlier pick covers.  It runs over the good groups, weighted
+        by their coset counts; each pick covers an open one, so it ends."""
+        table = self._table()
+        picks, uncovered = [], table.any(axis=1)
         while uncovered.any():
-            t = int((weight[uncovered] @ table[uncovered]).argmax())
+            t = int((self.weight[uncovered] @ table[uncovered]).argmax())
             picks.append(t)
             uncovered &= ~table[:, t]
         return np.array(picks, dtype=np.int64)
 
     def __repr__(self):
-        n_bad = int((self.witness < 0).sum())
-        return (
-            f"GoodVectorReport(cls=({self.cls.d},{self.cls.a}), "
-            f"good={len(self.witness) - n_bad}, bad={n_bad})"
-        )
+        good = int(self.weight[self.acc.any(axis=1)].sum())
+        return (f"GoodVectorReport(cls=({self.cls.d},{self.cls.a}), "
+                f"good={good}, bad={int(self.weight.sum()) - good})")
 
 
 # transforms per step of _kernel_bits: a step's bool array has (k + 1) q^2
 # rows of chunk cells, 80 KB at q = 16 (k = 4), whatever the size of the set
 _KERNEL_CHUNK = 64
-
-# _LOW_BIT[b] is the index of the lowest set bit of the byte b > 0
-_LOW_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.int64)
 
 
 # q^3 indices per table in the narrowest unsigned type, 8 KB at q = 16 but
@@ -284,25 +284,11 @@ def _kernel_bits(transforms: TransformSet) -> tuple:
     return tuple(out)
 
 
-def _groups(keys):
-    """(inverse, first): keys[first] are the distinct keys, ascending, and
-    inverse[i] is the index of keys[i] among them.  Equal keys meet side by
-    side in a sort; np.unique would import numpy.ma on its first call."""
-    order = np.argsort(keys)
-    ranked = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = ranked[1:] != ranked[:-1]
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return inverse, order[new]
-
-
 # a pair proof works at no more than 16 moduli per direction (the divisors
 # of an lcm <= MAX_MODULUS = 144), each with one transform set and one of
-# scaled automorphisms, so it touches at most 4 x 16 = 64 sets: all of them
-# stay cached until emit reads them for GoodVectorReport.cover.  With labels
-# in the narrowest integer type that holds them, the 18 sets of the S8 proof
-# hold 0.02 MB, the 12 of the failed S5 search 0.03 MB
+# scaled automorphisms: at most 4 x 16 = 64 sets, all cached for the escape
+# scans and coset views that reread them.  With the narrowest labels, the
+# 18 sets of the S8 proof hold 0.02 MB, the 12 of the failed S5 search 0.03 MB
 @lru_cache(maxsize=64)
 def _kernel_classes(transforms: TransformSet) -> tuple:
     """((q, label_q, rows_q) for each prime power q of d): rows_q holds the
@@ -315,8 +301,14 @@ def _kernel_classes(transforms: TransformSet) -> tuple:
     rows."""
     out = []
     for q, bits in _kernel_bits(transforms):
-        # the rows as raw bytes, so that equal rows are equal keys
-        label, first = _groups(bits.view(np.dtype((np.void, bits.shape[1]))).ravel())
+        # equal rows meet side by side in a sort of their raw bytes; np.unique
+        # would import numpy.ma on its first call
+        keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+        order = np.argsort(keys)
+        new = np.concatenate(([True], keys[order[1:]] != keys[order[:-1]]))
+        label = np.empty(len(keys), dtype=np.int64)
+        label[order] = np.cumsum(new) - 1
+        first = order[new]
         half = np.unpackbits(bits[first], axis=1, count=len(transforms) // 2, bitorder="little")
         rows = np.packbits(np.concatenate((half, half[:, ::-1]), axis=1), axis=1, bitorder="little")
         label = label.astype(np.min_scalar_type(len(first)))[_normal_forms(q)[1]]
@@ -326,42 +318,49 @@ def _kernel_classes(transforms: TransformSet) -> tuple:
     return tuple(out)
 
 
-def _integral_classes(transforms: TransformSet, V):
-    """(inverse, acc): the cosets V of a class in groups with equal labels
-    mod every prime power q of d (_kernel_classes), so equal integral
-    transforms.  inverse[i] is the group of V[i]; bit t of acc[k], packed
-    as in _kernel_bits, says T_t makes group k integral, the AND of its
-    rows mod every q.  At d = 1 there is no q: one group, every bit set."""
-    parts = _kernel_classes(transforms)
-    labels = [label[((V[:, 0] % q) * q + V[:, 1] % q) * q + V[:, 2] % q] for q, label, _ in parts]
-    key = np.zeros(len(V), dtype=np.int64)
-    for lab, (_, _, rows) in zip(labels, parts):
-        key = key * len(rows) + lab
-    inverse, first = _groups(key)
-    acc = np.full((len(first), -(-len(transforms) // 8)), 0xFF, dtype=np.uint8)
-    for lab, (_, _, rows) in zip(labels, parts):
-        acc &= rows[lab[first]]
-    return inverse, acc
+def _class_groups(transforms: TransformSet, g: QuadForm, cls: ResidueClass) -> tuple:
+    """(parts, weight, acc), the class (d, a) as the product of its parts:
+    parts[i] = (q, cells, present) for the i-th prime power q of d, cells the
+    indices x q^2 + y q + z of the u mod q with g(u) = a (mod q) and present
+    their distinct labels (_kernel_classes), both ascending.  Group k takes
+    one present label per q, the last q fastest; weight[k] is the product of
+    their counts, acc[k] the AND of their rows.  At d = 1: one group, all set."""
+    width = -(-len(transforms) // 8)
+    parts, weight, acc = [], np.ones(1, dtype=np.int64), np.full((1, width), 0xFF, dtype=np.uint8)
+    for q, label, rows in _kernel_classes(transforms):
+        cells = np.flatnonzero(_value_grid(g, q).ravel() == cls.a % q)
+        counts = np.bincount(label[cells], minlength=len(rows))
+        present = np.flatnonzero(counts)
+        weight = np.outer(weight, counts[present]).ravel()
+        acc = (acc[:, None, :] & rows[present][None, :, :]).reshape(len(acc) * len(present), width)
+        parts.append((q, cells, present))
+    weight.setflags(write=False)
+    acc.setflags(write=False)
+    return tuple(parts), weight, acc
+
+
+def _integral_on_bad(transforms: TransformSet, report: GoodVectorReport) -> np.ndarray:
+    """Bit t, packed as in _kernel_bits, says T_t of a set at the report's
+    modulus makes every bad coset integral: each is a tuple of cosets mod q
+    whose labels occur in a bad group, so T_t must make all of those so."""
+    bad = ~report.acc.any(axis=1).reshape([len(present) for _, _, present in report.parts])
+    out = np.full(-(-len(transforms) // 8), 0xFF, dtype=np.uint8)
+    tables = zip(report.parts, _kernel_classes(report.transforms), _kernel_classes(transforms))
+    for i, ((q, cells, present), (_, label, _), (_, t_label, t_rows)) in enumerate(tables):
+        stuck = bad.any(axis=tuple(j for j in range(bad.ndim) if j != i))
+        used = np.bincount(t_label[cells[stuck[np.searchsorted(present, label[cells])]]], minlength=len(t_rows))
+        out &= np.bitwise_and.reduce(t_rows[used > 0], axis=0)
+    return out
 
 
 def precedes(f: QuadForm, g: QuadForm, cls: ResidueClass) -> GoodVectorReport:
     """Split the cosets of the class by existence of an integral transport.
 
     report.all_good says whether every coset is good; then every value of
-    g congruent to a mod d is also a value of f.  The witness of a coset
-    is the lowest set bit of its group's bitset (_integral_classes).
+    g congruent to a mod d is also a value of f.
     """
     transforms = find_transforms(f, g, cls.d)
-    V = _residue_array(g, cls)
-    witness = np.full(len(V), -1, dtype=np.int64)
-    if len(transforms):
-        inverse, acc = _integral_classes(transforms, V)
-        first = (acc != 0).argmax(axis=1)  # a group's first nonzero byte, or 0
-        byte = acc[np.arange(len(acc)), first]
-        witness = np.where(byte > 0, 8 * first + _LOW_BIT[byte], -1)[inverse]
-    V.setflags(write=False)
-    witness.setflags(write=False)
-    return GoodVectorReport(f, g, cls, transforms, V, witness)
+    return GoodVectorReport(f, g, cls, transforms, *_class_groups(transforms, g, cls))
 
 
 def transport(v, T, d: int):

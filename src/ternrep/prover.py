@@ -18,10 +18,10 @@ Every power of such an E has one rational eigenline, the axis of E
 the primitive axis vector), swallowed by one witness f(w) = m, since
 f(t w) = m t^2.  The witness is all a certificate records beside E.
 build_escape tests the scaled automorphisms of g, one (N, 3, 3) array in
-set order, all at once: integrality on the coset groups that also
-classify the good cosets (congruence._integral_classes), finite order
-from trace and determinant.  Only the survivors get an axis, a base and
-a witness.
+set order, all at once: integrality on the bad cosets from the parts of
+the class's bad groups (congruence._integral_on_bad), finite order from
+trace and determinant.  Only the survivors get an axis, a base and a
+witness.
 
 Every route needs integer transforms T^t (2M_f) T = d^2 (2M_g): the
 subform witness (d = 1), the good cosets and the escape argument.  Their
@@ -54,7 +54,7 @@ from .congruence import (
     CoverReport,
     GoodVectorReport,
     ResidueClass,
-    _integral_classes,
+    _integral_on_bad,
     attainable_residues,
     cover_check,
     precedes,
@@ -232,8 +232,7 @@ def _escape_candidates(autos, report):
     """Bool mask over autos.matrices, the scaled automorphisms E of g at
     modulus d: E makes every bad coset of the report integral and (1/d)E
     has infinite order."""
-    _, acc = _integral_classes(autos, report.bad_array)
-    integral = np.bitwise_and.reduce(acc, axis=0)
+    integral = _integral_on_bad(autos, report)
     finite = _has_finite_order(autos.matrices.transpose(1, 2, 0), autos.d)
     return np.unpackbits(integral, count=len(autos), bitorder="little").astype(bool) & ~finite
 

@@ -173,7 +173,7 @@ def test_emitted_transform_lists_are_greedy_covers(source, U, V):
             bad = certificate._class_cosets(certificate._values_mod(direction.sub, d), class_proof.cls.a)
             for T in rec["transforms"]:
                 bad = bad[~certificate._integral_rows(bad, T, d)]
-            assert bad.tolist() == report.bad_array.tolist()
+            assert bad.tolist() == [list(v) for v in report.bad]
     assert certificate.check(cert).ok
 
 

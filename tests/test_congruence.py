@@ -22,7 +22,7 @@ from ternrep import (
     search_cover,
     transport,
 )
-from ternrep.congruence import GoodVectorReport, attainable_residues
+from ternrep.congruence import attainable_residues
 from ternrep.forms import Vector3
 from ternrep import certificate, congruence, prover
 
@@ -140,26 +140,32 @@ def test_witness_matches_first_transport(f, other, basis, swap, d, v, chunk):
     with patch.object(congruence, "_KERNEL_CHUNK", chunk):
         congruence._kernel_classes.cache_clear()
         report = precedes(f, g, cls)
-    expected = [
-        next((i for i, T in enumerate(ts.matrices) if transport(w, T, d) is not None), -1)
-        for w in residue_vectors(g, cls)
-    ]
+    # one integer product per transform: hits[t, i] says T_t makes coset i
+    # integral, and a last row of hits stands for "no transform"
+    V = np.array(residue_vectors(g, cls), dtype=np.int64)
+    hits = np.array([~((V @ T.T) % d).any(axis=1) for T in ts.matrices] + [np.ones(len(V), dtype=bool)])
+    first = hits.argmax(axis=0)
+    expected = np.where(first < len(ts), first, -1).tolist()
     assert report.witness.tolist() == expected
 
 
 def test_kernel_bits_built_once_per_transform_set(s6, monkeypatch):
-    # precedes and the escape scan of build_escape both read the kernel
-    # tables through _integral_classes
+    # precedes reads the kernel tables through _class_groups, the escape scan
+    # of build_escape through _integral_on_bad, which reads the report's too
     f, g = s6
     scanned = []
-    integral_classes = congruence._integral_classes
+    class_groups, integral_on_bad = congruence._class_groups, congruence._integral_on_bad
 
-    def recording(ts, V):
+    def recording_groups(ts, form, cls):
         scanned.append((ts.f, ts.g, ts.d))
-        return integral_classes(ts, V)
+        return class_groups(ts, form, cls)
 
-    monkeypatch.setattr(congruence, "_integral_classes", recording)
-    monkeypatch.setattr(prover, "_integral_classes", recording)
+    def recording_escape(ts, report):
+        scanned.extend((t.f, t.g, t.d) for t in (report.transforms, ts))
+        return integral_on_bad(ts, report)
+
+    monkeypatch.setattr(congruence, "_class_groups", recording_groups)
+    monkeypatch.setattr(prover, "_integral_on_bad", recording_escape)
     congruence._kernel_classes.cache_clear()
     search_cover(f, g)
     info = congruence._kernel_classes.cache_info()
@@ -190,19 +196,68 @@ def test_kernel_classes_rebuild_the_kernel_rows(s6):
     assert len(classes[0][2]) == 79
 
 
-def test_integral_classes_and_the_kernel_rows_of_each_coset(s6):
+def _coset_groups(ts, parts, V):
+    """The group of each coset V[i] in _class_groups' order: the rank of its
+    label mod each q among the part's present labels, the last q fastest."""
+    group = np.zeros(len(V), dtype=np.int64)
+    for (q, cells, present), (_, label, _) in zip(parts, congruence._kernel_classes(ts)):
+        index = ((V[:, 0] % q) * q + V[:, 1] % q) * q + V[:, 2] % q
+        assert np.isin(index, cells).all()
+        group = group * len(present) + np.searchsorted(present, label[index])
+    return group
+
+
+def _scanned_group_rows(ts, V, d):
+    """Each coset's bitset by direct scans: the AND of its kernel rows mod q."""
+    expected = np.full((len(V), -(-len(ts) // 8)), 0xFF, dtype=np.uint8)
+    for q in congruence._prime_powers(d):
+        expected &= _scanned_kernel_rows(ts, q)[((V[:, 0] % q) * q + V[:, 1] % q) * q + V[:, 2] % q]
+    return expected
+
+
+def test_class_groups_and_the_kernel_rows_of_each_coset(s6):
     # the largest class of S6 at d = 48: 16,128 cosets in 99 groups
     f, g = s6
     ts = find_transforms(f, g, 48)
+    parts, weight, acc = congruence._class_groups(ts, g, ResidueClass(48, 16))
     V = congruence._residue_array(g, ResidueClass(48, 16))
-    inverse, acc = congruence._integral_classes(ts, V)
-    expected = np.full((len(V), -(-len(ts) // 8)), 0xFF, dtype=np.uint8)
-    for q in (16, 3):
-        expected &= _scanned_kernel_rows(ts, q)[((V[:, 0] % q) * q + V[:, 1] % q) * q + V[:, 2] % q]
-    assert acc.shape == (99, 90) and len(V) == 16128
-    assert np.array_equal(acc[inverse], expected)
-    counts = np.bincount(inverse)
+    group = _coset_groups(ts, parts, V)
+    assert [q for q, _, _ in parts] == [16, 3]
+    assert acc.shape == (99, 90) and len(V) == 16128 == weight.sum()
+    assert np.array_equal(acc[group], _scanned_group_rows(ts, V, 48))
+    counts = np.bincount(group, minlength=len(acc))
     assert len(counts) == 99 and counts.min() > 0  # every group holds a coset
+    assert np.array_equal(counts, weight)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    f=small_forms,
+    basis=sublattice_bases,
+    swap=st.booleans(),
+    d=st.sampled_from((2, 5, 9, 16, 25, 27, 48, 60)),
+    chunk=st.sampled_from((1, 7, 8, 64)),
+    v=st.tuples(*[st.integers(0, 59)] * 3),
+)
+def test_class_groups_match_a_direct_scan(f, basis, swap, d, chunk, v):
+    # the groups are the products of the parts' labels: their weights count
+    # the cosets of the class, and each coset's bitset is its group's
+    g = change_of_basis(f, basis)
+    if swap:
+        f, g = g, f
+    cls = ResidueClass(d, evaluate(g, v) % d)
+    ts = find_transforms(f, g, d)
+    with patch.object(congruence, "_KERNEL_CHUNK", chunk):
+        congruence._kernel_classes.cache_clear()
+        parts, weight, acc = congruence._class_groups(ts, g, cls)
+    V = np.argwhere(_int64_grid(g, d) == cls.a)
+    assert weight.sum() == len(V) and len(weight) == len(acc)
+    for q, cells, _ in parts:
+        assert np.array_equal(cells, np.flatnonzero(_int64_grid(g, q).ravel() == cls.a % q))
+    group = _coset_groups(ts, parts, V)
+    assert np.array_equal(np.bincount(group, minlength=len(acc)), weight)
+    assert np.array_equal(acc[group], _scanned_group_rows(ts, V, d))
+    congruence._kernel_classes.cache_clear()
 
 
 @settings(max_examples=30, deadline=None)
@@ -279,8 +334,8 @@ def test_cover_at_modulus_one():
     f = named_form("S11a")
     report = precedes(f, f, ResidueClass(1, 0))
     assert congruence._kernel_classes(report.transforms) == ()
-    inverse, acc = congruence._integral_classes(report.transforms, report.cosets)
-    assert inverse.tolist() == [0] and (acc == 0xFF).all()  # one group, every bit set
+    parts, weight, acc = congruence._class_groups(report.transforms, f, report.cls)
+    assert parts == () and weight.tolist() == [1] and (acc == 0xFF).all()  # one group, every bit set
     assert report.cover.tolist() == [0]
 
 
@@ -292,14 +347,14 @@ def test_cover_of_an_empty_transform_set():
     assert report.cover.dtype == np.int64 and report.cover.shape == (0,)
 
 
-def test_cover_of_a_class_without_good_cosets(s4):
-    f, g = s4
-    cls = ResidueClass(12, 2)
-    report = precedes(f, g, cls)
-    bad_only = GoodVectorReport(f, g, cls, report.transforms, report.bad_array,
-                                np.full(len(report.bad_array), -1))
-    assert len(bad_only.cosets) == 32
-    assert bad_only.cover.dtype == np.int64 and bad_only.cover.shape == (0,)
+def test_cover_of_a_class_without_good_cosets():
+    # x^2 + y^2 + 4z^2 takes no value = 3 (mod 4), so no transform makes a
+    # coset of x^2 + y^2 + z^2 in the class (4, 3) integral
+    f, g = QuadForm(1, 1, 4, 0, 0, 0), QuadForm(1, 1, 1, 0, 0, 0)
+    report = precedes(f, g, ResidueClass(4, 3))
+    assert len(report.transforms) == 48 and len(report.cosets) == len(report.bad) == 8
+    assert report.weight.sum() == 8 and not report.acc.any()
+    assert report.cover.dtype == np.int64 and report.cover.shape == (0,)
 
 
 def test_precedes_results(s4):

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -23,6 +24,7 @@ from ternrep import (
     ResidueClass,
     SET_IDS,
     build_escape,
+    change_of_basis,
     doubled_gram,
     evaluate,
     find_transforms,
@@ -33,6 +35,7 @@ from ternrep import (
     prove_direction,
     prove_pair,
     representations,
+    residue_vectors,
     scaled_automorphisms,
     search_cover,
     table_set,
@@ -42,7 +45,7 @@ from ternrep import (
 )
 from ternrep.congruence import GoodVectorReport, attainable_residues
 from ternrep.forms import Vector3
-from ternrep.prover import CoverDirection, SubformDirection
+from ternrep.prover import CoverDirection, SubformDirection, emit
 from ternrep import _mat, certificate, congruence, isometry, prover
 
 TTILDE = ((12, 6, 2), (0, 0, 12), (0, -12, -8))
@@ -277,43 +280,108 @@ def test_escape_search_result_is_the_plain_scaled_automorphisms(s4):
 
 
 def test_integrality_checks_every_bad_coset_group(s4):
+    # one more bad group, holding a good coset that TTILDE leaves stuck,
+    # turns TTILDE from a survivor into an integrality failure
     f, g = s4
     cls = ResidueClass(12, 2)
     report = precedes(f, g, cls)
-    autos = scaled_automorphisms(g, 12)
-    good = report.cosets[report.witness >= 0]
     stray = next(v for v, _ in report.good if transport(v, TTILDE, 12) is None)
-    padded = np.tile(report.bad_array, (3, 1))  # 96 cosets that TTILDE makes integral
+    group = 0  # the group of the stray coset, the last prime power fastest
+    for (q, _, present), (_, label, _) in zip(report.parts, congruence._kernel_classes(report.transforms)):
+        rank = np.searchsorted(present, label[(stray.x % q * q + stray.y % q) * q + stray.z % q])
+        group = group * len(present) + int(rank)
+    acc = report.acc.copy()
+    acc[group] = 0
+    variant = GoodVectorReport(f, g, cls, report.transforms, report.parts, report.weight, acc)
+    assert set(report.bad) < set(variant.bad) and stray in variant.bad
+    assert len(variant.bad) == 32 + report.weight[group]
     groups = []
-    for bad in (padded, np.vstack([padded, [stray]])):
-        # the good cosets stay, so the reference's descent pool is the whole class
-        variant = GoodVectorReport(
-            f, g, cls, report.transforms, np.vstack([good, bad]),
-            np.concatenate([report.witness[report.witness >= 0], np.full(len(bad), -1)]),
-        )
-        assert variant.bad_array.tolist()[:96] == padded.tolist()
-        inverse, acc = congruence._integral_classes(autos, variant.bad_array)
-        # the three copies of a bad coset fall in one group
-        assert (inverse[:96].reshape(3, 32) == inverse[:32]).all()
-        groups.append(len(acc))
-        matrices, survives = _batched_filter(g, cls, variant)
-        outcome = _reference_escape_outcome(f, g, cls, variant, TTILDE)
+    for stuck, r in ((False, report), (True, variant)):
+        # the reference's descent pool is the whole class in both
+        matrices, survives = _batched_filter(g, cls, r)
+        outcome = _reference_escape_outcome(f, g, cls, r, TTILDE)
         assert survives[matrices.index(TTILDE)] == (outcome != "integrality")
-        assert (outcome == "integrality") == (len(bad) > 96)
+        assert (outcome == "integrality") == stuck
+        groups.append(int((~r.acc.any(axis=1)).sum()))
     # TTILDE leaves the stray coset stuck, so it has a group of its own
     assert groups[0] <= 32 and groups[1] == groups[0] + 1
 
 
-def test_prover_builds_no_coset_tuples(s4, s6):
-    # the coset tuples of a report are views built on demand; the search,
-    # escapes included, reads the arrays only
+ESCAPE_MODULI = (4, 6, 8, 9, 12, 24, 36, 48)
+
+
+def _small_form(rng):
+    while True:
+        form = QuadForm(*(rng.randint(1, 6) for _ in range(3)), *(rng.randint(-3, 3) for _ in range(3)))
+        if is_positive_definite(form):
+            return form
+
+
+def test_escape_candidates_match_a_direct_scan():
+    # f on a sublattice of g of index 2 or 3 leaves bad cosets at many d.  A
+    # candidate is a scaled automorphism of infinite order that makes every
+    # bad coset integral, each the tuple of its parts mod the prime powers of d
+    mixed = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = _small_form(rng)
+        U = ((1, rng.randint(-1, 1), rng.randint(-1, 1)), (0, 1, rng.randint(-1, 1)), (0, 0, rng.choice((2, 3))))
+        f = change_of_basis(g, U)
+        d = rng.choice(ESCAPE_MODULI)
+        cls = ResidueClass(d, evaluate(g, [rng.randrange(d) for _ in range(3)]) % d)
+        # the first-transport reference: a coset is bad when no transform makes it integral
+        V = np.array(residue_vectors(g, cls), dtype=np.int64)
+        good = np.zeros(len(V), dtype=bool)
+        for T in find_transforms(f, g, d).matrices:
+            good |= ~((V @ T.T) % d).any(axis=1)
+        bad = V[~good]
+        autos = scaled_automorphisms(g, d)
+        expected = [not ((bad @ E.T) % d).any() and not _mat.is_finite_order_scaled(_mat.from_rows(E), d)
+                    for E in autos.matrices]
+        assert prover._escape_candidates(autos, precedes(f, g, cls)).tolist() == expected, (seed, g, d)
+        mixed += len(bad) > 0 and len(congruence._prime_powers(d)) > 1
+    assert mixed >= 10  # bad cosets with parts mod two prime powers
+
+
+COSET_VIEWS = {"cosets", "witness", "good", "bad"}
+
+
+def test_prover_builds_no_coset_tuples(s4, s6, s8):
+    # the coset views of a report are built on demand; neither the search,
+    # escapes included, nor emit reads them
     escaped = []
     for (f, g), classes in ((s6, S6_CLASSES), (s4, S4_CLASSES)):
         for proof in prove_direction(f, g, classes).classes:
-            assert not set(vars(proof.report)) & {"good", "bad"}, proof.cls
+            assert not set(vars(proof.report)) & COSET_VIEWS, proof.cls
             if proof.escape is not None:
                 escaped.append(proof.cls)
     assert escaped == [ResidueClass(12, 2)]
+    for f, g in (s4, s8):
+        proof = prove_pair(f, g, empirical_bound=1000)
+        emit(proof)
+        covers = [d for d in (proof.f_in_g, proof.g_in_f) if isinstance(d, CoverDirection)]
+        assert covers
+        for direction in covers:
+            for class_proof in direction.classes:
+                assert not set(vars(class_proof.report)) & COSET_VIEWS, class_proof.cls
+
+
+def test_failed_search_memory_stays_bounded():
+    # a report keeps the groups of its class, not its cosets: from cold
+    # caches the failed S9 search peaks at about 0.33 MB, against 1.66 MB
+    # with an array of the cosets of each class
+    f, g = table_set("S9", 2)
+    for cache in (isometry.find_transforms, congruence._kernel_classes,
+                  congruence._value_grid, congruence._normal_forms):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CoverIncomplete):
+            prove_pair(f, g, empirical_bound=10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # 1.0 MB
 
 
 def test_scaled_identity_is_rejected_as_escape(s4):
