@@ -48,12 +48,6 @@ row order, with no sort.  After the walk the classes are packed from
 those bytes one at a time, each into the same bitset buffer, and ORed
 in: besides the bytes, the kernel holds three bitsets (C_m, its shifted
 copy and the union), however many classes it collects.
-The walk makes a fixed number of numpy calls per chunk of rows, so an
-int32 chunk holds 4/3 the rows of an int64 one in two thirds the bytes,
-and it drops the calls that can no longer change anything: the slot
-lookup once every class that can occur has been seen, the row counts
-once no class can be collected any more, and the scatter of a chunk
-with no row left to scatter.
 
 theta adds the same sums, of every row with c0 <= N of f itself, into
 its counts; an x-shear x -> x + k y + l z moves each row's vertex by a
@@ -62,7 +56,9 @@ whole step, so it changes no (c0, m) and no cell that theta fills.
 representations(f, n) solves each row for x instead: D is the
 discriminant of f(x, y, z) = n as a quadratic in x, so a row has a
 solution only where D is a perfect square; a float square root rounded
-to an integer and squared back decides it exactly.
+to an integer and squared back decides it exactly.  One walk at a top
+norm solves every smaller norm too (_vectors_by_norm): a row's D at n is
+its D at top minus 4a(top - n).
 
 The magnitudes of all of them are bounded once, over the whole bounding
 box, before any row is walked (_rows): the rows are int32 when every
@@ -85,10 +81,6 @@ _INT32_SAFE = 2**30  # rows below it are int32 (see _rows)
 _BLOCK_CELLS = 1 << 15  # 256 KB of int64 per block
 
 
-def _ceil_div(p, q):
-    return -((-p) // q)
-
-
 def _quad_interval(P, Q, R):
     """Integer range [lo, hi] containing {x : P x^2 + Q x + R <= 0}, P > 0.
 
@@ -99,21 +91,18 @@ def _quad_interval(P, Q, R):
     if D < 0:
         return 1, 0
     iD = isqrt(D)
-    lo = _ceil_div(-Q - iD, 2 * P) - 1
-    hi = (-Q + iD) // (2 * P) + 1
-    return lo, hi
+    return -((Q + iD) // (2 * P)) - 1, (iD - Q) // (2 * P) + 1  # ceil(-u) = -floor(u)
 
 
 def _rows(form: QuadForm, bound: int, size: int, size32: int | None = None):
     """Yield (y, z, D) for the rows of f(v) <= bound, z >= 0, size rows at a time.
 
-    form must be positive definite.
-    y, z and D are arrays of one integer dtype over the rows (y, z) of the
-    slices z = 0, 1, ... in order, each slice's y-range exact from
-    _quad_interval; a chunk holds size rows, or size32 when the rows are
-    int32 (size if not given; at least one, the last chunk fewer), so the
-    rows of consecutive slices share a chunk and a long slice is split
-    over several.
+    form must be positive definite; y, z and D are arrays of one integer dtype
+    over the rows (y, z) of the slices z = 0, 1, ... in order, each slice's
+    y-range exact from _quad_interval; a chunk holds size rows, or size32 when
+    the rows are int32 (size if not given; at least one, the last chunk
+    fewer), so the rows of consecutive slices share a chunk and a long slice
+    is split over several.
     D = 4 a bound - (beta y^2 + gy y z + dy z^2) is B^2 - 4a(C - bound) for
     B = t y + s z and C = f(0, y, z): f(x, y, z) <= bound iff
     (2 a x + B)^2 <= D.
@@ -125,7 +114,8 @@ def _rows(form: QuadForm, bound: int, size: int, size32: int | None = None):
         worst = (|t| yb + |s| zb)^2 + 4a (b yb^2 + c zb^2 + |r| yb zb + bound)
 
     bounds B^2 + 4a C, 4a bound + 4a C, every term and partial sum of D
-    and so |D|.  representations adds only B and k <= sqrt(D).
+    and so |D|; so is |B^2 - 4a(C - n)|, 0 <= n <= bound, which
+    _vectors_by_norm solves, adding only B and k <= sqrt(D).
     _row_minima adds c1 = 2a x0 + B, which is B reduced into (-a, a], so
     c1^2 <= B^2, and c0 = (c1^2 - D) / 4a + bound, where
     |c1^2 - D| <= B^2 + 4a C + 4a bound <= worst.  theta and the sumset
@@ -417,36 +407,55 @@ def represented_set(form: QuadForm, bound: int) -> np.ndarray:
     return np.flatnonzero(represented_mask(form, bound))
 
 
-def _solve_rows(form: QuadForm, y, z, D) -> np.ndarray:
-    """The (x, y, z) with f = n on rows (y, z) from _rows(form, n, ...), as (3, k) int64."""
+def _solve_rows(form: QuadForm, y, z, D):
+    """(i, v): the (x, y, z) with f = n_i on the rows (y, z) of _rows, v (3, k) int64.
+
+    D[i] = B^2 - 4a(C - n_i), one row per norm n_i, with B = t y + s z and
+    C = f(0, y, z): x is an integer root iff D[i] is a square k^2 and 2a
+    divides -B + k or -B - k.  k, the float64 root of D rounded, is kept
+    only if k^2 == D exactly: for D < 2^62 the float root of a square k^2
+    lies within 2^-20 of k, so none is missed.  Solutions come ordered by i.
+    """
     a, _, _, _, s, t = form.coefficients
     k = np.rint(np.sqrt(np.maximum(D, 0))).astype(np.int64)
-    rows = np.flatnonzero(k * k == D)
-    y, z, k = y[rows], z[rows], k[rows]
+    hits = np.flatnonzero(k * k == D)  # np.nonzero of a 2-D array is several times slower
+    i, rows = np.divmod(hits, D.shape[1])
+    y, z, k = y[rows], z[rows], k.ravel()[hits]
     B = t * y + s * z
     twice = k != 0  # a double root counts once
     num = np.concatenate((k - B, -k[twice] - B[twice]))
-    y = np.concatenate((y, y[twice]))
-    z = np.concatenate((z, z[twice]))
+    i, y, z = (np.concatenate((u, u[twice])) for u in (i, y, z))
     whole = num % (2 * a) == 0
-    return np.stack((num[whole] // (2 * a), y[whole], z[whole]))
+    return i[whole], np.stack((num[whole] // (2 * a), y[whole], z[whole]))
+
+
+def _vectors_by_norm(form: QuadForm, norms) -> list:
+    """[{v : f(v) = n} for n in norms], unsorted (N, 3) int64 arrays; every n >= 0.
+
+    One walk of the rows of f(v) <= top = max(norms), x along the smallest
+    diagonal coefficient; -v gives z < 0.  A chunk solves D - 4a(top - n),
+    D its discriminants at top, as one (len(norms), rows) array of at most
+    _BLOCK_CELLS cells; the offsets are built after _rows's overflow guard.
+    """
+    g, p = _smallest_diagonal_first(form)
+    a, top = g.coefficients[0], max(norms)
+    offsets, solved = None, []
+    for y, z, D in _rows(g, top, _BLOCK_CELLS // len(norms)):
+        if offsets is None:
+            offsets = np.array([4 * a * (top - n) for n in norms], dtype=D.dtype)[:, None]
+        solved.append(_solve_rows(g, y, z, D - offsets))
+    i, v = (np.concatenate(parts, axis=-1) for parts in zip(*solved))  # z = 0 is never empty
+    neg = v[2] > 0  # -v solves the slice at -z
+    i = np.concatenate((i, i[neg]))
+    v = np.concatenate((v, -v[:, neg]), axis=1)[p].T  # f(v[p]) = g(v)
+    return [v[i == k] for k in range(len(norms))]
 
 
 def representations(form: QuadForm, n: int) -> np.ndarray:
     """The complete set {v : f(v) = n} as an (N, 3) int64 array, rows in lexicographic order.
 
-    The coordinates are first permuted so that x has the smallest
-    diagonal coefficient (_smallest_diagonal_first), and permuted back at
-    the end.  Each row (y, z) of the region f(v) <= n is solved for x: with
-    B = t y + s z and C = b y^2 + c z^2 + r y z - n, a x^2 + B x + C = 0
-    has an integer root iff D = B^2 - 4aC is a perfect square k^2 and
-    2a divides -B + k or -B - k.  The rows are those of _rows, solved by
-    numpy in chunks of _BLOCK_CELLS rows, so the working arrays do not
-    grow with n; -v gives the slices z < 0.  k is the float64 square root
-    of D rounded to an integer and is kept only if k^2 == D exactly: for
-    D < 2^62 the float root of a perfect square k^2 lies within 2^-20 of
-    k, so no square is missed, and the exact test rejects every other D.
-    For n < 0 the array is empty, of shape (0, 3).
+    The walk of _vectors_by_norm with the one norm n, sorted.  For n < 0
+    the array is empty, of shape (0, 3).
 
     Raises OverflowError before any row is solved when some value of the
     int64 computation could reach 2^62.
@@ -455,13 +464,8 @@ def representations(form: QuadForm, n: int) -> np.ndarray:
     n = index(n)
     if n < 0:
         return np.empty((0, 3), dtype=np.int64)
-    g, p = _smallest_diagonal_first(form)
-    hits = [_solve_rows(g, *rows) for rows in _rows(g, n, _BLOCK_CELLS)]
-    v = np.concatenate(hits, axis=1)  # the slice z = 0 is never empty
-    v = np.concatenate((v, -v[:, v[2] > 0]), axis=1)  # -v solves the slice at -z
-    v = v[p]  # f(v[p]) = g(v)
-    x, y, z = v
-    return v.T[np.lexsort((z, y, x))]
+    v = _vectors_by_norm(form, [n])[0]
+    return v[np.lexsort(v.T[::-1])]  # lexsort's last key is the primary one
 
 
 def theta(form: QuadForm, bound: int) -> np.ndarray:

@@ -7,9 +7,10 @@ find_transforms(f, g, d) returns every integer matrix T with
 Column j of such a T is a representation of d^2 * (j-th diagonal
 coefficient of g) by f, and pairs of columns must hit the prescribed
 doubled inner products.  Candidates therefore come from the complete
-representation lists of the enumeration module, and a triple of them is
-a solution exactly when each of its three pairs hits its target in one
-table of pairwise inner products (_search_columns): none is missed.
+representation lists of the enumeration module, all three norms from one
+walk of the rows (_vectors_by_norm), and a triple of them is a solution
+exactly when each of its three pairs hits its target (_search_columns):
+none is missed.
 
 Taking determinants of the defining identity gives
 
@@ -31,7 +32,7 @@ from operator import index
 import numpy as np
 
 from . import _mat
-from .enumeration import representations
+from .enumeration import _vectors_by_norm
 from .forms import QuadForm, doubled_gram, require_positive_definite
 
 
@@ -65,33 +66,27 @@ class TransformSet:
         return bool((self.matrices == np.reshape(T, (3, 3))).all(axis=(1, 2)).any())
 
 
-_PAIR_BLOCK = 1024  # (c0, c1) pairs per step of the third-column scan
-
-
 def _search_columns(gram_f, targets, candidate_lists):
-    """Every column triple (c0, c1, c2) with c_i 2M_f c_j = targets[i, j], as (N, 3, 3).
+    """Every column triple (c0, c1, c2) with c_i 2M_f c_j = targets[i][j], as (N, 3, 3).
 
     candidate_lists[j] is the (n_j, 3) int64 array of every vector of the
-    right norm for column j.
-    Table P_ij marks every candidate pair (c_i, c_j) that hits its target,
-    so the solutions are exactly the triples marked in P01, P02 and P12:
-    each marked pair of P01 takes every c2 of P02[c0] & P12[c1], in steps
-    of _PAIR_BLOCK pairs, so the (pairs, c2) table stays under 2 MB at S5, d = 144.
+    right norm for column j.  Tables P01 and P02 mark the pairs (c0, c1) and
+    (c0, c2) that hit their targets, read row-major by flatnonzero (a 2-D
+    np.nonzero is slower).  Each marked (c0, c1) is expanded over the c2 of
+    c0, one run of P02's pairs, and kept when c1 2M_f c2 hits its target:
+    the triples marked in all three pairs, by (c0, c1) then c2, no (c1, c2) table.
     """
     G = np.asarray(gram_f, dtype=np.int64)
     A0, A1, A2 = candidate_lists
     W0 = A0 @ G
-    P01 = W0 @ A1.T == targets[0, 1]
-    P02 = W0 @ A2.T == targets[0, 2]
-    P12 = (A1 @ G) @ A2.T == targets[1, 2]
-    i0, i1 = np.nonzero(P01)
-    triples = [np.empty((0, 3), dtype=np.intp)]
-    for start in range(0, len(i0), _PAIR_BLOCK):
-        b0, b1 = i0[start:start + _PAIR_BLOCK], i1[start:start + _PAIR_BLOCK]
-        k, i2 = np.nonzero(P02[b0] & P12[b1])
-        triples.append(np.column_stack((b0[k], b1[k], i2)))
-    t = np.concatenate(triples)
-    return np.stack((A0[t[:, 0]], A1[t[:, 1]], A2[t[:, 2]]), axis=1)
+    i0, i1 = np.divmod(np.flatnonzero(W0 @ A1.T == targets[0][1]), len(A1))
+    j0, j2 = np.divmod(np.flatnonzero(W0 @ A2.T == targets[0][2]), len(A2))
+    first = np.searchsorted(j0, i0)  # the run of c0's c2 in j2
+    runs = np.searchsorted(j0, i0, side="right") - first
+    c2 = j2[np.arange(runs.sum()) + np.repeat(first - np.cumsum(runs) + runs, runs)]
+    c0, c1 = np.repeat(i0, runs), np.repeat(i1, runs)
+    hit = np.einsum("ij,ij->i", (A1 @ G)[c1], A2[c2]) == targets[1][2]
+    return np.stack((A0[c0[hit]], A1[c1[hit]], A2[c2[hit]]), axis=1)
 
 
 def _det_ratio_is_square(f: QuadForm, g: QuadForm) -> bool:
@@ -109,8 +104,7 @@ def find_transforms(f: QuadForm, g: QuadForm, d: int) -> TransformSet:
     """The complete set of T with T^t (2M_f) T = d^2 (2M_g); may be empty.
 
     When det 2M_g / det 2M_f is not a rational square the set is empty at
-    every d (module docstring), and the empty set is returned
-    before any representation is enumerated.
+    every d (module docstring) and is returned before any row is walked.
     """
     require_positive_definite(f)
     require_positive_definite(g)
@@ -121,9 +115,11 @@ def find_transforms(f: QuadForm, g: QuadForm, d: int) -> TransformSet:
         return TransformSet(f, g, d, np.empty((0, 3, 3), dtype=np.int64))
     diag = (g.a, g.b, g.c)
     order = sorted(range(3), key=lambda j: (diag[j], j))  # small norms first
-    reps = {m: representations(f, m) for m in {d * d * g_jj for g_jj in diag}}
+    norms = sorted({d * d * g_jj for g_jj in diag})
+    reps = dict(zip(norms, _vectors_by_norm(f, norms)))
     cands = [reps[d * d * diag[j]] for j in order]
-    targets = d * d * np.asarray(doubled_gram(g), dtype=np.int64)[np.ix_(order, order)]
+    G = doubled_gram(g)
+    targets = [[d * d * G[i][j] for j in order] for i in order]
     # column j of T is the solution column in slot order.index(j)
     T = _search_columns(doubled_gram(f), targets, cands)[:, np.argsort(order)].transpose(0, 2, 1)
     T = T[np.lexsort(T.reshape(-1, 9).T[::-1])]  # lexsort's last key is the primary one

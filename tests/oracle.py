@@ -8,6 +8,7 @@ no interval solving - nothing shared with the code under test.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -129,7 +130,19 @@ def eigen_lines(A):
     characteristic polynomial over the integers, the eigenspace basis from
     the nullspace of A - lambda I, each vector scaled to be primitive with
     its first nonzero coordinate positive.  Sorted by (lambda, v).
+    Memoised on the matrix, and A shares the computation of -A, whose
+    eigenlines are the same with lambda negated: a set closed under
+    T -> -T meets every power E^k twice, as E^k and as (-E)^k = +-E^k.
     """
+    A = tuple(map(tuple, A))
+    minus = tuple(tuple(-x for x in row) for row in A)
+    if A <= minus:
+        return list(_eigen_lines(A))
+    return sorted(((v, -lam) for v, lam in _eigen_lines(minus)), key=lambda p: (p[1], p[0]))
+
+
+@lru_cache(maxsize=None)
+def _eigen_lines(A):
     M = sympy.Matrix(A)
     out = []
     for lam in M.charpoly().ground_roots():
@@ -138,7 +151,7 @@ def eigen_lines(A):
             w = [int(x * den) for x in v]
             k = gcd(*w) * (1 if next(x for x in w if x) > 0 else -1)
             out.append((tuple(x // k for x in w), int(lam)))
-    return sorted(out, key=lambda p: (p[1], p[0]))
+    return tuple(sorted(out, key=lambda p: (p[1], p[0])))
 
 
 def primitive_counts(counts):

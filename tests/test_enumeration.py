@@ -378,6 +378,32 @@ def test_sheared_forms_match_oracle(form, bound):
 
 
 @st.composite
+def norm_lists(draw):
+    """One to four norms in [0, 40] plus 0 and a repeat of one of them, in a drawn order."""
+    norms = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    norms += [0, draw(st.sampled_from(norms))]
+    return draw(st.permutations(norms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_forms, sheared_forms()), norm_lists())
+def test_one_walk_solves_every_norm(form, norms):
+    # each norm's vectors from the one walk at max(norms), in one chunk,
+    # one row per chunk and a few rows per chunk
+    radius = max(oracle.box(form, max(norms)))
+    expected = {n: oracle.triple_loop_reps(form, n, radius) for n in set(norms)}
+    for cells in (enumeration._BLOCK_CELLS, 1, 7):
+        with mock.patch.object(enumeration, "_BLOCK_CELLS", cells):
+            found = enumeration._vectors_by_norm(form, norms)
+        assert len(found) == len(norms)
+        for n, v in zip(norms, found):
+            assert v.dtype == np.int64 and v.shape[1:] == (3,)
+            got = sorted(map(tuple, v.tolist()))
+            assert got == list(map(tuple, representations(form, n).tolist()))
+            assert got == expected[n]
+
+
+@st.composite
 def sumset_forms(draw):
     """Forms that reach every branch of the sumset kernel of represented_mask.
 

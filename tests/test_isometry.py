@@ -15,6 +15,7 @@ from ternrep import (
     is_isometric,
     is_positive_definite,
     named_form,
+    representations,
     scaled_automorphisms,
     subform_witness,
     table_set,
@@ -123,7 +124,7 @@ def test_square_ratio_catalog_sets_pass_the_precondition():
 def test_non_square_pairs_answer_without_enumeration():
     f, g = named_form("S1a"), named_form("S1b")
     find_transforms.cache_clear()
-    with mock.patch.object(isometry, "representations", side_effect=AssertionError):
+    with mock.patch.object(isometry, "_vectors_by_norm", side_effect=AssertionError):
         for d in (1, 12, 144):
             ts = find_transforms(f, g, d)
             assert len(ts) == 0 and ts.complete
@@ -309,11 +310,32 @@ def test_search_memory_stays_bounded():
     assert peak <= 4 * 2**20
 
 
-def test_pair_blocks_do_not_change_the_set(s4):
-    _, g = s4
-    full = find_transforms(g, g, 12).matrices.tolist()
-    for block in (1, 7):
-        find_transforms.cache_clear()
-        with mock.patch.object(isometry, "_PAIR_BLOCK", block):
-            assert find_transforms(g, g, 12).matrices.tolist() == full
-    find_transforms.cache_clear()
+def _three_table_columns(gram_f, targets, candidate_lists):
+    """The triples marked in P01 & P02 & P12, over every triple, in row-major order.
+
+    One (c1, c2) slice of the triple table per c0 keeps the memory at n1 n2.
+    """
+    G = np.asarray(gram_f, dtype=np.int64)
+    A0, A1, A2 = candidate_lists
+    P01 = A0 @ G @ A1.T == targets[0][1]
+    P02 = A0 @ G @ A2.T == targets[0][2]
+    P12 = A1 @ G @ A2.T == targets[1][2]
+    found = [np.empty((0, 3, 3), dtype=np.int64)]
+    for c0 in range(len(A0)):
+        t1, t2 = np.nonzero(P01[c0][:, None] & P02[c0][None, :] & P12)
+        found.append(np.stack((np.broadcast_to(A0[c0], (len(t1), 3)), A1[t1], A2[t2]), axis=1))
+    return np.concatenate(found)
+
+
+@settings(max_examples=60, deadline=None)
+@given(form_pairs(), st.integers(1, 12), st.permutations(range(3)))
+def test_sparse_join_matches_three_tables(pair, d, order):
+    # the same triples in the same order as a dense table over every triple,
+    # on the column order find_transforms uses and on any other
+    f, g = pair
+    G = doubled_gram(g)
+    cands = [representations(f, d * d * G[j][j] // 2) for j in order]
+    targets = [[d * d * G[i][j] for j in order] for i in order]
+    got = isometry._search_columns(doubled_gram(f), targets, cands)
+    assert got.shape[1:] == (3, 3)
+    assert np.array_equal(got, _three_table_columns(doubled_gram(f), targets, cands))

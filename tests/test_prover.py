@@ -384,6 +384,24 @@ def test_failed_search_memory_stays_bounded():
     assert peak < 10**6  # 1.0 MB
 
 
+def test_failed_sheared_search_memory_stays_bounded():
+    # a sheared S5 pair (perfbench seed 1): one walk per transform set and a
+    # join without the (c1, c2) table peak at about 1.1 MB from cold caches,
+    # against 3.6 MB with a walk per norm and a dense third-column table
+    f, g = QuadForm(4, 82, 100, -170, -2, 2), QuadForm(4, 84, 82, 162, -4, 0)
+    for cache in (isometry.find_transforms, congruence._kernel_classes,
+                  congruence._value_grid, congruence._normal_forms):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CoverIncomplete):
+            prove_pair(f, g, empirical_bound=10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_scaled_identity_is_rejected_as_escape(s4):
     f, g = s4
     cls = ResidueClass(12, 2)
@@ -532,7 +550,7 @@ def _no_search(*args):
 
 def test_non_square_pairs_fail_before_any_search(monkeypatch):
     for module, name in ((prover, "precedes"), (prover, "representations"),
-                         (prover, "attainable_residues"), (isometry, "representations")):
+                         (prover, "attainable_residues"), (isometry, "_vectors_by_norm")):
         monkeypatch.setattr(module, name, _no_search)
     for sid, f, g in NON_SQUARE_PAIRS:
         for sup, sub in ((f, g), (g, f)):
@@ -548,7 +566,7 @@ def test_non_square_pairs_fail_before_any_search(monkeypatch):
 def test_prove_pair_reports_the_rational_obstruction(monkeypatch):
     # S12a, S12b: the subform test and the f <= g search both end at once
     f, g = table_set("S12", 2)
-    monkeypatch.setattr(isometry, "representations", _no_search)
+    monkeypatch.setattr(isometry, "_vectors_by_norm", _no_search)
     with pytest.raises(NoRationalTransform) as info:
         prove_pair(f, g)
     assert str(info.value) == f"det 2M_sub / det 2M_sup = 7/4 {NO_TRANSFORM}"
