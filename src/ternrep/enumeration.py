@@ -37,17 +37,19 @@ are permuted to make a the smallest diagonal coefficient (the values
 do not change), which gives the fewest classes and the fewest rows.
 A class's sumset is ORed into a packed little-endian bitset: the bitset
 of C_m, shifted by each element of O_m.  The shifted copy is made once
-per bit phase p = 0..7 in one buffer, so each element s = 8q + p costs
-one byte-aligned np.bitwise_or into a view of the bitset, of at most N/8
-bytes: O(sqrt(a N)) ORs per form in all, where the row scan marks about
-N^(3/2) / sqrt(det) lattice points.  A class with few rows scatters its
-sums c0 + m j + a j^2 instead.  The row minima of the classes with many
-rows, at most 8, are collected in one byte per value in [0, N], bit k
-for the k-th class, so a chunk's rows are stored by one unbuffered OR in
-row order, with no sort.  After the walk the classes are packed from
-those bytes one at a time, each into the same bitset buffer, and ORed
-in: besides the bytes, the kernel holds three bitsets (C_m, its shifted
-copy and the union), however many classes it collects.
+per bit phase p (0..7) of O_m in one buffer, so each element s = 8q + p
+costs one byte-aligned np.bitwise_or into a view of the bitset, of at
+most N/8 bytes: O(sqrt(a N)) ORs per form in all, where the row scan
+marks about N^(3/2) / sqrt(det) lattice points.  A class with few rows
+scatters its sums c0 + m j + a j^2 instead.  g = gcd(s, t, 2a) divides
+every c1, so a row's class is known before any row is walked: it is
+filed in slot m / g, and up to 8 fixed slots own one bit each of a byte
+per value in [0, N].  The row minima of those of them with many rows are
+collected in those bytes, so a chunk's rows are stored by one unbuffered
+OR in row order, with no sort.  After the walk the classes are packed
+from those bytes one at a time, each into the same bitset buffer, and
+ORed in: besides the bytes, the kernel holds three bitsets (C_m, its
+shifted copy and the union), however many classes it collects.
 
 theta adds the same sums, of every row with c0 <= N of f itself, into
 its counts; an x-shear x -> x + k y + l z moves each row's vertex by a
@@ -224,22 +226,19 @@ def _or_shifted(bits: np.ndarray, big: np.ndarray, small: np.ndarray) -> None:
     """bits |= {v + s : v in the bitset big, s in small}, cut at the end of bits.
 
     big is as long as bits, and small is nonnegative.  One phase buffer
-    holds big shifted up by p bits, p = 0..7 in turn, cut at the end of
-    bits, so each s = 8q + p of that phase is one byte-aligned OR of the
-    first len(bits) - q bytes of the buffer into the view bits[q:], in
-    place; a shift that starts at or past the end of bits meets an empty
-    view and ORs nothing.
+    holds big shifted up by p bits, for each bit phase p of small in
+    turn, cut at the end of bits, so each s = 8q + p of that phase is one
+    byte-aligned OR of the first len(bits) - q bytes of the buffer into
+    the view bits[q:], in place; a shift that starts at or past the end
+    of bits meets an empty view and ORs nothing.
     """
     phase = np.empty_like(big)
     q, p = small >> 3, small & 7
-    for k in range(8):
-        ours = p == k
-        if not ours.any():
-            continue
+    for k in sorted(set(p.tolist())):
         np.left_shift(big, k, out=phase)
         if k:
             phase[1:] |= big[:-1] >> (8 - k)
-        for i in q[ours].tolist():
+        for i in q[p == k].tolist():
             v = bits[i:]
             np.bitwise_or(v, phase[: len(v)], out=v)
 
@@ -299,12 +298,12 @@ def _fill_sumsets(seen: np.ndarray, form: QuadForm, bound: int) -> None:
     """Set seen[n] for each value n <= bound of form; seen has bound + 2 slots.
 
     See the module docstring: each row adds c0 + O_m, and rows are filed
-    by m = |c1|.  _walk_rows scatters the rows of the classes with few
-    rows and collects the row minima of up to 8 others.  Then one class
-    at a time packs its bitset C_m from the byte array of minima, in
-    blocks, into one reused buffer, and ORs in C_m + O_m by shifting that
-    bitset by each element of O_m: the memory used does not grow with the
-    number of collected classes.
+    by their slot m / g.  _walk_rows collects the row minima of the slots
+    with a bit and many rows, at most 8, and scatters all other rows.
+    Then one class at a time packs its bitset C_m from the byte array of
+    minima, in blocks, into one reused buffer, and ORs in C_m + O_m by
+    shifting that bitset by each element of O_m: the memory used does not
+    grow with the number of collected classes.
     """
     form, _ = _smallest_diagonal_first(form)
     a = form.coefficients[0]
@@ -329,67 +328,48 @@ def _walk_rows(seen: np.ndarray, form: QuadForm, bound: int):
     """Walk the rows of form: scatter some classes into seen, collect the others.
 
     Returns (minima, classes): bit k of the uint8 minima[v], v <= bound,
-    says that v is a row minimum of the k-th collected class, and classes
+    says that v is a row minimum of the class m of bit k, and classes
     lists (m, 1 << k) for the collected classes, ascending in m (minima
     is None when classes is empty).  Returning drops the last chunk's
     arrays before the classes are packed.
 
-    A class's rows are scattered until it has had
+    g = gcd(s, t, 2a) divides c1, so a row's class m is a multiple of g
+    in [0, a] and its slot is m / g.  Bit k is slot k, or slot k + 1 when
+    there are more than 8 slots: m = 0 and m = a each come from one
+    residue of c1, every other class from two, so the middle slots hold
+    the most rows.  A slot with a bit is scattered until it has had
     (bytes of the mask bitset + _BLOCK_CELLS) / 256 rows; from then on
-    its row minima are collected.  Scattering costs in proportion to a
-    class's rows, the ORs in proportion to the bitset's bytes (plus a
-    fixed cost per call); the divisor 256 ran the catalog sweep at 10^6
-    faster than 64 or 128 and as fast as 512.  At most 8 classes are
-    collected, the k-th in bit k of one byte per value, so a chunk's
-    collected rows are stored by one unbuffered OR, in row order: they
-    need no sort and no removal of repeats.  The row counts and bits of
-    the classes are kept over the classes seen so far, never over all
-    a + 1.
-
-    The walk costs a fixed number of numpy calls per chunk, so three
-    states of the classes cut calls that can no longer change anything.
-    The classes that can occur are the multiples of g = gcd(s, t, 2a) in
-    [0, a] (all a + 1 of them when g = 1): once all are known, a row's
-    slot is m / g, with no lookup and no scan for new classes.  Once
-    collection is closed (8 classes, or all that can occur, collected)
-    the rows are no longer counted.  A chunk with no row left to scatter
+    its row minima are collected, by one unbuffered OR per chunk in row
+    order, with no sort and no removal of repeats.  Scattering costs in
+    proportion to a class's rows, the ORs in proportion to the bitset's
+    bytes (plus a fixed cost per call); the divisor 256 ran the catalog
+    sweep at 10^6 faster than 64 or 128 and as fast as 512.  Slots with
+    no bit are always scattered.  The walk costs a fixed number of numpy
+    calls per chunk, so once every slot with a bit is collected the rows
+    are no longer counted, and a chunk with no row left to scatter
     scatters nothing.
     """
     a, _, _, _, s, t = form.coefficients
     dense_from = (bound // 8 + 1 + _BLOCK_CELLS) // 256
-    # c1 = B mod 2a, and g divides B = t y + s z and 2a, so g divides c1:
-    # the classes that can occur are the multiples of g in [0, a]
-    g = gcd(s, t, 2 * a)
-    most = min(8, a // g + 1)  # the classes that can be collected
-    # over `known`, the classes seen so far, ascending: each class's rows so
-    # far and its bit in `minima`, 0 while the class is scattered
-    known = np.zeros(0, dtype=np.int64)
-    rows = np.zeros(0, dtype=np.int64)
-    flag = np.zeros(0, dtype=np.uint8)
-    collected = 0
-    minima = None
+    g = gcd(s, t, 2 * a)  # c1 = B mod 2a, and g divides B = t y + s z and 2a
+    slots = a // g + 1
+    first = 1 if slots > 8 else 0  # the slot of bit 0
+    bit = 1 << np.arange(min(8, slots), dtype=np.uint8)
+    rows = np.zeros(len(bit), dtype=np.int64)  # the rows so far of the slots with a bit
+    # each slot's bit, 0 while it is scattered; slots past bit 7's share the last entry
+    flag = np.zeros(min(slots, 10), dtype=np.uint8)
+    minima, counting = None, True
     for _, c0, m in _row_minima(form, bound):
-        if len(known) > a // g:  # known is 0, g, 2g, ...: a row's slot is m / g
-            at = m // g if g > 1 else m
-        else:
-            at = np.searchsorted(known, m)
-            new = m[known[np.minimum(at, len(known) - 1)] != m] if len(known) else m
-            if len(new):
-                new = _distinct(new)
-                where = np.searchsorted(known, new)
-                rows, flag = np.insert(rows, where, 0), np.insert(flag, where, 0)
-                known = np.insert(known, where, new)
-                at = np.searchsorted(known, m)
-        if collected < most:
-            rows += np.bincount(at, minlength=len(known))
-            fresh = np.flatnonzero((rows >= dense_from) & (flag == 0))[: most - collected]
-            if len(fresh):
-                flag[fresh] = np.left_shift(1, np.arange(collected, collected + len(fresh)))
-                collected += len(fresh)
-                if minima is None:
-                    minima = np.zeros(bound + 1, dtype=np.uint8)
-        if collected:
-            ones = flag[at]
+        at = m // g if g > 1 else m
+        if counting:  # until every slot with a bit is collected
+            at_most = np.minimum(at, len(flag) - 1)
+            rows += np.bincount(at_most, minlength=len(flag))[first : first + len(bit)]
+            flag[first : first + len(bit)] = np.where(rows >= dense_from, bit, 0)
+            counting = rows.min() < dense_from
+            if minima is None and flag.any():
+                minima = np.zeros(bound + 1, dtype=np.uint8)
+        if minima is not None:
+            ones = flag.take(at, mode="clip")
             np.bitwise_or.at(minima, c0, ones)  # a scattered row ORs in 0
             rest = ones == 0
             c0, m = c0[rest], m[rest]
@@ -399,7 +379,7 @@ def _walk_rows(seen: np.ndarray, form: QuadForm, bound: int):
             for block in _row_sums(a, bound, c0, m):
                 seen[block] = True
     chosen = np.flatnonzero(flag)
-    return minima, list(zip(known[chosen].tolist(), flag[chosen].tolist()))
+    return minima, list(zip((chosen * g).tolist(), flag[chosen].tolist()))
 
 
 def represented_set(form: QuadForm, bound: int) -> np.ndarray:

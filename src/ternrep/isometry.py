@@ -144,10 +144,12 @@ def is_isometric(f: QuadForm, g: QuadForm):
 
     Every T with T^t (2M_f) T = 2M_g has det(T)^2 det 2M_f = det 2M_g, so
     all of them are unimodular when the determinants agree and none is
-    otherwise.  None is conclusive: the candidate search is exhaustive.
+    otherwise, so the determinants are compared before any search.  None
+    is conclusive: the candidate search is exhaustive.
     """
-    T = subform_witness(g, f)
-    return T if _mat.det(doubled_gram(f)) == _mat.det(doubled_gram(g)) else None
+    if _mat.det(doubled_gram(f)) != _mat.det(doubled_gram(g)):
+        return None
+    return subform_witness(g, f)
 
 
 def scaled_automorphisms(g: QuadForm, d: int) -> TransformSet:

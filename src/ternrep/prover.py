@@ -388,11 +388,12 @@ def verify_pairwise(forms, bound: int, jobs: int = 1):
             masks = list(pool.map(lambda fm: represented_mask(fm, bound), forms))
     else:
         masks = [represented_mask(fm, bound) for fm in forms]
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            if not np.array_equal(masks[i], masks[j]):
-                n = int(np.flatnonzero(masks[i] != masks[j])[0])
-                raise MismatchAt(n, forms[i], forms[j])
+    # all masks agree iff each agrees with the first, and the first pair
+    # (i, j) that differs always has i = 0
+    for j in range(1, len(forms)):
+        if not np.array_equal(masks[0], masks[j]):
+            n = int(np.flatnonzero(masks[0] != masks[j])[0])
+            raise MismatchAt(n, forms[0], forms[j])
     isometric = tuple(
         (i, j)
         for i in range(len(forms))

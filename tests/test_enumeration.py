@@ -426,18 +426,20 @@ def sumset_forms(draw):
 @given(sumset_forms(), st.integers(0, 250), st.sampled_from((-1, 0, 1)))
 @example(SUM_OF_SQUARES, 0, 0)  # later row chunks hold no row with c0 <= bound
 @example(QuadForm(2, 3, 3, -1, -1, 0), 4, -1)  # a value <= 31 needs |j| = isqrt(31 // 2) + 1
-# the next four reach their branch of the kernel at 1, 7 and 64 cells per block:
-# all a + 1 = 3 classes seen, so a row's slot is m; all 3 collected closes collection
+# the next five collect row minima at 1, 7 and 64 cells per block:
+# a + 1 = 3 slots, so a row's slot is m and every slot has a bit
 @example(QuadForm(2, 3, 3, -1, -1, 0), 31, 1)
-# g = gcd(s, t, 2a) = 2: only m = 0, 2, 4 occur, so once all three are seen
-# a row's slot is m / 2
+# g = gcd(s, t, 2a) = 2: only m = 0, 2, 4 occur, so a row's slot is m / 2
 @example(QuadForm(4, 5, 6, 0, 2, 2), 31, 0)
-# a = 9: collection closes at 8 classes, and rows of the other classes, which
-# add values of their own, are scattered after that; at 1 and 7 cells two
-# classes are first seen after it closed
+# a = 9: 10 slots, so the bits are on slots 1 to 8, and the rows of m = 0
+# and m = 9, which add values of their own, are always scattered
 @example(QuadForm(9, 11, 16, -10, 7, 13), 5, 0)
-# two classes collected: the second is packed into the bitset buffer that
-# the first's shifts read, after those ORs
+# g = 2 and a = 8g: 9 slots, the bits on m = 2, ..., 16; bound 32 reaches
+# rows of m = 0 (scattered) and of m = 2 and 4 (collected), so bit k must
+# name the class (k + 1) g
+@example(QuadForm(16, 17, 19, 1, 2, 4), 4, 0)
+# several classes collected: each after the first is packed into the bitset
+# buffer that the one before it shifted, after those ORs
 @example(QuadForm(19, 29, 21, 26, 13, 0), 5, -1)
 def test_sumset_mask_matches_oracle(form, k, offset):
     # bounds 8k - 1, 8k and 8k + 1 end the mask's bitset inside, at and just

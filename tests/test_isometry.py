@@ -169,6 +169,16 @@ def test_is_isometric(s4):
     assert subform_witness(sub, f) is not None and is_isometric(f, sub) is None
 
 
+def test_is_isometric_compares_determinants_before_searching(s4):
+    # the S4 pair passes the square-ratio precondition, so only the
+    # determinant test keeps it from the transform search
+    f, g = s4
+    assert isometry._det_ratio_is_square(f, g)
+    find_transforms.cache_clear()
+    with mock.patch.object(isometry, "_vectors_by_norm", side_effect=AssertionError):
+        assert is_isometric(f, g) is None
+
+
 def test_scaled_automorphisms(s4):
     _, g = s4
     ts = scaled_automorphisms(g, 12)

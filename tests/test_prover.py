@@ -644,6 +644,15 @@ def test_verify_pairwise_mismatch():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_pairwise_mismatch_after_an_agreeing_pair(jobs):
+    # forms 0 and 1 represent the same integers, form 2 does not
+    forms = (named_form("S4f"), named_form("S4g"), QuadForm(1, 1, 1, 0, 0, 0))
+    with pytest.raises(MismatchAt) as info:
+        verify_pairwise(forms, 200, jobs)
+    assert (info.value.n, info.value.f, info.value.g) == (1, forms[0], forms[2])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 def test_verify_pairwise_refuses_no_forms(jobs):
     with pytest.raises(ValueError, match="no forms"):
         verify_pairwise((), 50, jobs)
