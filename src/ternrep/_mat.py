@@ -16,13 +16,14 @@ def from_rows(rows):
 
 
 def transpose(A):
-    return tuple(tuple(A[j][i] for j in range(3)) for i in range(3))
+    return tuple(zip(*A))
 
 
 def mat_mul(A, B):
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B
     return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
+        (x * b00 + y * b10 + z * b20, x * b01 + y * b11 + z * b21, x * b02 + y * b12 + z * b22)
+        for x, y, z in A
     )
 
 

@@ -14,10 +14,12 @@ remaining (bad) coset integral.  It re-verifies every claim from scratch
 - matrix identities, residue-coset scans, divisibility of transported
 cosets, the witness for the axis of each escape matrix, cover arithmetic
 - without ever searching for transforms, so it does not trust the
-prover.  It shares no residue arithmetic with the prover either: every
-scan here is a direct one over all d^3 (or L^3) cosets, where the prover
-factors L by the Chinese remainder theorem and classifies cosets with its
-own code.
+prover.  It shares no residue arithmetic with the prover either.  Its
+scans are its own, one over the q^3 cosets mod each prime power q of the
+modulus, combined by the Chinese remainder theorem: a residue mod L is
+attained when it is attained mod each q, a class mod d is the product of
+its parts mod each q, and a transform makes a coset integral mod d when it
+makes each of its parts integral mod q.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from . import _mat
 from .forms import QuadForm, doubled_gram, evaluate, is_positive_definite
 
 CERT_VERSION = 3
-# the largest lcm of cover moduli; it bounds every L^3 scan below to ~15 MB
+# the largest lcm of cover moduli; it bounds every q^3 scan below to ~8 MB
 MAX_MODULUS = 144
 # the keys each record may hold; any other key fails the record's schema clause
 _KEYS = {
@@ -99,45 +101,76 @@ def _as_list(obj):
     return obj
 
 
+def _prime_powers(n):
+    """The prime-power factors of n by ascending prime, e.g. 144 -> [16, 9]."""
+    out = []
+    for p in range(2, n + 1):
+        q = 1
+        while n % p == 0:
+            n, q = n // p, q * p
+        if q > 1:
+            out.append(q)
+    return out
+
+
 def _values_mod(form, L):
     """The L^3 grid of form(v) mod L over v in [0, L)^3, index order (x, y, z), uint8.
 
-    With coefficients and coordinates reduced mod L each of the six terms
-    is below L^3, so the sum stays below 6 L^3 < 2^31 for L <= 144 (the
-    limits clause) and one int32 grid holds it.
+    It is ((s x + r y + c z) z + a x^2 + t x y + b y^2) mod L with each of
+    the three parts reduced mod L first, so every entry stays below
+    2 L^2 + L < 2^16 for L <= 144 (the limits clause) in one uint16 grid.
     """
     a, b, c, r, s, t = (k % L for k in form.coefficients)
-    v = np.arange(L, dtype=np.int32)
+    v = np.arange(L)
     x, y, z = v[:, None, None], v[None, :, None], v[None, None, :]
-    grid = np.empty((L, L, L), dtype=np.int32)
-    np.add(s * x + r * y, c * z, out=grid)
-    grid *= z
-    grid += a * x * x + t * x * y + b * y * y
+    grid = ((s * x + r * y) % L).astype(np.uint16) + (c * z % L).astype(np.uint16)
+    grid *= z.astype(np.uint16)
+    grid += ((a * x * x + t * x * y + b * y * y) % L).astype(np.uint16)
     grid %= L
     return grid.astype(np.uint8)
 
 
-def _attained_residues(grid, L):
-    """Residues mod L attained on the L^3 grid of _values_mod, ascending."""
-    hit = np.zeros(L, dtype=bool)
-    hit[grid.ravel()] = True
-    return np.flatnonzero(hit).tolist()
+def _grid(grids, form, q):
+    """The q^3 grid of _values_mod, made once per prime power q and kept in grids."""
+    if q not in grids:
+        grids[q] = _values_mod(form, q)
+    return grids[q]
 
 
-def _class_cosets(grid, a):
-    """The cosets v in [0, d)^3 with form(v) = a (mod d), as (n, 3) int64
-    rows, from the d^3 grid of _values_mod."""
-    return np.argwhere(grid == a)
+def _attained(form, L, grids):
+    """Mask of the residues mod L that form attains: those it attains mod each q."""
+    attained = np.ones(L, dtype=bool)
+    for q in _prime_powers(L):
+        hit = np.zeros(q, dtype=bool)
+        hit[_grid(grids, form, q).ravel()] = True
+        attained &= hit[np.arange(L) % q]
+    return attained
 
 
-def _integral_rows(V, M, d):
-    """Mask of the rows v of V with v M^t = 0 (mod d).
+def _class_parts(form, d, a, grids):
+    """[(q, U_q)] for the prime powers q of d, U_q the (n, 3) rows of the cosets
+    u mod q with form(u) = a (mod q), lexicographic; a coset mod d is one row of each."""
+    return [(q, np.argwhere(_grid(grids, form, q) == a % q)) for q in _prime_powers(d)]
 
-    M is reduced mod d first, so the int64 product stays below 3 d^2
-    whatever the size of its entries.
-    """
-    M_t = np.array([[x % d for x in row] for row in M], dtype=np.int64).T
-    return ~((V @ M_t) % d).any(axis=1)
+
+def _cosets(parts, d, mask):
+    """The (n, 3) cosets mod d of the True cells of a mask over the parts,
+    rebuilt with the CRT idempotents e_q = 1 (mod q), 0 (mod d / q)."""
+    cells = np.argwhere(mask)  # unlike nonzero, gives one empty row for d = 1's 0-d mask
+    cosets = np.zeros((len(cells), 3), dtype=np.int64)
+    for (q, U), i in zip(parts, cells.T):
+        cosets += (d // q) * pow(d // q, -1, q) * U[i]
+    return cosets % d
+
+
+def _integral(parts, M):
+    """Index of the cells over the parts that M makes integral mod d: those
+    whose every part it makes integral mod q.  M is reduced mod q first, so
+    the int64 product stays below 3 q^2 whatever the size of its entries."""
+    return np.ix_(*(
+        np.flatnonzero(~((U @ np.array([[x % q for x in row] for row in M]).T) % q).any(axis=1))
+        for q, U in parts
+    ))
 
 
 def _check_cover(tag, sub, sup, record):
@@ -166,12 +199,12 @@ def _check_cover(tag, sub, sup, record):
     modulus = lcm(*(d for d, _ in class_ids))
     if modulus > MAX_MODULUS:
         return _fail(f"{tag}.limits", f"lcm of class moduli {modulus} exceeds {MAX_MODULUS}")
-    # one direct scan per distinct modulus of the direction, all below 4 MB
-    # together, since every modulus divides the lcm
-    grids = {modulus: _values_mod(sub, modulus)}
-    for rho in _attained_residues(grids[modulus], modulus):
-        if not any(rho % d == a for d, a in class_ids):
-            return _fail(f"{tag}.cover", f"attainable residue {rho} mod {modulus} uncovered")
+    grids = {}
+    attained = _attained(sub, modulus, grids)
+    for d, a in class_ids:
+        attained[a::d] = False
+    if attained.any():
+        return _fail(f"{tag}.cover", f"attainable residue {attained.argmax()} mod {modulus} uncovered")
     for rec, (d, a) in zip(classes, class_ids):
         ctag = f"{tag}.class({d},{a})"
         try:
@@ -182,25 +215,25 @@ def _check_cover(tag, sub, sup, record):
         for i, T in enumerate(transforms):
             if _mat.congruence(T, G_sup) != _mat.scalar_mul(scale, G_sub):
                 return _fail(f"{ctag}.transform_identity", f"table entry {i}")
-        # a coset is good when some listed transform makes it integral; the
-        # rest are the bad cosets the escape record has to handle
-        if d not in grids:
-            grids[d] = _values_mod(sub, d)
-        bad = _class_cosets(grids[d], a)
+        # one cell per coset of the class over the product of its parts; a
+        # coset is good when some listed transform makes it integral, and
+        # the rest are the bad cosets the escape record has to handle
+        parts = _class_parts(sub, d, a, grids)
+        bad = np.ones([len(U) for _, U in parts], dtype=bool)
         for T in transforms:
-            bad = bad[~_integral_rows(bad, T, d)]
+            bad[_integral(parts, T)] = False
         escape = rec.get("escape")
-        if len(bad) or escape is not None:
-            verdict = _check_escape(ctag, sub, sup, d, escape, bad)
+        if bad.any() or escape is not None:
+            verdict = _check_escape(ctag, sub, sup, d, escape, parts, bad)
             if not verdict.ok:
                 return verdict
     return Verdict(True)
 
 
-def _check_escape(ctag, sub, sup, d, escape, bad):
+def _check_escape(ctag, sub, sup, d, escape, parts, bad):
     etag = ctag.replace(".class", ".escape")
     if escape is None:
-        return _fail(f"{etag}.missing", f"{len(bad)} cosets no listed transform makes integral")
+        return _fail(f"{etag}.missing", f"{np.count_nonzero(bad)} cosets no listed transform makes integral")
     try:
         if not isinstance(escape, dict):
             raise ValueError(f"escape record must be an object, got {escape!r}")
@@ -213,9 +246,11 @@ def _check_escape(ctag, sub, sup, d, escape, bad):
     G_sub = doubled_gram(sub)
     if _mat.congruence(E, G_sub) != _mat.scalar_mul(d * d, G_sub):
         return _fail(f"{etag}.identity", "E^t (2M) E != d^2 (2M)")
-    stuck = bad[~_integral_rows(bad, E, d)]
-    if len(stuck):
-        return _fail(f"{etag}.integrality", f"coset {tuple(stuck[0].tolist())}")
+    stuck = bad.copy()
+    stuck[_integral(parts, E)] = False
+    if stuck.any():
+        first = min(map(tuple, _cosets(parts, d, stuck).tolist()))  # lexicographically
+        return _fail(f"{etag}.integrality", f"coset {first}")
     if _mat.is_finite_order_scaled(E, d):
         return _fail(f"{etag}.finite_order", "(1/d) E has finite order")
     # the axis is the one rational eigenline of every power of E, so its
@@ -235,9 +270,10 @@ def check(cert) -> Verdict:
 
     Accepts the bytes/str emitted by emit(), with or without the one
     trailing newline `prove --out` writes, or an already-parsed dict.
-    Runs no transform search; cost is matrix arithmetic plus d^3 coset
-    scans and one array product per listed matrix, with every modulus at
-    most MAX_MODULUS.
+    Runs no transform search; cost is matrix arithmetic plus one q^3
+    value grid per prime power q of a modulus, and per listed matrix one
+    array product per part of its class, with every modulus at most
+    MAX_MODULUS.
     """
     if isinstance(cert, (bytes, str)):
         try:

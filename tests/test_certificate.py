@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from refcheck import class_cosets, integral, refcheck
 from test_congruence import positive_definite_forms
 from test_prover import FAMILY_PAIRS
 from ternrep import (
@@ -32,6 +33,7 @@ from ternrep import (
     prove_pair,
     prover,
     search_cover,
+    table_set,
 )
 
 S4_PAPER_CLASSES = [(4, 0), (12, 6), (12, 10), (12, 2)]
@@ -170,10 +172,11 @@ def test_emitted_transform_lists_are_greedy_covers(source, U, V):
             assert np.array_equal(covered, report.witness >= 0)
             assert len(cover) <= len(set(report.witness[report.witness >= 0].tolist()))
             # the checker's own scan leaves exactly the prover's bad cosets
-            bad = certificate._class_cosets(certificate._values_mod(direction.sub, d), class_proof.cls.a)
+            parts = certificate._class_parts(direction.sub, d, class_proof.cls.a, {})
+            bad = np.ones([len(U) for _, U in parts], dtype=bool)
             for T in rec["transforms"]:
-                bad = bad[~certificate._integral_rows(bad, T, d)]
-            assert bad.tolist() == [list(v) for v in report.bad]
+                bad[certificate._integral(parts, T)] = False
+            assert sorted(certificate._cosets(parts, d, bad).tolist()) == [list(v) for v in report.bad]
     assert certificate.check(cert).ok
 
 
@@ -483,11 +486,17 @@ def test_checker_imports_only_trusted_code(module):
 
 @settings(max_examples=30, deadline=None)
 @given(positive_definite_forms, st.integers(1, 48))
+@example(QuadForm(1, 1, 1, 0, 0, 0), 36)
+@example(QuadForm(8, 14, 14, 10, 4, 4), 48)
 def test_checker_coset_scan_matches_naive_scan(form, d):
+    # the checker builds each class from its prime-power parts; the oracle
+    # scans all d^3 vectors directly
     naive = oracle.class_cosets(form, d)
-    grid = certificate._values_mod(form, d)
+    grids = {}
     for a in range(d):
-        assert certificate._class_cosets(grid, a).tolist() == naive.get(a, [])
+        parts = certificate._class_parts(form, d, a, grids)
+        cosets = certificate._cosets(parts, d, np.ones([len(U) for _, U in parts], dtype=bool))
+        assert sorted(cosets.tolist()) == naive.get(a, [])
 
 
 def test_checker_value_grid_is_exact_at_the_largest_modulus():
@@ -603,7 +612,135 @@ def test_single_node_mutations_give_a_verdict(small_certs, sid, data):
     verdict = certificate.check(cert)
     assert time.perf_counter() - t0 < 1.0
     assert isinstance(verdict, certificate.Verdict)
+    assert not verdict.ok or refcheck(cert), (sid, path, kind)
     # every mutation changes the type or the value of what it touches
     changed = path[:-1] if kind == "truncate" else path
     if any(changed[:len(m)] == m for m in matrix_paths(small_certs[sid])):
         assert not verdict.ok, (sid, path, kind, verdict)
+
+
+# the differential backstop: tests/refcheck.py re-derives the cover half of
+# every claim with plain ints and direct (Z/d)^3 scans, so each certificate
+# the factored checker accepts must pass it too
+
+
+@pytest.mark.parametrize("sid", ["S4", "S6", "S7", "S8"])
+def test_golden_certificates_pass_the_reference(sid):
+    golden = (CERTS / f"{sid}.json").read_bytes()
+    assert certificate.check(golden).ok and refcheck(json.loads(golden))
+
+
+def _list_mutations(cert):
+    """Copies of cert with one class repeated, one transform repeated, or one
+    transform list truncated.  check accepts the padded ones today."""
+    out = []
+    for tag in ("f_in_g", "g_in_f"):
+        if cert[tag]["kind"] != "cover":
+            continue
+        for i, rec in enumerate(cert[tag]["classes"]):
+            n = len(rec["transforms"])
+            edits = [lambda cl, i=i: cl.append(copy.deepcopy(cl[i]))]
+            edits += [lambda cl, i=i: cl[i]["transforms"].append(cl[i]["transforms"][-1])] * (n > 0)
+            edits += [lambda cl, i=i, k=k: cl[i].update(transforms=cl[i]["transforms"][:k])
+                      for k in range(n)]
+            for edit in edits:
+                mutated = copy.deepcopy(cert)
+                edit(mutated[tag]["classes"])
+                out.append(mutated)
+    return out
+
+
+@pytest.mark.parametrize("sid", ["S4", "S7"])
+def test_list_mutations_accepted_only_if_the_reference_accepts(small_certs, sid):
+    accepted = 0
+    for cert in _list_mutations(small_certs[sid]):
+        verdict = certificate.check(cert)
+        accepted += verdict.ok
+        assert not verdict.ok or refcheck(cert), verdict
+    assert accepted >= 2  # today check accepts the padded copies
+
+
+S5_CLASSES = [(4, 2), (8, 0), (36, 0), (48, 4), (48, 12), (48, 28), (144, 84)]
+
+
+@pytest.fixture(scope="module")
+def s5_cert():
+    f, g = table_set("S5", 2)[:2]
+    return json.loads(emit(prove_pair(f, g, classes_g_in_f=S5_CLASSES, empirical_bound=1000)))
+
+
+def _checked_with_peak(cert):
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        verdict = certificate.check(cert)
+        seconds = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return verdict, seconds, peak
+
+
+def _class_144(cert):
+    return next(rec for rec in cert["g_in_f"]["classes"] if rec["d"] == 144)
+
+
+def test_checker_at_modulus_144(s5_cert):
+    # 144 = 16 * 9: the checker scans 16^3 and 9^3 grids, never the 144^3 one
+    # (14.2 MB tracemalloc peak with a direct scan)
+    verdict, _, peak = _checked_with_peak(s5_cert)
+    assert verdict.ok and peak < 2**20
+    assert refcheck(s5_cert)
+    cert = copy.deepcopy(s5_cert)
+    _class_144(cert)["transforms"][0][1][2] += 1
+    verdict = certificate.check(cert)
+    assert not verdict.ok and verdict.clause == "g_in_f.class(144,84).transform_identity"
+    # the reference costs ~1 s at 144, so it runs only on what check accepts
+    for k in range(len(_class_144(s5_cert)["transforms"])):
+        cert = copy.deepcopy(s5_cert)
+        del _class_144(cert)["transforms"][k:]
+        verdict = certificate.check(cert)
+        assert not verdict.ok or refcheck(cert), verdict
+
+
+def test_stuck_coset_is_the_first_of_a_direct_scan(s5_cert):
+    # the integrality detail rebuilds the stuck coset mod 144 from its parts
+    # mod 16 and mod 9; a direct scan of (Z/144)^3 names the same one
+    g = table_set("S5", 2)[1]
+    cert = copy.deepcopy(s5_cert)
+    rec = _class_144(cert)
+    del rec["transforms"][1:]
+    bad = [v for v in class_cosets(g.coefficients, 144, 84) if not integral(rec["transforms"][0], v, 144)]
+    E = next(E for E in isometry.scaled_automorphisms(g, 144).matrices.tolist()
+             if not all(integral(E, v, 144) for v in bad))
+    rec["escape"] = {"matrix": E, "witness": [0, 0, 0]}
+    verdict = certificate.check(cert)
+    assert verdict.clause == "g_in_f.escape(144,84).integrality"
+    assert verdict.detail == f"coset {next(v for v in bad if not integral(E, v, 144))}"
+
+
+def _prime_modulus_cert():
+    """A self-pair certificate of x^2 + y^2 + z^2 with the class (139, 0), a
+    prime modulus near 144 and so one part as large as the class: 16
+    transforms of rank one mod 139, then -139 I, which makes every coset
+    integral."""
+    form = QuadForm(1, 1, 1, 0, 0, 0)
+    cert = json.loads(emit(prove_pair(form, form, classes_g_in_f=[(1, 0), (139, 0)],
+                                      empirical_bound=100)))
+    rec = cert["g_in_f"]["classes"][1]
+    rank_one = [T for T in isometry.find_transforms(form, form, 139).matrices.tolist()
+                if any(x % 139 for row in T for x in row)]
+    rec["transforms"] = rank_one[:16] + rec["transforms"]
+    return cert
+
+
+def test_checker_at_a_prime_modulus():
+    cert = _prime_modulus_cert()
+    verdict, seconds, peak = _checked_with_peak(cert)
+    # the 139^3 value grid is made in uint16, then kept as uint8
+    assert verdict.ok and seconds < 1.0 and peak < 10 * 2**20
+    assert refcheck(cert)
+    cert["g_in_f"]["classes"][1]["transforms"].pop()  # 139 I
+    verdict, seconds, _ = _checked_with_peak(cert)
+    assert seconds < 1.0
+    assert verdict.clause == "g_in_f.escape(139,0).missing" and not refcheck(cert)

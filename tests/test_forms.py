@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternrep import (
     NotPositiveDefinite,
@@ -21,6 +23,7 @@ from ternrep import (
     theta,
     verify_table,
 )
+from ternrep import _mat
 from ternrep.fixtures import REGISTRY
 from ternrep.forms import Vector3, require_positive_definite, scale
 
@@ -159,3 +162,62 @@ def test_integer_arguments_refuse_floats(make):
     with pytest.raises(TypeError):
         make(1.5)
     assert make(np.int64(1)) == make(1)
+
+
+def _triple_loop_mul(A, B):
+    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)) for i in range(3))
+
+
+def _triple_loop_congruence(T, G):
+    Tt = tuple(tuple(T[j][i] for j in range(3)) for i in range(3))
+    return _triple_loop_mul(Tt, _triple_loop_mul(G, T))
+
+
+HUGE_ENTRIES = st.integers(-(10**40), 10**40)
+HUGE_MATRICES = st.tuples(*[st.tuples(HUGE_ENTRIES, HUGE_ENTRIES, HUGE_ENTRIES)] * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(HUGE_MATRICES, HUGE_MATRICES)
+def test_mat_mul_matches_triple_loop(A, B):
+    assert _mat.mat_mul(A, B) == _triple_loop_mul(A, B)
+    assert _mat.transpose(A) == tuple(tuple(A[j][i] for j in range(3)) for i in range(3))
+    assert _mat.congruence(A, B) == _triple_loop_congruence(A, B)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[st.integers(1, 10**40)] * 3), st.tuples(*[HUGE_ENTRIES] * 3), HUGE_MATRICES)
+def test_change_of_basis_matches_triple_loop(diagonal, off_diagonal, U):
+    form = QuadForm(*diagonal, *off_diagonal)  # need not be definite here
+    G = _triple_loop_congruence(U, doubled_gram(form))
+    expected = QuadForm(G[0][0] // 2, G[1][1] // 2, G[2][2] // 2, G[1][2], G[0][2], G[0][1])
+    assert change_of_basis(form, U) == expected
+
+
+def _triple_loop_finite_order(T, d):
+    P = _mat.IDENTITY
+    for k in range(1, 13):
+        P = _triple_loop_mul(P, T)
+        if P == _mat.scaled_identity(d**k):
+            return True
+    return False
+
+
+@st.composite
+def scaled_matrices(draw):
+    """(T, d): d times a signed permutation, which has finite order, or d
+    times one with one entry moved, which mostly has not."""
+    d = draw(st.integers(1, 144))
+    perm = draw(st.permutations(range(3)))
+    signs = draw(st.tuples(*[st.sampled_from((-1, 1))] * 3))
+    T = [[d * signs[i] * (perm[i] == j) for j in range(3)] for i in range(3)]
+    if draw(st.booleans()):
+        T[draw(st.integers(0, 2))][draw(st.integers(0, 2))] += draw(HUGE_ENTRIES)
+    return tuple(map(tuple, T)), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_matrices())
+def test_finite_order_matches_triple_loop(scaled):
+    T, d = scaled
+    assert _mat.is_finite_order_scaled(T, d) is _triple_loop_finite_order(T, d)
