@@ -30,9 +30,11 @@ N.  For |j| >= K + 2, K = isqrt(N // a), m j + a j^2 >= a |j| (|j| - 1)
 so |j| <= K + 2 holds all of O_m, with one to spare.  The form's
 content k, the gcd of its coefficients, is divided out first: f = k h,
 so the values of f up to N are k times the values of h up to N // k.
-The kernel runs on h and sets every k-th slot of the mask; it walks the
-same rows, but its bitsets, shifted ORs and final unpack are k times
-smaller (every catalog form is used at scale 2).  Then the coordinates
+The kernel runs on h and returns (k, the packed bitset of h's values up
+to N // k), _value_bits, a key that family checks compare without
+unpacking; it walks the same rows, but its bitsets and shifted ORs are
+k times smaller (every catalog form is used at scale 2).  The mask
+unpacks that bitset into every k-th slot.  Then the coordinates
 are permuted to make a the smallest diagonal coefficient (the values
 do not change), which gives the fewest classes and the fewest rows.
 A class's sumset is ORed into a packed little-endian bitset: the bitset
@@ -41,14 +43,16 @@ per bit phase p (0..7) of O_m in one buffer, so each element s = 8q + p
 costs one byte-aligned np.bitwise_or into a view of the bitset, of at
 most N/8 bytes: O(sqrt(a N)) ORs per form in all, where the row scan
 marks about N^(3/2) / sqrt(det) lattice points.  A class with few rows
-scatters its sums c0 + m j + a j^2 instead.  g = gcd(s, t, 2a) divides
+scatters its sums c0 + m j + a j^2 instead, into a bool array that is
+packed into the bitset once the walk ends.  g = gcd(s, t, 2a) divides
 every c1, so a row's class is known before any row is walked: it is
 filed in slot m / g, and up to 8 fixed slots own one bit each of a byte
 per value in [0, N].  The row minima of those of them with many rows are
 collected in those bytes, so a chunk's rows are stored by one unbuffered
 OR in row order, with no sort.  After the walk the classes are packed
 from those bytes one at a time, each into the same bitset buffer, and
-ORed in: besides the bytes, the kernel holds three bitsets (C_m, its
+ORed in: besides the bytes of the walk (the minima and the scattered
+sums, one each per value), the kernel holds three bitsets (C_m, its
 shifted copy and the union), however many classes it collects.
 
 theta adds the same sums, of every row with c0 <= N of f itself, into
@@ -276,52 +280,64 @@ def _row_sums(a: int, bound: int, c0: np.ndarray, m: np.ndarray):
 def represented_mask(form: QuadForm, bound: int) -> np.ndarray:
     """Boolean mask m of length bound + 1 with m[n] = True iff n is represented.
 
-    Each call builds a fresh, writable mask, from sumsets (see the module
-    docstring).  With k the content of form (the gcd of its
-    coefficients), f = k h, so the values of f are k times those of h:
-    the kernel runs on h at bound // k and writes into every k-th slot of
-    one buffer.  When bound < k only the slot of 0 is in range, and the
-    step is cut to bound + 1, so the buffer never grows with k.
+    Each call builds a fresh, writable mask: the bitset of _value_bits,
+    unpacked into every k-th slot, k the content of form.
+    """
+    k, bits = _value_bits(form, bound)
+    mask = np.zeros(bound + 1, dtype=bool)
+    mask[::k] = np.unpackbits(bits, count=bound // k + 1, bitorder="little").view(bool)
+    return mask
+
+
+def _value_bits(form: QuadForm, bound: int):
+    """(k, bits): the content k of form and the packed values of form / k up to bound // k.
+
+    With k the gcd of the coefficients, f = k h, so the values of f up to
+    bound are k times those of h up to bound // k.  bits is the
+    little-endian bitset of h's values, from sumsets (see the module
+    docstring): bit v, v <= bound // k, is set iff h represents v, and the
+    bits past bound // k in the last byte are clear, so two forms whose
+    values agree up to bound and whose contents agree have equal keys.
+    When bound < k only 0 is in range, and bits is one byte, so the key
+    never grows with k.
     """
     bound = index(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     require_positive_definite(form)
     k = gcd(*form.coefficients)
-    step = min(k, bound + 1)
-    seen = np.zeros(step * (bound // k + 1) + 1, dtype=bool)  # the last slot absorbs clipped sums
-    _fill_sumsets(seen[::step], QuadForm(*(c // k for c in form.coefficients)), bound // k)
-    return seen[: bound + 1]
+    return k, _fill_sumsets(QuadForm(*(c // k for c in form.coefficients)), bound // k)
 
 
-def _fill_sumsets(seen: np.ndarray, form: QuadForm, bound: int) -> None:
-    """Set seen[n] for each value n <= bound of form; seen has bound + 2 slots.
+def _fill_sumsets(form: QuadForm, bound: int) -> np.ndarray:
+    """The packed little-endian bitset of the values <= bound of form, bound // 8 + 1 bytes.
 
     See the module docstring: each row adds c0 + O_m, and rows are filed
     by their slot m / g.  _walk_rows collects the row minima of the slots
-    with a bit and many rows, at most 8, and scatters all other rows.
-    Then one class at a time packs its bitset C_m from the byte array of
-    minima, in blocks, into one reused buffer, and ORs in C_m + O_m by
-    shifting that bitset by each element of O_m: the memory used does not
-    grow with the number of collected classes.
+    with a bit and many rows, at most 8, and scatters all other rows into
+    a bool array, which is packed once the walk ends.  Then one class at a
+    time packs its bitset C_m from the byte array of minima, in blocks,
+    into one reused buffer, and ORs in C_m + O_m by shifting that bitset
+    by each element of O_m: the memory used does not grow with the number
+    of collected classes.  The shifted ORs set bits past bound in the
+    last byte, which are cleared at the end.
     """
     form, _ = _smallest_diagonal_first(form)
     a = form.coefficients[0]
     nbytes = bound // 8 + 1
+    seen = np.zeros(bound + 2, dtype=bool)  # the last slot absorbs clipped sums
     minima, classes = _walk_rows(seen, form, bound)
-    if not classes:
-        return
-    bits = np.zeros(nbytes, dtype=np.uint8)  # bit v: v in some collected C_m + O_m
-    C = np.empty(nbytes, dtype=np.uint8)
-    for m, bit in classes:
-        for i in range(0, nbytes, _BLOCK_CELLS):
-            part = minima[8 * i : 8 * (i + _BLOCK_CELLS)]
-            C[i : i + _BLOCK_CELLS] = np.packbits(part & bit, bitorder="little")
-        _or_shifted(bits, C, _pattern(a, m, bound))
-    for i in range(0, nbytes, _BLOCK_CELLS):
-        part = seen[8 * i : 8 * (i + _BLOCK_CELLS)]
-        part |= np.unpackbits(bits[i : i + _BLOCK_CELLS], count=len(part),
-                              bitorder="little").view(bool)
+    bits = np.packbits(seen[: bound + 1], bitorder="little")  # bit v: v in a scattered row's sums
+    del seen
+    if classes:
+        C = np.empty(nbytes, dtype=np.uint8)
+        for m, bit in classes:
+            for i in range(0, nbytes, _BLOCK_CELLS):
+                part = minima[8 * i : 8 * (i + _BLOCK_CELLS)]
+                C[i : i + _BLOCK_CELLS] = np.packbits(part & bit, bitorder="little")
+            _or_shifted(bits, C, _pattern(a, m, bound))
+        bits[-1] &= (2 << (bound & 7)) - 1
+    return bits
 
 
 def _walk_rows(seen: np.ndarray, form: QuadForm, bound: int):

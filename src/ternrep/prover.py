@@ -43,7 +43,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import index
 
 import numpy as np
@@ -59,12 +59,19 @@ from .congruence import (
     cover_check,
     precedes,
 )
-from .enumeration import representations, represented_mask
+from .enumeration import _value_bits, representations, represented_mask
 from .forms import QuadForm, Vector3, doubled_gram, evaluate, require_positive_definite
 from .isometry import _det_ratio_is_square, is_isometric, scaled_automorphisms, subform_witness
 
 # the moduli search_cover tries; their lcm is within MAX_MODULUS
 AUTO_MODULI = (4, 8, 12, 24, 36, 48)
+
+# verify_pairwise threads only when every form's bitset has this many bits
+# (each shifted OR then moves at least 256 KB)
+_THREAD_MIN_BITS = 2**21
+
+# the number of set bits of each byte
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 class ProofError(Exception):
@@ -379,28 +386,47 @@ def verify_pairwise(forms, bound: int, jobs: int = 1):
     Returns (value_count, isometric_pairs); raises MismatchAt on the first
     integer represented by one form but not another, and ValueError when
     forms is empty.
+
+    Each form's values are kept packed, as the key (content, bitset) of
+    _value_bits, and the keys are compared.  Only when two keys differ
+    are the two bool masks built, to find the first differing integer:
+    forms of different content can still agree at a small bound, and
+    then nothing is raised.
+
+    jobs caps the threads that build the keys.  Threads run only when
+    every form's bound // content is at least _THREAD_MIN_BITS = 2^21, so
+    that each shifted OR moves at least 256 KB; below that, threads
+    making the kernel's short numpy calls mostly wait for each other's
+    interpreter lock.  On a 2-vCPU VM (Python 3.11, numpy 2.4), S4, S8
+    and S15 at the catalog scale took 0.09-0.10 s in one thread and
+    0.15-0.17 s in two at 10^6, about the same either way at 4 * 10^6
+    (bound // content 2 * 10^6, just below 2^21), and 2.29-2.71 s
+    against 1.60-1.81 s at 10^7.
     """
     forms = tuple(forms)
     if not forms:
         raise ValueError("no forms")
-    if jobs > 1:
+    if jobs > 1 and all(bound // gcd(*fm.coefficients) >= _THREAD_MIN_BITS for fm in forms):
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            masks = list(pool.map(lambda fm: represented_mask(fm, bound), forms))
+            keys = list(pool.map(lambda fm: _value_bits(fm, bound), forms))
     else:
-        masks = [represented_mask(fm, bound) for fm in forms]
-    # all masks agree iff each agrees with the first, and the first pair
-    # (i, j) that differs always has i = 0
-    for j in range(1, len(forms)):
-        if not np.array_equal(masks[0], masks[j]):
-            n = int(np.flatnonzero(masks[0] != masks[j])[0])
-            raise MismatchAt(n, forms[0], forms[j])
+        keys = [_value_bits(fm, bound) for fm in forms]
+    # all value sets agree iff each agrees with the first, and the first
+    # pair (i, j) that differs always has i = 0; equal keys mean equal values
+    k, bits = keys[0]
+    for j, (kj, bits_j) in enumerate(keys[1:], 1):
+        if kj == k and np.array_equal(bits, bits_j):
+            continue
+        mf, mg = represented_mask(forms[0], bound), represented_mask(forms[j], bound)
+        if not np.array_equal(mf, mg):
+            raise MismatchAt(np.flatnonzero(mf != mg)[0], forms[0], forms[j])
     isometric = tuple(
         (i, j)
         for i in range(len(forms))
         for j in range(i + 1, len(forms))
         if is_isometric(forms[i], forms[j]) is not None
     )
-    return int(masks[0].sum()), isometric
+    return int(_POPCOUNT[bits].sum()), isometric
 
 
 def verify_table(set_id: str, bound: int = 10**6) -> SetReport:

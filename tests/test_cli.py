@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from ternrep import certificate, named_form, prover
@@ -334,6 +335,9 @@ def test_table_mismatch_json(monkeypatch, capsys):
         return mask
 
     monkeypatch.setattr(prover, "represented_mask", flipped_for_g)
+    # verify_pairwise compares packed keys first: derive them from the flipped masks
+    monkeypatch.setattr(prover, "_value_bits", lambda form, bound: (
+        1, np.packbits(prover.represented_mask(form, bound), bitorder="little")))
     rc = run(["table", "--set", "S4", "--max", "100", "--format", "json"])
     assert rc == EXIT_MISMATCH
     captured = capsys.readouterr()

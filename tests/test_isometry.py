@@ -19,6 +19,7 @@ from ternrep import (
     scaled_automorphisms,
     subform_witness,
     table_set,
+    verify_pairwise,
 )
 from ternrep import _mat, isometry
 
@@ -318,6 +319,24 @@ def test_search_memory_stays_bounded():
         find_transforms.cache_clear()
     assert len(ts) == 976
     assert peak <= 4 * 2**20
+
+
+def test_family_check_memory_stays_bounded():
+    # verify_pairwise keeps each form's values packed, 62.5 KB at the
+    # catalog scale, and builds no 1 MB bool mask unless two keys differ;
+    # the peak is the walk of one form at a time (its bool array of
+    # scattered sums and its byte array of row minima, 0.5 MB each)
+    forms = table_set("S15", 2)
+    find_transforms.cache_clear()
+    tracemalloc.start()
+    try:
+        count, isometric = verify_pairwise(forms, 10**6, jobs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        find_transforms.cache_clear()
+    assert (count, isometric) == (458321, ())
+    assert peak < 2 * 2**20
 
 
 def _three_table_columns(gram_f, targets, candidate_lists):

@@ -35,6 +35,7 @@ from ternrep import (
     prove_direction,
     prove_pair,
     representations,
+    represented_mask,
     residue_vectors,
     scaled_automorphisms,
     search_cover,
@@ -650,6 +651,57 @@ def test_verify_pairwise_mismatch_after_an_agreeing_pair(jobs):
     with pytest.raises(MismatchAt) as info:
         verify_pairwise(forms, 200, jobs)
     assert (info.value.n, info.value.f, info.value.g) == (1, forms[0], forms[2])
+
+
+@pytest.mark.parametrize("sid", ["S4", "S13", "S15"])
+def test_verify_pairwise_threads_agree_with_one_thread(sid, monkeypatch):
+    # at 10^4 the keys are far below the thread rule's 2^21 bits, so two
+    # jobs run in one thread unless the rule is lowered to 0
+    started = []
+
+    class Counted(prover.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(prover, "ThreadPoolExecutor", Counted)
+    forms = table_set(sid, 2)
+    serial = verify_pairwise(forms, 10**4, jobs=1)
+    assert verify_pairwise(forms, 10**4, jobs=2) == serial and not started
+    monkeypatch.setattr(prover, "_THREAD_MIN_BITS", 0)
+    assert verify_pairwise(forms, 10**4, jobs=2) == serial
+    assert started == [2]
+    mixed = (named_form("S4f"), named_form("S4g"), QuadForm(1, 1, 1, 0, 0, 0))
+    with pytest.raises(MismatchAt) as info:
+        verify_pairwise(mixed, 200, jobs=2)
+    assert (info.value.n, info.value.f, info.value.g) == (1, mixed[0], mixed[2])
+    assert started == [2, 2]
+
+
+def test_verify_pairwise_ignores_values_past_the_bound():
+    # these agree up to 10^5 and first differ at 100,003, which lies in the
+    # last byte of their bitsets at 10^5 (bits 100,000-100,007): the shifted
+    # ORs set bits there, and a key or count that kept them would differ
+    f, g = QuadForm(1, 1, 10**5, 0, 0, 0), QuadForm(1, 1, 10**5 + 1, 0, 0, 0)
+    with pytest.raises(MismatchAt) as info:
+        verify_pairwise([f, g], 10**5 + 7)
+    assert info.value.n == 100_003
+    (kf, bf), (kg, bg) = (prover._value_bits(h, 10**5) for h in (f, g))
+    assert kf == kg == 1 and len(bf) == 10**5 // 8 + 1 and np.array_equal(bf, bg)
+    count = int(represented_mask(f, 10**5).sum())
+    assert verify_pairwise([f, g], 10**5) == verify_pairwise([g, f], 10**5) == (count, ())
+
+
+def test_verify_pairwise_compares_masks_across_contents():
+    # the keys of 2(x^2 + y^2 + z^2) and 3(x^2 + y^2 + z^2) differ in their
+    # content, but up to 1 both forms represent 0 alone; at 3 their
+    # bitsets are equal (x^2 + y^2 + z^2 up to 1), their values are not
+    pair = (QuadForm(2, 2, 2, 0, 0, 0), QuadForm(3, 3, 3, 0, 0, 0))
+    assert verify_pairwise(pair, 1) == (1, ())
+    for bound in (2, 3):
+        with pytest.raises(MismatchAt) as info:
+            verify_pairwise(pair, bound)
+        assert info.value.n == 2
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
