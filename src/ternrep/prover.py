@@ -40,10 +40,9 @@ and encode come from certificate.py, which imports nothing from here.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import index
 
 import numpy as np
@@ -65,13 +64,6 @@ from .isometry import _det_ratio_is_square, is_isometric, scaled_automorphisms, 
 
 # the moduli search_cover tries; their lcm is within MAX_MODULUS
 AUTO_MODULI = (4, 8, 12, 24, 36, 48)
-
-# verify_pairwise threads only when every form's bitset has this many bits
-# (each shifted OR then moves at least 256 KB)
-_THREAD_MIN_BITS = 2**21
-
-# the number of set bits of each byte
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 class ProofError(Exception):
@@ -393,24 +385,15 @@ def verify_pairwise(forms, bound: int, jobs: int = 1):
     forms of different content can still agree at a small bound, and
     then nothing is raised.
 
-    jobs caps the threads that build the keys.  Threads run only when
-    every form's bound // content is at least _THREAD_MIN_BITS = 2^21, so
-    that each shifted OR moves at least 256 KB; below that, threads
-    making the kernel's short numpy calls mostly wait for each other's
-    interpreter lock.  On a 2-vCPU VM (Python 3.11, numpy 2.4), S4, S8
-    and S15 at the catalog scale took 0.09-0.10 s in one thread and
-    0.15-0.17 s in two at 10^6, about the same either way at 4 * 10^6
-    (bound // content 2 * 10^6, just below 2^21), and 2.29-2.71 s
-    against 1.60-1.81 s at 10^7.
+    jobs is unused, kept so that callers passing a thread count still
+    bind: the keys are built in one thread, because threads making the
+    kernel's many short numpy calls mostly wait for each other's
+    interpreter lock.
     """
     forms = tuple(forms)
     if not forms:
         raise ValueError("no forms")
-    if jobs > 1 and all(bound // gcd(*fm.coefficients) >= _THREAD_MIN_BITS for fm in forms):
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            keys = list(pool.map(lambda fm: _value_bits(fm, bound), forms))
-    else:
-        keys = [_value_bits(fm, bound) for fm in forms]
+    keys = [_value_bits(fm, bound) for fm in forms]
     # all value sets agree iff each agrees with the first, and the first
     # pair (i, j) that differs always has i = 0; equal keys mean equal values
     k, bits = keys[0]
@@ -426,7 +409,7 @@ def verify_pairwise(forms, bound: int, jobs: int = 1):
         for j in range(i + 1, len(forms))
         if is_isometric(forms[i], forms[j]) is not None
     )
-    return int(_POPCOUNT[bits].sum()), isometric
+    return int(np.count_nonzero(np.unpackbits(bits))), isometric
 
 
 def verify_table(set_id: str, bound: int = 10**6) -> SetReport:

@@ -167,8 +167,7 @@ def test_criterion_07_table_verification():
     t0 = time.perf_counter()
     assert set(TABLE_COUNTS) == set(SET_IDS)
     for sid in SET_IDS:
-        # jobs=2 as the sweep benchmark passes it; at 10^6 the keys stay below
-        # the thread rule, so this runs in one thread
+        # jobs=2 as the sweep benchmark passes it; verify_pairwise ignores it
         value_count, isometric = verify_pairwise(table_set(sid, 2), BOUND, jobs=2)
         assert not isometric, f"{sid}: some members are isometric"
         assert value_count == TABLE_COUNTS[sid], sid

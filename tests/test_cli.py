@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from unittest import mock
@@ -376,8 +377,8 @@ def test_theta_subcommand(capsys):
 
 
 def test_table_runs_single_threaded_by_default(capsys, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("table started a thread pool")
+    def no_thread(self):
+        raise AssertionError("table started a thread")
 
-    monkeypatch.setattr(prover, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     assert run(["table", "--set", "S4", "--max", "5000"]) == EXIT_OK

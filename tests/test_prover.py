@@ -653,31 +653,6 @@ def test_verify_pairwise_mismatch_after_an_agreeing_pair(jobs):
     assert (info.value.n, info.value.f, info.value.g) == (1, forms[0], forms[2])
 
 
-@pytest.mark.parametrize("sid", ["S4", "S13", "S15"])
-def test_verify_pairwise_threads_agree_with_one_thread(sid, monkeypatch):
-    # at 10^4 the keys are far below the thread rule's 2^21 bits, so two
-    # jobs run in one thread unless the rule is lowered to 0
-    started = []
-
-    class Counted(prover.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(prover, "ThreadPoolExecutor", Counted)
-    forms = table_set(sid, 2)
-    serial = verify_pairwise(forms, 10**4, jobs=1)
-    assert verify_pairwise(forms, 10**4, jobs=2) == serial and not started
-    monkeypatch.setattr(prover, "_THREAD_MIN_BITS", 0)
-    assert verify_pairwise(forms, 10**4, jobs=2) == serial
-    assert started == [2]
-    mixed = (named_form("S4f"), named_form("S4g"), QuadForm(1, 1, 1, 0, 0, 0))
-    with pytest.raises(MismatchAt) as info:
-        verify_pairwise(mixed, 200, jobs=2)
-    assert (info.value.n, info.value.f, info.value.g) == (1, mixed[0], mixed[2])
-    assert started == [2, 2]
-
-
 def test_verify_pairwise_ignores_values_past_the_bound():
     # these agree up to 10^5 and first differ at 100,003, which lies in the
     # last byte of their bitsets at 10^5 (bits 100,000-100,007): the shifted
