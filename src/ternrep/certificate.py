@@ -163,14 +163,29 @@ def _cosets(parts, d, mask):
     return cosets % d
 
 
-def _integral(parts, M):
-    """Index of the cells over the parts that M makes integral mod d: those
-    whose every part it makes integral mod q.  M is reduced mod q first, so
-    the int64 product stays below 3 q^2 whatever the size of its entries."""
-    return np.ix_(*(
-        np.flatnonzero(~((U @ np.array([[x % q for x in row] for row in M]).T) % q).any(axis=1))
-        for q, U in parts
-    ))
+_STEP_CELLS = 2**16  # entries per step of _integral: ~512 KB of tables at any length
+
+
+def _integral(parts, matrices):
+    """Bool mask over the cells of the parts: the cosets that some matrix makes
+    integral mod each q.  Per step of k matrices (cells x k and 3 |U_q| x k
+    within _STEP_CELLS, or k = 1), one int64 product U_q [M_1^t ... M_k^t] per
+    part, each M reduced mod q in plain ints first so it stays below 3 q^2."""
+    if not parts:  # d = 1: one cell, made integral by any matrix
+        return np.array(len(matrices) > 0)
+    sizes = [len(U) for _, U in parts]
+    out = np.zeros(sizes, dtype=bool)
+    step = max(1, _STEP_CELLS // max(1, out.size, 3 * max(sizes)))
+    for start in range(0, len(matrices), step):
+        chunk = matrices[start:start + step]
+        # oks[i][c, t]: M_t makes cell c of part i integral mod q
+        oks = [~(U @ np.array([[x % q for x in row] for M in chunk for row in M]).T % q)
+               .reshape(len(U), len(chunk), 3).any(axis=2) for q, U in parts]
+        acc = oks[0]
+        for ok in oks[1:-1]:  # the leading parts' cells, then one matmul
+            acc = (acc[:, None, :] & ok[None, :, :]).reshape(-1, len(chunk))
+        out |= (acc @ oks[-1].T if len(oks) > 1 else acc.any(axis=1)).reshape(sizes)
+    return out
 
 
 def _check_cover(tag, sub, sup, record):
@@ -211,17 +226,15 @@ def _check_cover(tag, sub, sup, record):
             transforms = [_as_matrix(T) for T in _as_list(rec["transforms"])]
         except (KeyError, TypeError, ValueError) as exc:
             return _fail(f"{ctag}.schema", str(exc))
-        scale = d * d
+        scaled = _mat.scalar_mul(d * d, G_sub)
         for i, T in enumerate(transforms):
-            if _mat.congruence(T, G_sup) != _mat.scalar_mul(scale, G_sub):
+            if _mat.congruence(T, G_sup) != scaled:
                 return _fail(f"{ctag}.transform_identity", f"table entry {i}")
         # one cell per coset of the class over the product of its parts; a
         # coset is good when some listed transform makes it integral, and
         # the rest are the bad cosets the escape record has to handle
         parts = _class_parts(sub, d, a, grids)
-        bad = np.ones([len(U) for _, U in parts], dtype=bool)
-        for T in transforms:
-            bad[_integral(parts, T)] = False
+        bad = ~_integral(parts, transforms)
         escape = rec.get("escape")
         if bad.any() or escape is not None:
             verdict = _check_escape(ctag, sub, sup, d, escape, parts, bad)
@@ -246,8 +259,7 @@ def _check_escape(ctag, sub, sup, d, escape, parts, bad):
     G_sub = doubled_gram(sub)
     if _mat.congruence(E, G_sub) != _mat.scalar_mul(d * d, G_sub):
         return _fail(f"{etag}.identity", "E^t (2M) E != d^2 (2M)")
-    stuck = bad.copy()
-    stuck[_integral(parts, E)] = False
+    stuck = bad & ~_integral(parts, [E])
     if stuck.any():
         first = min(map(tuple, _cosets(parts, d, stuck).tolist()))  # lexicographically
         return _fail(f"{etag}.integrality", f"coset {first}")
@@ -271,9 +283,9 @@ def check(cert) -> Verdict:
     Accepts the bytes/str emitted by emit(), with or without the one
     trailing newline `prove --out` writes, or an already-parsed dict.
     Runs no transform search; cost is matrix arithmetic plus one q^3
-    value grid per prime power q of a modulus, and per listed matrix one
-    array product per part of its class, with every modulus at most
-    MAX_MODULUS.
+    value grid per prime power q of a modulus, and per class one array
+    product per part for each step of its listed matrices, with every
+    modulus at most MAX_MODULUS.
     """
     if isinstance(cert, (bytes, str)):
         try:

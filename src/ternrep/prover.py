@@ -18,10 +18,10 @@ Every power of such an E has one rational eigenline, the axis of E
 the primitive axis vector), swallowed by one witness f(w) = m, since
 f(t w) = m t^2.  The witness is all a certificate records beside E.
 build_escape tests the scaled automorphisms of g, one (N, 3, 3) array in
-set order, all at once: integrality on the bad cosets from the parts of
-the class's bad groups (congruence._integral_on_bad), finite order from
-trace and determinant.  Only the survivors get an axis, a base and a
-witness.
+set order, all at once: finite order from trace and determinant, then,
+if any has infinite order, integrality on the bad cosets from the parts
+of the class's bad groups (congruence._integral_on_bad).  Only the
+survivors get an axis, a base and a witness.
 
 Every route needs integer transforms T^t (2M_f) T = d^2 (2M_g): the
 subform witness (d = 1), the good cosets and the escape argument.  Their
@@ -231,9 +231,11 @@ def _escape_candidates(autos, report):
     """Bool mask over autos.matrices, the scaled automorphisms E of g at
     modulus d: E makes every bad coset of the report integral and (1/d)E
     has infinite order."""
+    infinite = ~_has_finite_order(autos.matrices.transpose(1, 2, 0), autos.d)
+    if not infinite.any():  # no candidate, so build no kernel tables of the set
+        return infinite
     integral = _integral_on_bad(autos, report)
-    finite = _has_finite_order(autos.matrices.transpose(1, 2, 0), autos.d)
-    return np.unpackbits(integral, count=len(autos), bitorder="little").astype(bool) & ~finite
+    return np.unpackbits(integral, count=len(autos), bitorder="little").astype(bool) & infinite
 
 
 def build_escape(f: QuadForm, g: QuadForm, cls: ResidueClass,
