@@ -42,18 +42,19 @@ of C_m, shifted by each element of O_m.  The shifted copy is made once
 per bit phase p (0..7) of O_m in one buffer, so each element s = 8q + p
 costs one byte-aligned np.bitwise_or into a view of the bitset, of at
 most N/8 bytes: O(sqrt(a N)) ORs per form in all, where the row scan
-marks about N^(3/2) / sqrt(det) lattice points.  A class with few rows
-scatters its sums c0 + m j + a j^2 instead, into a bool array that is
-packed into the bitset once the walk ends.  g = gcd(s, t, 2a) divides
-every c1, so a row's class is known before any row is walked: it is
-filed in slot m / g, and up to 8 fixed slots own one bit each of a byte
-per value in [0, N].  The row minima of those of them with many rows are
-collected in those bytes, so a chunk's rows are stored by one unbuffered
-OR in row order, with no sort.  After the walk the classes are packed
-from those bytes one at a time, each into the same bitset buffer, and
-ORed in: besides the bytes of the walk (the minima and the scattered
-sums, one each per value), the kernel holds three bitsets (C_m, its
-shifted copy and the union), however many classes it collects.
+marks about N^(3/2) / sqrt(det) lattice points.  g = gcd(s, t, 2a)
+divides every c1, so a row's class is known before any row is walked:
+it is filed in slot m / g, and up to 8 fixed slots own one bit each of
+a byte per value in [0, N].  The row minima of those slots are
+collected in those bytes from their first row, so a chunk's rows are
+stored by one unbuffered OR in row order, with no sort.  The rows of
+every other slot scatter their sums c0 + m j + a j^2 instead, into a
+bool array that is packed into the bitset once the walk ends.  After
+the walk the classes are packed from those bytes one at a time, each
+into the same bitset buffer, and ORed in: besides the bytes of the
+walk (the minima and the scattered sums, one each per value), the
+kernel holds three bitsets (C_m, its shifted copy and the union),
+however many classes it collects.
 
 theta adds the same sums, of every row with c0 <= N of f itself, into
 its counts; an x-shear x -> x + k y + l z moves each row's vertex by a
@@ -314,12 +315,12 @@ def _fill_sumsets(form: QuadForm, bound: int) -> np.ndarray:
 
     See the module docstring: each row adds c0 + O_m, and rows are filed
     by their slot m / g.  _walk_rows collects the row minima of the slots
-    with a bit and many rows, at most 8, and scatters all other rows into
-    a bool array, which is packed once the walk ends.  Then one class at a
-    time packs its bitset C_m from the byte array of minima, in blocks,
-    into one reused buffer, and ORs in C_m + O_m by shifting that bitset
-    by each element of O_m: the memory used does not grow with the number
-    of collected classes.  The shifted ORs set bits past bound in the
+    with a bit, min(8, a / g + 1) of them, and scatters all other rows
+    into a bool array, which is packed once the walk ends.  Then one
+    class at a time packs its bitset C_m from the byte array of minima,
+    in blocks, into one reused buffer, and ORs in C_m + O_m by shifting
+    that bitset by each element of O_m: the memory used does not grow
+    with the number of collected classes.  The shifted ORs set bits past bound in the
     last byte, which are cleared at the end.
     """
     form, _ = _smallest_diagonal_first(form)
@@ -329,66 +330,47 @@ def _fill_sumsets(form: QuadForm, bound: int) -> np.ndarray:
     minima, classes = _walk_rows(seen, form, bound)
     bits = np.packbits(seen[: bound + 1], bitorder="little")  # bit v: v in a scattered row's sums
     del seen
-    if classes:
-        C = np.empty(nbytes, dtype=np.uint8)
-        for m, bit in classes:
-            for i in range(0, nbytes, _BLOCK_CELLS):
-                part = minima[8 * i : 8 * (i + _BLOCK_CELLS)]
-                C[i : i + _BLOCK_CELLS] = np.packbits(part & bit, bitorder="little")
-            _or_shifted(bits, C, _pattern(a, m, bound))
-        bits[-1] &= (2 << (bound & 7)) - 1
+    C = np.empty(nbytes, dtype=np.uint8)
+    for m, bit in classes:
+        for i in range(0, nbytes, _BLOCK_CELLS):
+            part = minima[8 * i : 8 * (i + _BLOCK_CELLS)]
+            C[i : i + _BLOCK_CELLS] = np.packbits(part & bit, bitorder="little")
+        _or_shifted(bits, C, _pattern(a, m, bound))
+    bits[-1] &= (2 << (bound & 7)) - 1
     return bits
 
 
 def _walk_rows(seen: np.ndarray, form: QuadForm, bound: int):
-    """Walk the rows of form: scatter some classes into seen, collect the others.
+    """Walk the rows of form: collect the classes of up to 8 slots, scatter the others into seen.
 
     Returns (minima, classes): bit k of the uint8 minima[v], v <= bound,
     says that v is a row minimum of the class m of bit k, and classes
-    lists (m, 1 << k) for the collected classes, ascending in m (minima
-    is None when classes is empty).  Returning drops the last chunk's
-    arrays before the classes are packed.
+    lists (m, 1 << k) for the collected classes, ascending in m.
+    Returning drops the last chunk's arrays before the classes are packed.
 
     g = gcd(s, t, 2a) divides c1, so a row's class m is a multiple of g
     in [0, a] and its slot is m / g.  Bit k is slot k, or slot k + 1 when
     there are more than 8 slots: m = 0 and m = a each come from one
     residue of c1, every other class from two, so the middle slots hold
-    the most rows.  A slot with a bit is scattered until it has had
-    (bytes of the mask bitset + _BLOCK_CELLS) / 256 rows; from then on
-    its row minima are collected, by one unbuffered OR per chunk in row
-    order, with no sort and no removal of repeats.  Scattering costs in
-    proportion to a class's rows, the ORs in proportion to the bitset's
-    bytes (plus a fixed cost per call); the divisor 256 ran the catalog
-    sweep at 10^6 faster than 64 or 128 and as fast as 512.  Slots with
-    no bit are always scattered.  The walk costs a fixed number of numpy
-    calls per chunk, so once every slot with a bit is collected the rows
-    are no longer counted, and a chunk with no row left to scatter
-    scatters nothing.
+    the most rows.  A slot with a bit is collected from its first row, by
+    one unbuffered OR per chunk in row order, with no sort and no removal
+    of repeats; slots with no bit are always scattered, and a chunk with
+    no row left to scatter scatters nothing.
     """
     a, _, _, _, s, t = form.coefficients
-    dense_from = (bound // 8 + 1 + _BLOCK_CELLS) // 256
     g = gcd(s, t, 2 * a)  # c1 = B mod 2a, and g divides B = t y + s z and 2a
     slots = a // g + 1
     first = 1 if slots > 8 else 0  # the slot of bit 0
     bit = 1 << np.arange(min(8, slots), dtype=np.uint8)
-    rows = np.zeros(len(bit), dtype=np.int64)  # the rows so far of the slots with a bit
-    # each slot's bit, 0 while it is scattered; slots past bit 7's share the last entry
+    # each slot's bit, 0 where it is scattered; slots past bit 7's share the last entry
     flag = np.zeros(min(slots, 10), dtype=np.uint8)
-    minima, counting = None, True
+    flag[first : first + len(bit)] = bit
+    minima = np.zeros(bound + 1, dtype=np.uint8)
     for _, c0, m in _row_minima(form, bound):
-        at = m // g if g > 1 else m
-        if counting:  # until every slot with a bit is collected
-            at_most = np.minimum(at, len(flag) - 1)
-            rows += np.bincount(at_most, minlength=len(flag))[first : first + len(bit)]
-            flag[first : first + len(bit)] = np.where(rows >= dense_from, bit, 0)
-            counting = rows.min() < dense_from
-            if minima is None and flag.any():
-                minima = np.zeros(bound + 1, dtype=np.uint8)
-        if minima is not None:
-            ones = flag.take(at, mode="clip")
-            np.bitwise_or.at(minima, c0, ones)  # a scattered row ORs in 0
-            rest = ones == 0
-            c0, m = c0[rest], m[rest]
+        ones = flag.take(m // g if g > 1 else m, mode="clip")
+        np.bitwise_or.at(minima, c0, ones)  # a scattered row ORs in 0
+        rest = ones == 0
+        c0, m = c0[rest], m[rest]
         if len(c0):
             # distinct (c0, m), ordered by c0
             c0, m = np.divmod(_distinct(c0 * (a + 1) + m), a + 1)

@@ -338,6 +338,23 @@ def _inclusion(sup: QuadForm, sub: QuadForm, classes):
     return search_cover(sup, sub)
 
 
+def _same_values(f: QuadForm, g: QuadForm, bound: int, key_f) -> None:
+    """Raise MismatchAt at the first integer <= bound represented by one of f, g but not the other.
+
+    key_f is f's key _value_bits(f, bound); equal keys mean equal values.
+    Only when g's key differs are the two bool masks built, to find the
+    first differing integer: forms of different content can still agree
+    at a small bound, and then nothing is raised.
+    """
+    k, bits = key_f
+    kg, bits_g = _value_bits(g, bound)
+    if kg == k and np.array_equal(bits, bits_g):
+        return
+    mf, mg = represented_mask(f, bound), represented_mask(g, bound)
+    if not np.array_equal(mf, mg):
+        raise MismatchAt(np.flatnonzero(mf != mg)[0], f, g)
+
+
 def prove_pair(f: QuadForm, g: QuadForm, *, classes_g_in_f=None, classes_f_in_g=None,
                empirical_bound: int = 10**6) -> PairProof:
     """Prove Q(f) = Q(g): subform shortcut in either direction, covers otherwise.
@@ -354,10 +371,7 @@ def prove_pair(f: QuadForm, g: QuadForm, *, classes_g_in_f=None, classes_f_in_g=
     require_positive_definite(g)
     f_in_g = _inclusion(g, f, classes_f_in_g)
     g_in_f = _inclusion(f, g, classes_g_in_f)
-    mf = represented_mask(f, empirical_bound)
-    mg = represented_mask(g, empirical_bound)
-    if not np.array_equal(mf, mg):
-        raise MismatchAt(np.flatnonzero(mf != mg)[0], f, g)
+    _same_values(f, g, empirical_bound, _value_bits(f, empirical_bound))
     return PairProof(f, g, f_in_g, g_in_f, empirical_bound)
 
 
@@ -382,10 +396,7 @@ def verify_pairwise(forms, bound: int, jobs: int = 1):
     forms is empty.
 
     Each form's values are kept packed, as the key (content, bitset) of
-    _value_bits, and the keys are compared.  Only when two keys differ
-    are the two bool masks built, to find the first differing integer:
-    forms of different content can still agree at a small bound, and
-    then nothing is raised.
+    _value_bits, and compared with the first form's (_same_values).
 
     jobs is unused, kept so that callers passing a thread count still
     bind: the keys are built in one thread, because threads making the
@@ -395,23 +406,18 @@ def verify_pairwise(forms, bound: int, jobs: int = 1):
     forms = tuple(forms)
     if not forms:
         raise ValueError("no forms")
-    keys = [_value_bits(fm, bound) for fm in forms]
     # all value sets agree iff each agrees with the first, and the first
-    # pair (i, j) that differs always has i = 0; equal keys mean equal values
-    k, bits = keys[0]
-    for j, (kj, bits_j) in enumerate(keys[1:], 1):
-        if kj == k and np.array_equal(bits, bits_j):
-            continue
-        mf, mg = represented_mask(forms[0], bound), represented_mask(forms[j], bound)
-        if not np.array_equal(mf, mg):
-            raise MismatchAt(np.flatnonzero(mf != mg)[0], forms[0], forms[j])
+    # pair (i, j) that differs always has i = 0
+    key = _value_bits(forms[0], bound)
+    for fm in forms[1:]:
+        _same_values(forms[0], fm, bound, key)
     isometric = tuple(
         (i, j)
         for i in range(len(forms))
         for j in range(i + 1, len(forms))
         if is_isometric(forms[i], forms[j]) is not None
     )
-    return int(np.count_nonzero(np.unpackbits(bits))), isometric
+    return int(np.count_nonzero(np.unpackbits(key[1]))), isometric
 
 
 def verify_table(set_id: str, bound: int = 10**6) -> SetReport:

@@ -219,6 +219,9 @@ def test_prove_post_proof_mismatch_exit_code(monkeypatch, capsys):
         return mask
 
     monkeypatch.setattr(prover, "represented_mask", flipped_for_g)
+    # prove_pair compares packed keys first: derive them from the flipped masks
+    monkeypatch.setattr(prover, "_value_bits", lambda form, bound: (
+        1, np.packbits(prover.represented_mask(form, bound), bitorder="little")))
     rc = run(["prove", "--f", "S4f", "--g", "S4g", "--max", "100"])
     assert rc == EXIT_MISMATCH
     assert "MISMATCH" in capsys.readouterr().err
@@ -252,6 +255,9 @@ def test_prove_mismatch_json(monkeypatch, capsys):
         return mask
 
     monkeypatch.setattr(prover, "represented_mask", flipped_for_g)
+    # prove_pair compares packed keys first: derive them from the flipped masks
+    monkeypatch.setattr(prover, "_value_bits", lambda form, bound: (
+        1, np.packbits(prover.represented_mask(form, bound), bitorder="little")))
     rc = run(["prove", "--f", "S4f", "--g", "S4g", "--max", "100", "--format", "json"])
     assert rc == EXIT_MISMATCH
     captured = capsys.readouterr()

@@ -252,6 +252,29 @@ def test_mask_memory_does_not_grow_with_collected_classes():
     assert many - one < 62_501
 
 
+@pytest.mark.parametrize("form, classes", [
+    # a = 5, g = 1: six slots, each with a bit
+    pytest.param(named_form("S1a"), list(range(6)), id="S1a"),
+    # a = 9, g = 1: ten slots, and the slots 0 and 9 are scattered
+    pytest.param(QuadForm(9, 11, 16, -10, 7, 13), list(range(1, 9)), id="a9"),
+])
+@pytest.mark.parametrize("bound", [50, 1_000])
+def test_slots_with_a_bit_are_collected_at_any_bound(form, classes, bound):
+    # a slot's mode is fixed before the walk: every slot with a bit is
+    # collected from its first row, however few rows the bound gives it
+    collected, walk = [], enumeration._walk_rows
+
+    def spy(*args):
+        minima, found = walk(*args)
+        collected.append([m for m, _ in found])
+        return minima, found
+
+    with mock.patch.object(enumeration, "_walk_rows", spy):
+        mask = represented_mask(form, bound)
+    assert collected == [classes]
+    assert np.array_equal(mask, oracle.value_counts(form, bound) > 0)
+
+
 # one SHA-256 over the masks of the 36 catalog forms (at the catalog scale,
 # as `ternrep table` sweeps them), each with its dtype and shape: any change
 # to the mask kernel must leave every byte of them as it is
@@ -426,7 +449,7 @@ def sumset_forms(draw):
 @given(sumset_forms(), st.integers(0, 250), st.sampled_from((-1, 0, 1)))
 @example(SUM_OF_SQUARES, 0, 0)  # later row chunks hold no row with c0 <= bound
 @example(QuadForm(2, 3, 3, -1, -1, 0), 4, -1)  # a value <= 31 needs |j| = isqrt(31 // 2) + 1
-# the next five collect row minima at 1, 7 and 64 cells per block:
+# the next five collect the row minima of every slot with a bit:
 # a + 1 = 3 slots, so a row's slot is m and every slot has a bit
 @example(QuadForm(2, 3, 3, -1, -1, 0), 31, 1)
 # g = gcd(s, t, 2a) = 2: only m = 0, 2, 4 occur, so a row's slot is m / 2
@@ -443,9 +466,10 @@ def sumset_forms(draw):
 @example(QuadForm(19, 29, 21, 26, 13, 0), 5, -1)
 def test_sumset_mask_matches_oracle(form, k, offset):
     # bounds 8k - 1, 8k and 8k + 1 end the mask's bitset inside, at and just
-    # past a byte; one cell per block collects every class's row minima in
-    # a bitset from its first row (up to 8 classes), the default block
-    # scatters the classes of small bounds row by row
+    # past a byte; every block size collects the row minima of the slots
+    # with a bit (up to 8 classes) from their first row and scatters the
+    # other classes row by row, and the sizes split the rows differently
+    # into chunks and blocks
     bound = max(0, 8 * k + offset)
     expected = oracle.value_counts(form, bound) > 0
     for cells in (enumeration._BLOCK_CELLS, 1, 7, 64):

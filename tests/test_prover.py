@@ -631,6 +631,9 @@ def test_post_proof_mismatch_raises_mismatch_at(s4, monkeypatch):
         return mask
 
     monkeypatch.setattr(prover, "represented_mask", flipped_for_g)
+    # prove_pair compares packed keys first: derive them from the flipped masks
+    monkeypatch.setattr(prover, "_value_bits", lambda form, bound: (
+        1, np.packbits(prover.represented_mask(form, bound), bitorder="little")))
     with pytest.raises(MismatchAt) as info:
         prove_pair(f, g, empirical_bound=100)
     assert info.value.n == 7
